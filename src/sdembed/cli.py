@@ -9,7 +9,8 @@ reproduced bit-for-bit from its manifest.  Outputs are written atomically
 
 Exit codes: 0 success, 1 runtime or solver failure, 2 usage or parse error.
 The SDEMBED_SEED environment variable overrides the default seed of all
-commands; explicit --seed flags win over it.
+commands; explicit --seed flags win over it.  A value that is not an
+integer is a usage error.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ _ALIASES = {"ou": "ornstein-uhlenbeck", "vdp": "van-der-pol"}
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("SDEMBED_SEED", "0")
     try:
-        return int(os.environ.get("SDEMBED_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"SDEMBED_SEED must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -549,9 +551,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # building the parser reads SDEMBED_SEED, so a malformed value exits 2 here
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ModelParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .polynomial import MultiIndex, multi_index_set
-from .sde import SdeModel, adjoint_apply, diffusion_product
+from .sde import SdeModel, diffusion_product
 
 __all__ = [
     "IntegratorConfig",
@@ -135,27 +135,57 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
 
     Column n holds the polynomial L x^n restricted to in-set target
     indices; entries are exact (integer combinations of the model
-    coefficients).
+    coefficients).  The columns are built together by index arithmetic on
+    the (K, dim) exponent array: a drift term c x^e on axis i maps x^n to
+    c n_i x^(n - e_i + e), and a [BB^T]_ij term c x^e maps x^n to
+    (c / 2) n_i (n_j - delta_ij) x^(n - e_i - e_j + e).  Each entry is
+    summed in the term order of `sde.adjoint_apply` (drift axes, then
+    (i, j) row-major), so the matrix is bit-for-bit the one built column
+    by column from that reference action.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    basis = multi_index_set(model.dim, max_degree, "max-degree")
-    pos = {n: i for i, n in enumerate(basis)}
-    product = diffusion_product(model)
-    rows, cols, vals = [], [], []
-    for col, source in enumerate(basis):
-        image = adjoint_apply(model, source, product=product)
-        for target, coef in image.terms.items():
-            row = pos.get(target)
-            if row is not None:
-                rows.append(row)
-                cols.append(col)
-                vals.append(coef)
+    dim = model.dim
+    basis = multi_index_set(dim, max_degree, "max-degree")
     size = len(basis)
-    matrix = sparse.csr_array(
-        sparse.coo_array((vals, (rows, cols)), shape=(size, size), dtype=float)
-    )
-    return GeneratorMatrix(tuple(basis), matrix, model.dim, max_degree, model.fingerprint)
+    exps = np.array(basis, dtype=np.int64)  # (K, dim)
+    grid = (max_degree + 1,) * dim
+    lookup = np.empty(math.prod(grid), dtype=np.int64)
+    lookup[np.ravel_multi_index(exps.T, grid)] = np.arange(size)
+    unit = np.eye(dim, dtype=np.int64)
+    product = diffusion_product(model)
+    # (polynomial, coefficient scale, exponent shift, integer multiplier per column)
+    slots = [(model.drift[i], 1.0, -unit[i], exps[:, i]) for i in range(dim)]
+    slots += [
+        (product[i, j], 0.5, -unit[i] - unit[j], exps[:, i] * (exps[:, j] - (i == j)))
+        for i in range(dim)
+        for j in range(dim)
+    ]
+    keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
+    # a 1e308 coefficient must still reach the matrix as inf (SolverError later)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for poly, scale, shift, multiplier in slots:
+            live = np.flatnonzero(multiplier)
+            factor = multiplier[live].astype(float)
+            for e, c in poly.terms.items():
+                targets = exps[live] + (shift + np.asarray(e, dtype=np.int64))
+                inside = np.all(targets <= max_degree, axis=1)
+                rows = lookup[np.ravel_multi_index(targets[inside].T, grid)]
+                keys.append(rows * size + live[inside])
+                vals.append((c * scale) * factor[inside])
+        # one target per column and term, so each += below hits a key once;
+        # the running sums therefore add in adjoint_apply's order
+        entries, where = np.unique(np.concatenate(keys), return_inverse=True)
+        data = np.zeros(entries.size)
+        start = 0
+        for v in vals:
+            data[where[start : start + v.size]] += v
+            start += v.size
+    kept = data != 0.0
+    entries, data = entries[kept], data[kept]
+    indptr = np.searchsorted(entries // size, np.arange(size + 1))
+    matrix = sparse.csr_array((data, entries % size, indptr), shape=(size, size))
+    return GeneratorMatrix(tuple(basis), matrix, dim, max_degree, model.fingerprint)
 
 
 def initial_coefficients(index_set, axis: int, power: int) -> np.ndarray:
@@ -243,27 +273,40 @@ def solve_moment(
     return solve_dual(generator, start, t, config, observable=(axis, power))
 
 
+# monomial bytes per eval_moment block: peak memory is O(block + points), not O(points * K)
+_EVAL_BLOCK_BYTES = 16 << 20
+
+
 def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
-    """Moment estimate sum_n P(n, t) x^n at one point (dim,) or a batch (..., dim)."""
+    """Moment estimate sum_n P(n, t) x^n at one point (dim,) or a batch (..., dim).
+
+    Points are evaluated in blocks of about `_EVAL_BLOCK_BYTES` of
+    monomials, so memory stays bounded by the block plus the output.
+    """
     x = np.asarray(x, dtype=float)
     dim = coeffs.dim
     if x.shape[-1] != dim:
         raise ValueError(f"point dimension {x.shape[-1]} != coefficient dimension {dim}")
     exps = np.asarray(coeffs.index_set, dtype=np.int64)  # (K, dim)
-    # per-axis power tables keep the cost at one multiply per (index, point)
+    tops = exps.max(axis=0)
     flat = x.reshape(-1, dim)
-    tables = []
-    for d in range(dim):
-        top = int(exps[:, d].max())
-        tab = np.empty((flat.shape[0], top + 1))
-        tab[:, 0] = 1.0
-        for p in range(1, top + 1):
-            tab[:, p] = tab[:, p - 1] * flat[:, d]
-        tables.append(tab)
-    monomials = tables[0][:, exps[:, 0]]
-    for d in range(1, dim):
-        monomials = monomials * tables[d][:, exps[:, d]]
-    out = (monomials @ coeffs.values).reshape(x.shape[:-1])
+    out = np.empty(flat.shape[0])
+    block = max(1, _EVAL_BLOCK_BYTES // (8 * exps.shape[0]))
+    for start in range(0, flat.shape[0], block):
+        points = flat[start : start + block]
+        # per-axis power tables keep the cost at one multiply per (index, point)
+        tables = []
+        for d in range(dim):
+            tab = np.empty((points.shape[0], tops[d] + 1))
+            tab[:, 0] = 1.0
+            for p in range(1, tops[d] + 1):
+                tab[:, p] = tab[:, p - 1] * points[:, d]
+            tables.append(tab)
+        monomials = tables[0][:, exps[:, 0]]
+        for d in range(1, dim):
+            monomials *= tables[d][:, exps[:, d]]
+        out[start : start + block] = monomials @ coeffs.values
+    out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,9 +6,10 @@ finite polynomial.  The generator acting on observables is
 
     L = sum_i a_i(x) d/dx_i + 1/2 sum_{i,j} [B(x) B(x)^T]_{i,j} d2/dx_i dx_j
 
-and `adjoint_apply` returns L x^n exactly.  Two builtin models are
-provided: the Ornstein-Uhlenbeck process (1-D, linear) and the noisy van
-der Pol oscillator (2-D, cubic drift).
+and `adjoint_apply` returns L x^n exactly; it is the reference action that
+the whole-basis assembly in `dual.build_generator` reproduces bit-for-bit.
+Two builtin models are provided: the Ornstein-Uhlenbeck process (1-D,
+linear) and the noisy van der Pol oscillator (2-D, cubic drift).
 """
 
 from __future__ import annotations

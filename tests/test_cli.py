@@ -242,3 +242,11 @@ class TestSeedEnvironmentOverride:
         assert code == 0
         manifest = json.loads((tmp_path / "states.csv.manifest.json").read_text())
         assert manifest["seeds"]["seed"] == 123
+
+    def test_malformed_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SDEMBED_SEED", "abc")
+        out = tmp_path / "states.csv"
+        code = run(["mc", "ou", "--x0", 1.0, "--t", 0.02, "--dt", 0.01, "--paths", 10, "--m", 1, "--out", out])
+        assert code == 2
+        assert "SDEMBED_SEED" in capsys.readouterr().err
+        assert not out.exists()

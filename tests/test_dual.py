@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from sdembed import dual
 from sdembed.dual import (
     SolverError,
     build_generator,
@@ -15,7 +18,13 @@ from sdembed.dual import (
 )
 from sdembed.mc import SimConfig, mc_moment, simulate
 from sdembed.polynomial import Polynomial, multi_index_set
-from sdembed.sde import SdeModel, builtin_model
+from sdembed.sde import (
+    SdeModel,
+    adjoint_apply,
+    builtin_model,
+    diffusion_product,
+    shift_model_origin,
+)
 
 
 def ou_generator_oracle(gamma, sigma, max_degree):
@@ -50,6 +59,63 @@ def vdp_generator_oracle(eps, nu11, nu22, max_degree):
         add(row, (n1 + 2, n2), 0.5 * nu11 * (n1 + 2) * (n1 + 1))
         add(row, (n1, n2 + 2), 0.5 * nu22 * (n2 + 2) * (n2 + 1))
     return a
+
+
+def generator_by_columns(model, max_degree):
+    """The generator assembled column by column from the reference action
+    adjoint_apply: column n holds L x^n restricted to in-set targets."""
+    basis = multi_index_set(model.dim, max_degree, "max-degree")
+    pos = {n: i for i, n in enumerate(basis)}
+    product = diffusion_product(model)
+    rows, cols, vals = [], [], []
+    for col, source in enumerate(basis):
+        for target, coef in adjoint_apply(model, source, product=product).terms.items():
+            row = pos.get(target)
+            if row is not None:
+                rows.append(row)
+                cols.append(col)
+                vals.append(coef)
+    size = len(basis)
+    return sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(size, size), dtype=float))
+
+
+def random_model(seed):
+    """1-3-D model with multi-term drift and a full, state-dependent diffusion
+    matrix, so several generator terms land on the same matrix entry."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+
+    def poly(min_terms):
+        terms = {}
+        for _ in range(int(rng.integers(min_terms, 4))):
+            index = tuple(int(e) for e in rng.integers(0, 3, dim))
+            terms[index] = float(rng.normal() * 10.0 ** rng.integers(-3, 3))
+        return Polynomial(dim, terms)
+
+    drift = tuple(poly(0) for _ in range(dim))
+    diffusion = tuple(tuple(poly(1) for _ in range(dim)) for _ in range(dim))
+    return SdeModel(dim, drift, diffusion)
+
+
+def lorenz_model(sigma=10.0, rho=28.0, beta=8.0 / 3.0, noise=1.0):
+    """Stochastic Lorenz system with additive noise on every axis."""
+    drift = (
+        Polynomial(3, {(1, 0, 0): -sigma, (0, 1, 0): sigma}),
+        Polynomial(3, {(1, 0, 0): rho, (1, 0, 1): -1.0, (0, 1, 0): -1.0}),
+        Polynomial(3, {(1, 1, 0): 1.0, (0, 0, 1): -beta}),
+    )
+    diffusion = tuple(
+        tuple(Polynomial.constant(3, noise) if i == j else Polynomial.zero(3) for j in range(3))
+        for i in range(3)
+    )
+    return SdeModel(3, drift, diffusion, name="stochastic-lorenz")
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 @pytest.fixture
@@ -89,6 +155,25 @@ class TestBuildGenerator:
     def test_negative_degree_rejected(self, ou):
         with pytest.raises(ValueError):
             build_generator(ou, -1)
+
+
+class TestGeneratorMatchesReferenceAction:
+    """build_generator is bit-for-bit the column-by-column adjoint_apply assembly."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_models(self, seed):
+        model = random_model(seed)
+        max_degree = 4 if model.dim == 3 else 7
+        want = generator_by_columns(model, max_degree)
+        assert_same_csr(build_generator(model, max_degree).matrix, want)
+
+    def test_shifted_origin_vdp(self, vdp):
+        model = shift_model_origin(vdp, (0.5, -1.0))
+        assert_same_csr(build_generator(model, 12).matrix, generator_by_columns(model, 12))
+
+    def test_lorenz(self):
+        model = lorenz_model()
+        assert_same_csr(build_generator(model, 8).matrix, generator_by_columns(model, 8))
 
 
 class TestInitialCoefficients:
@@ -220,6 +305,39 @@ class TestEvalMoment:
         coeffs = solve_moment(ou, axis=1, power=1, t=0.1, max_degree=4)
         with pytest.raises(ValueError):
             eval_moment(coeffs, [1.0, 2.0])
+
+    def test_large_batch_memory_is_bounded(self, vdp):
+        coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=17)
+        pts = np.random.default_rng(0).uniform(-4.0, 4.0, (250_000, 2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = eval_moment(coeffs, pts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (250_000,)
+        assert peak < 64 * 2**20
+
+    def test_blocks_agree_with_single_points(self, vdp):
+        coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=60)
+        block = dual._EVAL_BLOCK_BYTES // (8 * len(coeffs.index_set))
+        count = 2 * block + 3
+        pts = np.random.default_rng(1).uniform(-2.0, 2.0, (count, 2))
+        batched = eval_moment(coeffs, pts)
+        # every block edge, the short last block, and a spread of interior points
+        edges = [0, block - 1, block, block + 1, 2 * block - 1, 2 * block, count - 1]
+        picks = sorted(set(edges) | set(range(0, count, 37)))
+        single = np.array([eval_moment(coeffs, pts[i]) for i in picks])
+        assert np.allclose(batched[picks], single, rtol=1e-13, atol=0.0)
+
+    def test_result_shapes(self, vdp):
+        coeffs = solve_moment(vdp, axis=1, power=1, t=0.05, max_degree=6)
+        assert isinstance(eval_moment(coeffs, [0.5, -0.5]), float)
+        pts = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 4, 2))
+        out = eval_moment(coeffs, pts)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out[1], eval_moment(coeffs, pts[1]))
 
 
 class TestSpillDiagnostic:
