@@ -73,10 +73,6 @@ class GeneratorMatrix:
     max_degree: int
     model_fingerprint: str = ""
 
-    @cached_property
-    def positions(self) -> dict[MultiIndex, int]:
-        return {n: i for i, n in enumerate(self.index_set)}
-
 
 @dataclass(frozen=True)
 class DualCoefficients:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,11 +23,8 @@ __all__ = [
     "line_eval",
     "radial_error_profile",
     "grid_csv_text",
-    "write_grid_csv",
     "line_csv_text",
-    "write_line_csv",
     "profile_csv_text",
-    "write_profile_csv",
 ]
 
 
@@ -160,10 +156,6 @@ def grid_csv_text(table: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_grid_csv(table: np.ndarray, path) -> None:
-    Path(path).write_text(grid_csv_text(table))
-
-
 def line_csv_text(table: np.ndarray) -> str:
     lines = ["x,value"]
     for x, value in table:
@@ -171,16 +163,8 @@ def line_csv_text(table: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_line_csv(table: np.ndarray, path) -> None:
-    Path(path).write_text(line_csv_text(table))
-
-
 def profile_csv_text(profile: RadialErrorProfile) -> str:
     lines = ["r_lo,r_hi,mse"]
     for lo, hi, mse in zip(profile.band_edges[:-1], profile.band_edges[1:], profile.mse):
         lines.append(f"{float(lo)!r},{float(hi)!r},{float(mse)!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_profile_csv(profile: RadialErrorProfile, path) -> None:
-    Path(path).write_text(profile_csv_text(profile))

@@ -7,20 +7,23 @@ Gauss-Newton (Levenberg-Marquardt) steps with the analytic Jacobian from
 the network module, restarted from several random initializations; the
 lowest-cost restart wins.  Everything is deterministic for a fixed seed.
 
-The default iteration budget is deliberately modest.  On these small
-matching systems LM reaches costs far below the truncation error of the
-expansion itself within a few dozen iterations; when the hidden layer can
-interpolate the target, the infimum is typically approached only as
-weights diverge along a flat valley, so longer budgets trade invisible
-cost gains for inflated weights that evaluate poorly away from the
-origin.
+The default iteration budget (30) is deliberately modest, and it is not
+the one `sdembed fit` uses (200); neither serves both fits below.  On
+these small matching systems LM reaches costs below the truncation error
+of the expansion within a few dozen iterations.  When the hidden layer
+can interpolate the target, the infimum is approached only as weights
+diverge along a flat valley.  For the OU second moment (h=4, N=12, t=1)
+longer budgets therefore trade invisible cost gains for inflated weights
+that evaluate poorly away from the origin: at 200 iterations the maximum
+error on [-1, 1] is 0.137 instead of 0.007.  The van der Pol second
+moment (h=8, N=17, t=0.1) goes the other way: 200 iterations lower the
+worst cost over seeds 0-5 from 1.2e-2 to 2.7e-3 and the error in every
+radial band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-import json
 
 import numpy as np
 
@@ -42,7 +45,6 @@ __all__ = [
     "residuals",
     "fit_network",
     "fit_result_to_dict",
-    "write_fit_result",
 ]
 
 _DAMPING_FLOOR = 1e-15
@@ -219,7 +221,3 @@ def fit_result_to_dict(result: FitResult) -> dict:
         "converged": result.converged,
         "seed": result.seed,
     }
-
-
-def write_fit_result(result: FitResult, path) -> None:
-    Path(path).write_text(json.dumps(fit_result_to_dict(result), indent=2) + "\n")

@@ -42,7 +42,6 @@ class SimConfig:
     horizon: float
     paths: int
     seed: int = 0
-    scheme: str = "euler-maruyama"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -53,8 +52,6 @@ class SimConfig:
             raise ValueError(f"paths must be >= 1, got {self.paths}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.scheme != "euler-maruyama":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"horizon {self.horizon} is not an integer multiple of dt {self.dt}")

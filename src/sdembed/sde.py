@@ -10,6 +10,7 @@ and `adjoint_apply` returns L x^n exactly; it is the reference action that
 the whole-basis assembly in `dual.build_generator` reproduces bit-for-bit.
 Two builtin models are provided: the Ornstein-Uhlenbeck process (1-D,
 linear) and the noisy van der Pol oscillator (2-D, cubic drift).
+`BUILTIN_PARAMS` and `BUILTIN_ALIASES` name them and their parameters.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from pathlib import Path
 from .polynomial import MultiIndex, Polynomial
 
 __all__ = [
+    "BUILTIN_PARAMS",
+    "BUILTIN_ALIASES",
     "SdeModel",
     "DiffusionProduct",
     "ModelParseError",
@@ -35,6 +38,14 @@ __all__ = [
     "read_model",
     "write_model",
 ]
+
+
+# builtin model name -> its parameter names, and the short aliases
+BUILTIN_PARAMS = {
+    "ornstein-uhlenbeck": ("gamma", "sigma"),
+    "van-der-pol": ("epsilon", "nu11", "nu22"),
+}
+BUILTIN_ALIASES = {"ou": "ornstein-uhlenbeck", "vdp": "van-der-pol"}
 
 
 class ModelParseError(ValueError):
@@ -109,26 +120,25 @@ def builtin_model(name: str, params: dict | None = None) -> SdeModel:
         dx1 = x2 dt,  dx2 = (epsilon x2 (1 - x1^2) - x1) dt,
         with diffusion diag(nu11, nu22).
     """
-    params = dict(params or {})
     key = name.strip().lower()
-    if key in ("ornstein-uhlenbeck", "ou"):
-        p = _require_params(name, params, ("gamma", "sigma"))
+    key = BUILTIN_ALIASES.get(key, key)
+    if key not in BUILTIN_PARAMS:
+        raise ValueError(f"unknown builtin model {name!r}")
+    p = _require_params(name, dict(params or {}), BUILTIN_PARAMS[key])
+    if key == "ornstein-uhlenbeck":
         drift = (Polynomial(1, {(1,): -p["gamma"]}),)
         diffusion = ((Polynomial.constant(1, p["sigma"]),),)
-        return SdeModel(1, drift, diffusion, name="ornstein-uhlenbeck")
-    if key in ("van-der-pol", "vdp"):
-        p = _require_params(name, params, ("epsilon", "nu11", "nu22"))
-        eps = p["epsilon"]
-        drift = (
-            Polynomial(2, {(0, 1): 1.0}),
-            Polynomial(2, {(0, 1): eps, (2, 1): -eps, (1, 0): -1.0}),
-        )
-        diffusion = (
-            (Polynomial.constant(2, p["nu11"]), Polynomial.zero(2)),
-            (Polynomial.zero(2), Polynomial.constant(2, p["nu22"])),
-        )
-        return SdeModel(2, drift, diffusion, name="van-der-pol")
-    raise ValueError(f"unknown builtin model {name!r}")
+        return SdeModel(1, drift, diffusion, name=key)
+    eps = p["epsilon"]
+    drift = (
+        Polynomial(2, {(0, 1): 1.0}),
+        Polynomial(2, {(0, 1): eps, (2, 1): -eps, (1, 0): -1.0}),
+    )
+    diffusion = (
+        (Polynomial.constant(2, p["nu11"]), Polynomial.zero(2)),
+        (Polynomial.zero(2), Polynomial.constant(2, p["nu22"])),
+    )
+    return SdeModel(2, drift, diffusion, name=key)
 
 
 def diffusion_product(model: SdeModel) -> DiffusionProduct:

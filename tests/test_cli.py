@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -116,6 +117,25 @@ class TestFitCommand:
         assert "--order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        (["fit", "--hidden", 2], []),
+        (["train-baseline", "--size", 10, "--box", -1, 1, "--hidden", 2], []),
+    ],
+    ids=["fit", "train-baseline"],
+)
+@pytest.mark.parametrize(
+    "target", [["vdp"], ["--order", 2], ["--t", 5], ["--epsilon", 3]], ids=["model", "order", "t", "param"]
+)
+def test_dual_rejects_target_flags(command, extra, target, ou_dual_csv, tmp_path, capsys):
+    out = tmp_path / "net.json"
+    code = run([*command, "--dual", ou_dual_csv, *target, "--out", out])
+    assert code == 2
+    assert "ignored" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestMcCommand:
     def test_estimate_printed(self, capsys):
         code = run(["mc", "ou", "--x0", 1.0, "--t", 0.1, "--dt", 0.01, "--paths", 500, "--m", 1, "--seed", 3])
@@ -229,9 +249,90 @@ class TestEvalCommand:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 6
 
+    def test_mc_predictor_takes_model_json(self, tmp_path):
+        from sdembed.sde import builtin_model, write_model
+
+        model = tmp_path / "ou.json"
+        write_model(builtin_model("ou", {"gamma": 1.0, "sigma": 1.0}), model)
+        from_file, from_builtin = tmp_path / "file.csv", tmp_path / "builtin.csv"
+        for ref, out in ((model, from_file), ("ou", from_builtin)):
+            code = run([
+                "eval", "--pred", f"mc:model={ref},m=1,t=0.1,dt=0.01,paths=50,seed=0",
+                "--line", -1, 1, 3, "--out", out,
+            ])
+            assert code == 0
+        assert from_file.read_bytes() == from_builtin.read_bytes()
+        manifest = json.loads((tmp_path / "file.csv.manifest.json").read_text())
+        assert manifest["input_hashes"] == {str(model): hashlib.sha256(model.read_bytes()).hexdigest()}
+
+    def test_mc_predictor_rejects_foreign_parameter(self, tmp_path, capsys):
+        code = run([
+            "eval", "--pred", "mc:model=ou,m=1,t=0.1,epsilon=2,dt=0.01,paths=10",
+            "--line", -1, 1, 3, "--out", tmp_path / "x.csv",
+        ])
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [("ou:m=1,gamma=1", "'t'"), ("mc:m=1,t=0.1", "'model'"), ("mc:model=ou,t=0.1", "'m'")],
+    )
+    def test_predictor_missing_key_is_usage_error(self, spec, key, tmp_path, capsys):
+        code = run(["eval", "--pred", spec, "--line", -1, 1, 3, "--out", tmp_path / "x.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "missing required key" in err and key in err
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--line", -1, 1, 2.7],
+            ["--grid", -1, 1, -1, 1, 5, 2.5],
+            ["--polar", 4, 10.5, 8],
+        ],
+        ids=["line", "grid", "polar"],
+    )
+    def test_fractional_mesh_count_is_usage_error(self, mode, vdp_dual_csv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        pred = ["--pred", "ou:m=1,t=1"] if mode[0] == "--line" else ["--pred", f"dual:{vdp_dual_csv}"]
+        if mode[0] == "--polar":
+            pred += ["--ref", f"dual:{vdp_dual_csv}"]
+        code = run(["eval", *pred, *mode, "--out", out])
+        assert code == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exactly_one_mode_required(self, ou_dual_csv, tmp_path):
         code = run(["eval", "--pred", f"dual:{ou_dual_csv}", "--out", tmp_path / "x.csv"])
         assert code == 2
+
+
+def test_parser_defaults_match_library():
+    from sdembed.baseline import TrainConfig
+    from sdembed.cli import _build_parser
+    from sdembed.dual import IntegratorConfig
+    from sdembed.fit import FitConfig
+
+    parser = _build_parser()
+    dual = parser.parse_args(["dual", "ou", "--order", "1", "--N", "4", "--t", "1", "--out", "o"])
+    fit = parser.parse_args(["fit", "--dual", "c.csv", "--hidden", "2", "--out", "o"])
+    train = parser.parse_args(
+        ["train-baseline", "--dual", "c.csv", "--size", "8", "--box", "-1", "1", "--hidden", "2", "--out", "o"]
+    )
+    solve, fitting, training = IntegratorConfig(), FitConfig(hidden=2, order=1), TrainConfig()
+    for args in (dual, fit, train):
+        assert (args.rtol, args.atol) == (solve.rtol, solve.atol)
+    assert fit.restarts == fitting.restarts
+    assert (fit.init_low, fit.init_high) == fitting.init_range
+    assert (fit.gtol, fit.ctol) == (fitting.gradient_tol, fitting.cost_tol)
+    assert (train.epochs, train.batch, train.lr) == (
+        training.epochs,
+        training.batch_size,
+        training.learning_rate,
+    )
+    # the one documented divergence: vdp m=2 needs the longer CLI budget,
+    # the OU m=2 embedding needs the library's shorter one
+    assert (fit.max_iterations, fitting.max_iterations) == (200, 30)
 
 
 class TestSeedEnvironmentOverride:

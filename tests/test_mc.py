@@ -35,8 +35,6 @@ class TestSimConfig:
             SimConfig(dt=0.1, horizon=1.0, paths=0)
         with pytest.raises(ValueError):
             SimConfig(dt=0.1, horizon=-1.0, paths=10)
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.1, horizon=1.0, paths=10, scheme="milstein")
 
     def test_step_count_must_be_integral(self):
         with pytest.raises(ValueError, match="integer multiple"):
