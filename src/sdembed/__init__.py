@@ -33,7 +33,7 @@ from .network import (
     taylor_jacobian,
     write_network,
 )
-from .polynomial import MultiIndex, Polynomial, monomial_eval, multi_index_set, multinomial
+from .polynomial import MultiIndex, Polynomial, monomials, multi_index_set, multinomial
 from .sde import (
     ModelParseError,
     SdeModel,
@@ -52,7 +52,7 @@ __all__ = [
     "Polynomial",
     "multi_index_set",
     "multinomial",
-    "monomial_eval",
+    "monomials",
     "SdeModel",
     "ModelParseError",
     "builtin_model",

@@ -67,15 +67,17 @@ class Dataset:
         return self.inputs.shape[1]
 
 
+# Adam moment decay rates and denominator guard (Kingma & Ba defaults)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 256
     learning_rate: float = 0.01
-    lr_decay: float = 1.0  # per-epoch multiplicative factor
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +85,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.learning_rate <= 0 or not 0 < self.lr_decay <= 1:
-            raise ValueError("learning rate settings out of range")
+        if self.learning_rate <= 0:
+            raise ValueError("learning rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,6 @@ def train_backprop(data: Dataset, arch: tuple[int, int], config: TrainConfig) ->
     params = [out_w, in_w, biases]
     first = [np.zeros_like(p) for p in params]
     second = [np.zeros_like(p) for p in params]
-    lr = config.learning_rate
     adam_step = 0
     trace = np.empty(config.epochs)
     # divergence surfaces through the per-epoch finite-loss check, so the
@@ -162,17 +163,16 @@ def train_backprop(data: Dataset, arch: tuple[int, int], config: TrainConfig) ->
                 d_hidden = (scale * err)[:, None] * out_w[None, :] * hidden_act * (1.0 - hidden_act)
                 grads = [hidden_act.T @ (scale * err), d_hidden.T @ x, d_hidden.sum(axis=0)]
                 adam_step += 1
-                correct1 = 1.0 - config.beta1**adam_step
-                correct2 = 1.0 - config.beta2**adam_step
+                correct1 = 1.0 - _BETA1**adam_step
+                correct2 = 1.0 - _BETA2**adam_step
                 for p, m, v, g in zip(params, first, second, grads):
-                    m += (1.0 - config.beta1) * (g - m)
-                    v += (1.0 - config.beta2) * (g * g - v)
-                    p -= lr * (m / correct1) / (np.sqrt(v / correct2) + config.eps)
+                    m += (1.0 - _BETA1) * (g - m)
+                    v += (1.0 - _BETA2) * (g * g - v)
+                    p -= config.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + _EPS)
             loss = _mse(params, data.inputs, data.targets)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             trace[epoch] = loss
-            lr *= config.lr_decay
     return TrainResult(SigmoidNet(out_w, in_w, biases), trace, config)
 
 

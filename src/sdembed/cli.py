@@ -53,7 +53,6 @@ from .network import forward, net_to_dict, read_network
 from .sde import (
     BUILTIN_ALIASES,
     BUILTIN_PARAMS,
-    ModelParseError,
     SdeModel,
     builtin_model,
     read_model,
@@ -106,9 +105,14 @@ class _Run:
             "outputs": [],
         }
 
-    def track_input(self, path) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    def input_file(self, ref, what: str) -> Path:
+        """The path of an existing regular file, its hash recorded; else a usage error."""
+        path = Path(ref)
+        if not path.is_file():
+            raise ValueError(f"{what} not found: {path}")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
         self.manifest["input_hashes"][str(path)] = digest
+        return path
 
     def write_output(self, path, text: str) -> None:
         _atomic_write_text(Path(path), text)
@@ -134,11 +138,7 @@ class _Run:
         else:
             if params:
                 raise ValueError("builtin parameter flags do not apply to model files")
-            path = Path(ref)
-            if not path.is_file():
-                raise ModelParseError(f"model file not found: {path}")
-            model = read_model(path)
-            self.track_input(path)
+            model = read_model(self.input_file(ref, "model file"))
         if origin:
             if len(origin) != model.dim:
                 raise ValueError(f"--origin needs {model.dim} components for this model")
@@ -187,11 +187,7 @@ def _target_from_args(args, run: _Run) -> tuple[DualCoefficients, int]:
             ignored.insert(0, f"model {args.model!r}")
         if ignored:
             raise ValueError(f"--dual fixes the target; {', '.join(ignored)} would be ignored")
-        path = Path(args.dual)
-        if not path.exists():
-            raise ValueError(f"coefficient file not found: {path}")
-        coeffs = read_coefficients_csv(path)
-        run.track_input(path)
+        coeffs = read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
     else:
         if args.model is None:
             raise ValueError("either --dual or a model reference is required")
@@ -306,18 +302,12 @@ def _build_predictor(spec: str, run: _Run) -> _Predictor:
         raise ValueError(f"cannot interpret predictor spec {spec!r}")
 
     if kind == "net":
-        path = Path(body)
-        if not path.exists():
-            raise ValueError(f"network file not found: {path}")
+        path = run.input_file(body, "network file")
         net = read_network(path)
-        run.track_input(path)
         return _Predictor(lambda pts: forward(net, pts), net.dim, f"net:{path.name}")
     if kind == "dual":
-        path = Path(body)
-        if not path.exists():
-            raise ValueError(f"coefficient file not found: {path}")
+        path = run.input_file(body, "coefficient file")
         coeffs = read_coefficients_csv(path)
-        run.track_input(path)
         return _Predictor(lambda pts: eval_moment(coeffs, pts), coeffs.dim, f"dual:{path.name}")
     if kind == "ou":
         where = "ou predictor"
@@ -540,7 +530,7 @@ def main(argv=None) -> int:
         # building the parser reads SDEMBED_SEED, so a malformed value exits 2 here
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, ModelParseError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ModelParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, FitError, EstimationError, RuntimeError) as exc:

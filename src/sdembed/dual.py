@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .polynomial import MultiIndex, multi_index_set
+from .polynomial import MultiIndex, monomials, multi_index_set
 from .sde import SdeModel, diffusion_product
 
 __all__ = [
@@ -45,14 +45,16 @@ __all__ = [
 ]
 
 
+# the paper's Runge-Kutta 5(4) pair; solve_ivp's default max_step (inf) applies
+_IVP_METHOD = "RK45"
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive IVP settings; defaults make truncation the dominant error."""
+    """Adaptive IVP tolerances; defaults make truncation the dominant error."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    method: str = "RK45"
-    max_step: float = math.inf
 
 
 class SolverError(RuntimeError):
@@ -97,13 +99,18 @@ class DualCoefficients:
     def positions(self) -> dict[MultiIndex, int]:
         return {n: i for i, n in enumerate(self.index_set)}
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """The index set as a (K, dim) int array, in `values` order."""
+        return np.array(self.index_set, dtype=np.int64)
+
     @property
     def dim(self) -> int:
         return len(self.index_set[0])
 
     @property
     def max_degree(self) -> int:
-        return max(max(n) for n in self.index_set)
+        return int(self.exponents.max())
 
     def value_at(self, index: MultiIndex) -> float:
         return float(self.values[self.positions[tuple(index)]])
@@ -114,8 +121,7 @@ class DualCoefficients:
         A non-negligible value means coefficient mass reached the cutoff
         boundary and the truncated solution should not be trusted.
         """
-        cut = self.max_degree - 1
-        mask = np.array([max(n) >= cut for n in self.index_set])
+        mask = self.exponents.max(axis=1) >= self.max_degree - 1
         return float(np.sum(np.abs(self.values[mask])))
 
     def fingerprint(self) -> str:
@@ -235,10 +241,9 @@ def solve_dual(
             rhs,
             (0.0, t),
             start,
-            method=config.method,
+            method=_IVP_METHOD,
             rtol=config.rtol,
             atol=config.atol,
-            max_step=config.max_step,
             t_eval=[t],
         )
         if not sol.success:
@@ -283,25 +288,16 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     dim = coeffs.dim
     if x.shape[-1] != dim:
         raise ValueError(f"point dimension {x.shape[-1]} != coefficient dimension {dim}")
-    exps = np.asarray(coeffs.index_set, dtype=np.int64)  # (K, dim)
-    tops = exps.max(axis=0)
+    exps = coeffs.exponents
     flat = x.reshape(-1, dim)
     out = np.empty(flat.shape[0])
     block = max(1, _EVAL_BLOCK_BYTES // (8 * exps.shape[0]))
+    # one buffer for all blocks: a fresh 16 MiB array each made malloc unmap and re-fault it
+    work = np.empty((exps.shape[0], min(block, flat.shape[0])))
     for start in range(0, flat.shape[0], block):
         points = flat[start : start + block]
-        # per-axis power tables keep the cost at one multiply per (index, point)
-        tables = []
-        for d in range(dim):
-            tab = np.empty((points.shape[0], tops[d] + 1))
-            tab[:, 0] = 1.0
-            for p in range(1, tops[d] + 1):
-                tab[:, p] = tab[:, p - 1] * points[:, d]
-            tables.append(tab)
-        monomials = tables[0][:, exps[:, 0]]
-        for d in range(1, dim):
-            monomials *= tables[d][:, exps[:, d]]
-        out[start : start + block] = monomials @ coeffs.values
+        terms = monomials(points, exps, out=work[:, : points.shape[0]].T)
+        out[start : start + block] = terms @ coeffs.values
     out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 

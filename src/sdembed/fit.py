@@ -47,6 +47,10 @@ __all__ = [
     "fit_result_to_dict",
 ]
 
+# Levenberg-Marquardt damping: start, factors after rejected/accepted steps, range
+_DAMPING_INIT = 1e-3
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 0.1
 _DAMPING_FLOOR = 1e-15
 _DAMPING_CEIL = 1e15
 
@@ -66,9 +70,6 @@ class FitConfig:
     max_iterations: int = 30
     gradient_tol: float = 1e-10
     cost_tol: float = 1e-15
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -85,8 +86,6 @@ class FitConfig:
         lo, hi = self.init_range
         if not lo < hi:
             raise ValueError("init_range must be a nonempty interval")
-        if self.damping_init <= 0 or self.damping_up <= 1 or not 0 < self.damping_down < 1:
-            raise ValueError("damping schedule parameters out of range")
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
     r, cost = cost_and_residual(theta)
     if not np.isfinite(cost):
         raise FitError("non-finite residuals at the initial point")
-    damping = config.damping_init
+    damping = _DAMPING_INIT
     converged = False
     iterations = 0
     while iterations < config.max_iterations:
@@ -155,19 +154,19 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
             try:
                 step = np.linalg.solve(hess + damping * identity, -gradient)
             except np.linalg.LinAlgError:
-                damping *= config.damping_up
+                damping *= _DAMPING_UP
                 continue
             r_new, cost_new = cost_and_residual(theta + step)
             if np.isfinite(cost_new) and cost_new < cost:
                 accepted = True
                 break
-            damping *= config.damping_up
+            damping *= _DAMPING_UP
         if not accepted:
             break  # damping exhausted without a downhill step
         iterations += 1
         drop = cost - cost_new
         theta, r, cost = theta + step, r_new, cost_new
-        damping = max(damping * config.damping_down, _DAMPING_FLOOR)
+        damping = max(damping * _DAMPING_DOWN, _DAMPING_FLOOR)
         if drop <= config.cost_tol * max(cost, _DAMPING_FLOOR):
             _, gnorm = gradient_norm(theta, r)
             converged = gnorm <= config.gradient_tol

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .polynomial import grlex_key, monomials
 from .sde import SdeModel
 
 __all__ = [
@@ -100,12 +101,13 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
         raise ValueError(f"x0 has shape {x0.shape}, expected ({model.dim},)")
     dim, steps = model.dim, config.steps
     sqrt_dt = math.sqrt(config.dt)
-    diffusion_terms = [
-        (i, j, model.diffusion[i][j])
-        for i in range(dim)
-        for j in range(dim)
-        if not model.diffusion[i][j].is_zero()
-    ]
+    # compiled once: a coefficient column per a_i, then per nonzero B_ij (row-major),
+    # over the union of their exponents, so a step is one kernel call and one product
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if not model.diffusion[i][j].is_zero()]
+    polys = [*model.drift, *(model.diffusion[i][j] for i, j in pairs)]
+    union = sorted({n for p in polys for n in p.terms}, key=grlex_key)
+    exps = np.array(union, dtype=np.int64).reshape(-1, dim)
+    coefs = np.array([[p.coefficient(n) for p in polys] for n in union]).reshape(-1, len(polys))
     final = np.empty((config.paths, dim))
     for start in range(0, config.paths, _CHUNK_PATHS):
         count = min(_CHUNK_PATHS, config.paths - start)
@@ -115,11 +117,10 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
             with np.errstate(over="ignore", invalid="ignore"):
                 for k in range(steps):
                     xi = noise[:, k, :]
-                    incr = np.empty_like(states)
-                    for i in range(dim):
-                        incr[:, i] = model.drift[i].evaluate(states) * config.dt
-                    for i, j, poly in diffusion_terms:
-                        incr[:, i] += poly.evaluate(states) * (sqrt_dt * xi[:, j])
+                    values = monomials(states, exps) @ coefs
+                    incr = values[:, :dim] * config.dt
+                    for col, (i, j) in enumerate(pairs, start=dim):
+                        incr[:, i] += values[:, col] * (sqrt_dt * xi[:, j])
                     states = states + incr
         final[start : start + count] = states
     blown = ~np.all(np.isfinite(final), axis=1)

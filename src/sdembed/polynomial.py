@@ -10,6 +10,9 @@ immutable after construction; every operation returns a new value.
 Multi-index sets are enumerated in graded lexicographic order (total
 degree first, then x_1 before x_2 before ...), which fixes the vector
 layout used by the coefficient solver and the least-squares residuals.
+
+`monomials` is the one evaluator of monomials at points: `Polynomial` compiles
+its terms for it once, and `dual.eval_moment` and `mc.simulate` call it too.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = [
     "grlex_key",
     "multi_index_set",
     "multinomial",
-    "monomial_eval",
+    "monomials",
 ]
 
 
@@ -76,24 +79,33 @@ def multinomial(k: int, parts: Iterable[int]) -> int:
     return out
 
 
-def monomial_eval(index: MultiIndex, x) -> float | np.ndarray:
-    """Evaluate x^index with the 0**0 = 1 convention.
+def monomials(x: np.ndarray, exps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Monomials x^n of float points x (..., dim) for the int exponent rows
+    of exps (K, dim), as an array (..., K); `out`, of that shape, receives
+    them if given, so a caller working in blocks can reuse one buffer.
 
-    x may be a single point of shape (dim,) or a batch (..., dim); the
-    result is a float or an array of shape (...,).
+    This is the package's one monomial evaluator.  Per-axis power tables
+    built by repeated multiplication (x^0 = 1, 0 included) cost one multiply
+    per (point, index); the product runs from axis 0 upwards.
     """
-    x = np.asarray(x, dtype=float)
-    exps = np.asarray(index, dtype=np.int64)
-    if x.shape[-1] != exps.shape[0]:
-        raise ValueError(f"point dimension {x.shape[-1]} != index dimension {exps.shape[0]}")
-    out = np.prod(x**exps, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    tables = []
+    for d, top in enumerate(exps.max(axis=0, initial=0)):
+        table = np.empty((top + 1,) + x.shape[:-1])
+        table[0], table[1:] = 1.0, x[..., d]
+        tables.append(np.cumprod(table, axis=0, out=table))
+    rows = np.empty((len(exps),) + x.shape[:-1]) if out is None else np.moveaxis(out, -1, 0)
+    # "clip" is a no-op (exponents fit their tables) that spares take's buffered copy
+    np.take(tables[0], exps[:, 0], axis=0, out=rows, mode="clip")
+    for d in range(1, len(tables)):
+        rows *= tables[d][exps[:, d]]
+    return np.moveaxis(rows, 0, -1)
 
 
 class Polynomial:
     """Immutable sparse polynomial with float coefficients."""
 
-    __slots__ = ("_dim", "_terms")
+    # _exps (K, dim) and _coefs (K,) hold the terms compiled for `monomials`
+    __slots__ = ("_dim", "_terms", "_exps", "_coefs")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, float] | None = None):
         dim = int(dim)
@@ -112,6 +124,8 @@ class Polynomial:
         self._dim = dim
         # canonical term order makes evaluation and repr deterministic
         self._terms = dict(sorted(clean.items(), key=lambda kv: grlex_key(kv[0])))
+        self._exps = np.array(list(self._terms), dtype=np.int64).reshape(-1, dim)
+        self._coefs = np.array(list(self._terms.values()), dtype=float)
 
     @property
     def dim(self) -> int:
@@ -242,9 +256,7 @@ class Polynomial:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self._dim:
             raise ValueError(f"point dimension {x.shape[-1]} != polynomial dimension {self._dim}")
-        out = np.zeros(x.shape[:-1])
-        for index, coef in self._terms.items():
-            out = out + coef * np.prod(x ** np.asarray(index, dtype=np.int64), axis=-1)
+        out = monomials(x, self._exps) @ self._coefs
         return float(out) if out.ndim == 0 else out
 
     def __eq__(self, other) -> bool:

@@ -86,3 +86,13 @@ def scaled_max_error(approx: dict, exact: dict) -> float:
     cancellations of individual coefficients)."""
     scale = max(max(abs(v) for v in exact.values()), 1e-300)
     return max(abs(approx[k] - exact[k]) for k in exact) / scale
+
+
+def term_sum(poly, x):
+    """Polynomial value at points x (..., dim) the direct way: each term as
+    coef * np.prod(x ** e), added up in the polynomial's term order."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1])
+    for index, coef in poly.terms.items():
+        out = out + coef * np.prod(x ** np.asarray(index, dtype=np.int64), axis=-1)
+    return out

@@ -136,6 +136,27 @@ def test_dual_rejects_target_flags(command, extra, target, ou_dual_csv, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--dual", "{dir}", "--hidden", 2],
+        ["train-baseline", "--dual", "{dir}", "--size", 10, "--box", -1, 1, "--hidden", 2],
+        ["eval", "--pred", "net:{dir}", "--line", -1, 1, 3],
+        ["eval", "--pred", "dual:{dir}", "--line", -1, 1, 3],
+        ["dual", "{dir}", "--order", 1, "--N", 4, "--t", 1.0],
+    ],
+    ids=["fit-dual", "train-baseline-dual", "eval-net", "eval-dual", "dual-model"],
+)
+def test_directory_input_is_usage_error(argv, tmp_path, capsys):
+    folder = tmp_path / "inputs"
+    folder.mkdir()
+    out = tmp_path / "out.json"
+    code = run([str(a).replace("{dir}", str(folder)) for a in argv] + ["--out", out])
+    assert code == 2
+    assert f"not found: {folder}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestMcCommand:
     def test_estimate_printed(self, capsys):
         code = run(["mc", "ou", "--x0", 1.0, "--t", 0.1, "--dt", 0.01, "--paths", 500, "--m", 1, "--seed", 3])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sdembed.mc as mc_module
+from helpers import term_sum
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.mc import (
     EstimationError,
@@ -14,7 +15,8 @@ from sdembed.mc import (
     simulate,
     write_final_states_csv,
 )
-from sdembed.sde import builtin_model
+from sdembed.polynomial import Polynomial
+from sdembed.sde import SdeModel, builtin_model
 
 
 @pytest.fixture
@@ -90,6 +92,68 @@ class TestSimulate:
         assert 0 < ens.n_excluded < 64
         estimate, _ = mc_moment(ens, 1, 1)
         assert math.isfinite(estimate)
+
+
+def random_model(seed):
+    """1-3-D model with multi-term drift and a full diffusion matrix whose
+    off-diagonal entries depend on the state."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+
+    def poly(n_terms, state_dependent):
+        terms = {}
+        while len(terms) < n_terms:
+            index = tuple(int(e) for e in rng.integers(0, 3, dim))
+            if not (state_dependent and not any(index)):
+                terms[index] = float(rng.normal())
+        return Polynomial(dim, terms)
+
+    drift = tuple(poly(3, False) for _ in range(dim))
+    diffusion = tuple(tuple(poly(2, i != j) for j in range(dim)) for i in range(dim))
+    return SdeModel(dim, drift, diffusion)
+
+
+def reference_euler(model, x0, config):
+    """Euler-Maruyama on simulate's noise stream, evaluating every drift and
+    diffusion entry on its own with the per-term oracle."""
+    dim = model.dim
+    noise = mc_module._path_noise(config.seed, 0, config.paths, config.steps, dim)
+    sqrt_dt = math.sqrt(config.dt)
+    states = np.tile(x0, (config.paths, 1))
+    for k in range(config.steps):
+        xi = noise[:, k, :]
+        incr = np.empty_like(states)
+        for i in range(dim):
+            incr[:, i] = term_sum(model.drift[i], states) * config.dt
+            for j in range(dim):
+                incr[:, i] += term_sum(model.diffusion[i][j], states) * (sqrt_dt * xi[:, j])
+        states = states + incr
+    return states
+
+
+def assert_paths_close(got, want):
+    """Within 1e-14 relative to each path's largest state component (a
+    component that the noise carried near 0 has no relative accuracy)."""
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+class TestCompiledStepMatchesReference:
+    """simulate's one-kernel-call step against polynomial-by-polynomial Euler."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_models(self, seed):
+        model = random_model(seed)
+        rng = np.random.default_rng(1000 + seed)
+        x0 = rng.uniform(0.5, 1.5, model.dim) * rng.choice([-1.0, 1.0], model.dim)
+        config = SimConfig(dt=1e-3, horizon=5e-3, paths=64, seed=seed)
+        got = simulate(model, x0, config).final
+        assert_paths_close(got, reference_euler(model, x0, config))
+
+    def test_vdp(self, vdp):
+        config = SimConfig(dt=1e-3, horizon=0.02, paths=32, seed=5)
+        got = simulate(vdp, np.array([1.0, 1.0]), config).final
+        assert_paths_close(got, reference_euler(vdp, np.array([1.0, 1.0]), config))
 
 
 class TestMcMoment:

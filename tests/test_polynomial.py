@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import term_sum
 from sdembed.polynomial import (
     Polynomial,
     grlex_key,
-    monomial_eval,
+    monomials,
     multi_index_set,
     multinomial,
 )
@@ -166,17 +167,40 @@ class TestMultinomial:
 
 
 class TestMonomialEval:
+    """The monomial kernel: points (..., dim), exponent rows (K, dim) -> (..., K)."""
+
     def test_zero_exponent_convention(self):
-        assert monomial_eval((0, 0), [3.0, 7.0]) == 1.0
-        assert monomial_eval((0,), [0.0]) == 1.0
+        exps = np.array([[0, 0], [1, 0], [0, 2]])
+        out = monomials(np.array([[3.0, 7.0], [0.0, 0.0]]), exps)
+        assert np.array_equal(out, [[1.0, 3.0, 49.0], [1.0, 0.0, 0.0]])
+        assert np.array_equal(monomials(np.array([0.0]), np.array([[0]])), [1.0])
 
     def test_simple(self):
-        assert monomial_eval((2, 1), [2.0, 3.0]) == 12.0
-        assert monomial_eval((1,), [-1.5]) == -1.5
+        assert np.array_equal(monomials(np.array([2.0, 3.0]), np.array([[2, 1]])), [12.0])
+        assert np.array_equal(monomials(np.array([-1.5]), np.array([[1], [3]])), [-1.5, -3.375])
 
     def test_batched(self):
-        out = monomial_eval((2, 1), np.array([[2.0, 3.0], [1.0, 5.0]]))
-        assert np.array_equal(out, [12.0, 5.0])
+        rng = np.random.default_rng(0)
+        for dim in (1, 2, 3):
+            exps = np.array(multi_index_set(dim, 3, "max-degree"))
+            pts = rng.uniform(-2.0, 2.0, (3, 4, dim))
+            out = monomials(pts, exps)
+            assert out.shape == (3, 4, len(exps))
+            for where in np.ndindex(3, 4):
+                assert np.array_equal(out[where], monomials(pts[where], exps))
+
+    def test_out_buffer(self):
+        exps = np.array(multi_index_set(2, 5, "max-degree"))
+        pts = np.random.default_rng(1).uniform(-2.0, 2.0, (7, 2))
+        want = monomials(pts, exps)
+        work = np.empty((len(exps), 10))
+        for buffer in (np.empty_like(want), work[:, :7].T):
+            got = monomials(pts, exps, out=buffer)
+            assert np.shares_memory(got, buffer)
+            assert np.array_equal(got, want)
+
+    def test_empty_exponent_set(self):
+        assert monomials(np.ones((5, 2)), np.empty((0, 2), dtype=np.int64)).shape == (5, 0)
 
     @given(
         st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -184,9 +208,9 @@ class TestMonomialEval:
         st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
     )
     def test_product_rule(self, n, m, x):
-        combined = tuple(a + b for a, b in zip(n, m))
-        left = monomial_eval(n, x) * monomial_eval(m, x)
-        right = monomial_eval(combined, x)
+        x = np.array(x)
+        left = monomials(x, np.array([n, m])).prod()
+        right = monomials(x, np.array([n]) + np.array([m]))[0]
         assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
 
 
@@ -203,3 +227,34 @@ class TestEvaluate:
 
     def test_zero_polynomial_batch(self):
         assert np.array_equal(Polynomial.zero(2).evaluate(np.ones((4, 2))), np.zeros(4))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_per_term_reference(self, seed):
+        # relative to the sum of |term| values, the scale a sum's rounding
+        # error is bounded by when its terms cancel
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        terms = {}
+        for _ in range(int(rng.integers(0, 8))):
+            index = tuple(int(e) for e in rng.integers(0, 6, dim))
+            terms[index] = float(rng.normal() * 10.0 ** rng.integers(-3, 3))
+        p = Polynomial(dim, terms)
+        x = rng.uniform(-2.0, 2.0, (40, dim))
+        scale = term_sum(Polynomial(dim, {n: abs(c) for n, c in terms.items()}), np.abs(x))
+        assert np.all(np.abs(p.evaluate(x) - term_sum(p, x)) <= 1e-14 * scale)
+        assert abs(p.evaluate(x[0]) - term_sum(p, x[0])) <= 1e-14 * scale[0]
+
+    def test_zero_polynomial_matches_reference(self):
+        for dim in (1, 2, 3):
+            zero = Polynomial.zero(dim)
+            x = np.full((3, 4, dim), 2.0)
+            assert np.array_equal(zero.evaluate(x), term_sum(zero, x))
+            assert zero.evaluate(x[0, 0]) == 0.0
+
+    def test_huge_coefficient_still_overflows(self):
+        p = Polynomial(1, {(2,): 1e308, (0,): 1.0})
+        x = np.array([[10.0], [0.5], [-20.0]])
+        with np.errstate(over="ignore"):
+            got, want = p.evaluate(x), term_sum(p, x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.isinf(got), [True, False, True])
