@@ -95,6 +95,11 @@ class _Run:
     """
 
     def __init__(self, command: str, args: argparse.Namespace, seed_keys: tuple[str, ...]):
+        # an output path that is a directory fails the final rename: reject it before any work
+        for flag in ("out", "dataset_out"):
+            path = getattr(args, flag, None)
+            if path is not None and Path(path).is_dir():
+                raise ValueError(f"--{flag.replace('_', '-')} names a directory: {path}")
         self.started = time.perf_counter()
         self.manifest = {
             "command": command,

@@ -19,14 +19,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .polynomial import MultiIndex, monomials, multi_index_set
+from .polynomial import MultiIndex, grlex_order, index_positions, monomials, multi_index_set
 from .sde import SdeModel, diffusion_product
 
 __all__ = [
@@ -69,51 +68,52 @@ class SolverError(RuntimeError):
 class GeneratorMatrix:
     """Sparse truncated generator A with A[k, n] = coeff of x^k in L x^n."""
 
-    index_set: tuple[MultiIndex, ...]
+    index_set: np.ndarray  # (K, dim) int64, read-only, grlex order
     matrix: sparse.csr_array
-    dim: int
-    max_degree: int
     model_fingerprint: str = ""
 
 
 @dataclass(frozen=True)
 class DualCoefficients:
-    """Solved coefficient vector P(n, t) over a max-degree index set."""
+    """Solved coefficient vector P(n, t) over a max-degree index set, whose
+    rows are checked once, here: distinct, non-negative, one per value."""
 
-    index_set: tuple[MultiIndex, ...]
+    index_set: np.ndarray
     values: np.ndarray
     t: float
     observable: tuple[int, int] | None = None  # (axis, power), axis 1-based
     model_fingerprint: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.index_set),):
-            raise ValueError(f"values shape {values.shape} != index count {len(self.index_set)}")
-        values = values.copy()
-        values.flags.writeable = False
+        index_set = np.array(self.index_set)
+        if index_set.ndim != 2 or 0 in index_set.shape or index_set.dtype.kind not in "iu":
+            shape = f"{index_set.dtype} array of shape {index_set.shape}"
+            raise ValueError(f"index set must be a non-empty (K, dim) integer array, got {shape}")
+        negative = np.any(index_set < 0, axis=1)
+        if negative.any():
+            raise ValueError(f"negative exponent in index {tuple(index_set[negative][0].tolist())}")
+        ordered = index_set[grlex_order(index_set)]
+        repeated = np.flatnonzero(np.all(ordered[1:] == ordered[:-1], axis=1))
+        if repeated.size:
+            raise ValueError(f"index {tuple(ordered[repeated[0]].tolist())} appears more than once")
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(index_set),):
+            raise ValueError(f"values shape {values.shape} != index count {len(index_set)}")
+        index_set = index_set.astype(np.int64, copy=False)
+        values.flags.writeable = index_set.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index_set", tuple(tuple(n) for n in self.index_set))
-
-    @cached_property
-    def positions(self) -> dict[MultiIndex, int]:
-        return {n: i for i, n in enumerate(self.index_set)}
-
-    @cached_property
-    def exponents(self) -> np.ndarray:
-        """The index set as a (K, dim) int array, in `values` order."""
-        return np.array(self.index_set, dtype=np.int64)
+        object.__setattr__(self, "index_set", index_set)
 
     @property
     def dim(self) -> int:
-        return len(self.index_set[0])
+        return self.index_set.shape[1]
 
     @property
     def max_degree(self) -> int:
-        return int(self.exponents.max())
+        return int(self.index_set.max())
 
     def value_at(self, index: MultiIndex) -> float:
-        return float(self.values[self.positions[tuple(index)]])
+        return float(self.values[index_positions(self.index_set, index)])
 
     def spill_mass(self) -> float:
         """Sum of |P(n, t)| over indices with any exponent >= max_degree - 1.
@@ -121,12 +121,13 @@ class DualCoefficients:
         A non-negligible value means coefficient mass reached the cutoff
         boundary and the truncated solution should not be trusted.
         """
-        mask = self.exponents.max(axis=1) >= self.max_degree - 1
+        mask = self.index_set.max(axis=1) >= self.max_degree - 1
         return float(np.sum(np.abs(self.values[mask])))
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
-        h.update(repr(self.index_set).encode())
+        # hashed as nested tuples, the form recorded dataset fingerprints were made from
+        h.update(repr(tuple(map(tuple, self.index_set.tolist()))).encode())
         h.update(self.values.tobytes())
         h.update(repr((self.t, self.observable, self.model_fingerprint)).encode())
         return h.hexdigest()[:16]
@@ -148,12 +149,8 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     dim = model.dim
-    basis = multi_index_set(dim, max_degree, "max-degree")
-    size = len(basis)
-    exps = np.array(basis, dtype=np.int64)  # (K, dim)
-    grid = (max_degree + 1,) * dim
-    lookup = np.empty(math.prod(grid), dtype=np.int64)
-    lookup[np.ravel_multi_index(exps.T, grid)] = np.arange(size)
+    exps = multi_index_set(dim, max_degree, "max-degree")  # (K, dim)
+    size = len(exps)
     unit = np.eye(dim, dtype=np.int64)
     product = diffusion_product(model)
     # (polynomial, coefficient scale, exponent shift, integer multiplier per column)
@@ -163,21 +160,22 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
         for i in range(dim)
         for j in range(dim)
     ]
-    keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
+    targets, cols, vals = [np.empty((0, dim), np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     # a 1e308 coefficient must still reach the matrix as inf (SolverError later)
     with np.errstate(over="ignore", invalid="ignore"):
         for poly, scale, shift, multiplier in slots:
             live = np.flatnonzero(multiplier)
             factor = multiplier[live].astype(float)
             for e, c in poly.terms.items():
-                targets = exps[live] + (shift + np.asarray(e, dtype=np.int64))
-                inside = np.all(targets <= max_degree, axis=1)
-                rows = lookup[np.ravel_multi_index(targets[inside].T, grid)]
-                keys.append(rows * size + live[inside])
+                moved = exps[live] + (shift + np.asarray(e, dtype=np.int64))
+                inside = np.all(moved <= max_degree, axis=1)
+                targets.append(moved[inside])
+                cols.append(live[inside])
                 vals.append((c * scale) * factor[inside])
+        rows = index_positions(exps, np.concatenate(targets))
         # one target per column and term, so each += below hits a key once;
         # the running sums therefore add in adjoint_apply's order
-        entries, where = np.unique(np.concatenate(keys), return_inverse=True)
+        entries, where = np.unique(rows * size + np.concatenate(cols), return_inverse=True)
         data = np.zeros(entries.size)
         start = 0
         for v in vals:
@@ -187,24 +185,23 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     entries, data = entries[kept], data[kept]
     indptr = np.searchsorted(entries // size, np.arange(size + 1))
     matrix = sparse.csr_array((data, entries % size, indptr), shape=(size, size))
-    return GeneratorMatrix(tuple(basis), matrix, dim, max_degree, model.fingerprint)
+    return GeneratorMatrix(exps, matrix, model.fingerprint)
 
 
-def initial_coefficients(index_set, axis: int, power: int) -> np.ndarray:
+def initial_coefficients(index_set: np.ndarray, axis: int, power: int) -> np.ndarray:
     """Delta start vector: 1 at the index power * e_axis, 0 elsewhere.
 
     axis is 1-based; the target index must lie inside the set.
     """
-    index_set = tuple(tuple(n) for n in index_set)
-    dim = len(index_set[0])
+    dim = index_set.shape[1]
     if not 1 <= axis <= dim:
         raise ValueError(f"axis {axis} out of range for dimension {dim}")
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
     target = tuple(power if d == axis - 1 else 0 for d in range(dim))
     try:
-        where = index_set.index(target)
-    except ValueError:
+        where = index_positions(index_set, target)
+    except KeyError:
         raise ValueError(
             f"moment power {power} exceeds the truncation (index {target} not in set)"
         ) from None
@@ -288,7 +285,7 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     dim = coeffs.dim
     if x.shape[-1] != dim:
         raise ValueError(f"point dimension {x.shape[-1]} != coefficient dimension {dim}")
-    exps = coeffs.exponents
+    exps = coeffs.index_set
     flat = x.reshape(-1, dim)
     out = np.empty(flat.shape[0])
     block = max(1, _EVAL_BLOCK_BYTES // (8 * exps.shape[0]))
@@ -308,7 +305,7 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
 def coefficients_csv_text(coeffs: DualCoefficients) -> str:
     dim = coeffs.dim
     lines = [",".join([f"n_{d + 1}" for d in range(dim)] + ["value"])]
-    for index, value in zip(coeffs.index_set, coeffs.values):
+    for index, value in zip(coeffs.index_set.tolist(), coeffs.values):
         lines.append(",".join([str(e) for e in index] + [repr(float(value))]))
     return "\n".join(lines) + "\n"
 
@@ -332,6 +329,9 @@ def read_coefficients_csv(path) -> DualCoefficients:
         parts = line.split(",")
         if len(parts) != dim + 1:
             raise ValueError(f"{path}:{ln}: expected {dim + 1} fields")
-        indices.append(tuple(int(p) for p in parts[:-1]))
+        indices.append([int(p) for p in parts[:-1]])
         values.append(float(parts[-1]))
-    return DualCoefficients(tuple(indices), np.array(values), t=math.nan, observable=None)
+    try:
+        return DualCoefficients(indices, np.array(values), t=math.nan, observable=None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

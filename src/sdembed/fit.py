@@ -36,7 +36,7 @@ from .network import (
     taylor_jacobian,
     unflatten_params,
 )
-from .polynomial import multi_index_set
+from .polynomial import index_positions, multi_index_set
 
 __all__ = [
     "FitConfig",
@@ -100,23 +100,21 @@ class FitResult:
     seed: int
 
 
-def _target_vector(target: DualCoefficients, dim: int, order: int) -> tuple[list, np.ndarray]:
-    index_set = multi_index_set(dim, order, "total-degree")
+def _target_vector(target: DualCoefficients, dim: int, order: int) -> np.ndarray:
     try:
-        values = np.array([target.value_at(l) for l in index_set])
+        rows = index_positions(target.index_set, multi_index_set(dim, order, "total-degree"))
     except KeyError as exc:
         raise ValueError(
             f"Taylor order {order} exceeds the solved coefficient set (missing index {exc})"
         ) from None
-    return index_set, values
+    return target.values[rows]
 
 
 def residuals(target: DualCoefficients, net: SigmoidNet, order: int) -> np.ndarray:
     """P(l, t) - T_net(l) over the total-degree set, in canonical order."""
     if target.dim != net.dim:
         raise ValueError(f"target dimension {target.dim} != network dimension {net.dim}")
-    _, values = _target_vector(target, net.dim, order)
-    return values - network_taylor(net, order).values
+    return _target_vector(target, net.dim, order) - network_taylor(net, order).values
 
 
 def _lm_minimize(theta0, target_values, hidden, dim, config):
@@ -183,7 +181,7 @@ def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
     restart is returned (ties break toward the earlier restart).
     """
     dim = target.dim
-    _, target_values = _target_vector(target, dim, config.order)
+    target_values = _target_vector(target, dim, config.order)
     if not np.all(np.isfinite(target_values)):
         raise FitError("target coefficients contain non-finite values")
     n_params = config.hidden * (dim + 2)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .polynomial import grlex_key, monomials
+from .polynomial import grlex_order, monomials
 from .sde import SdeModel
 
 __all__ = [
@@ -105,9 +105,10 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
     # over the union of their exponents, so a step is one kernel call and one product
     pairs = [(i, j) for i in range(dim) for j in range(dim) if not model.diffusion[i][j].is_zero()]
     polys = [*model.drift, *(model.diffusion[i][j] for i, j in pairs)]
-    union = sorted({n for p in polys for n in p.terms}, key=grlex_key)
-    exps = np.array(union, dtype=np.int64).reshape(-1, dim)
-    coefs = np.array([[p.coefficient(n) for p in polys] for n in union]).reshape(-1, len(polys))
+    exps = np.array(list({n for p in polys for n in p.terms}), dtype=np.int64).reshape(-1, dim)
+    exps = exps[grlex_order(exps)]
+    coefs = np.array([[p.coefficient(n) for p in polys] for n in exps.tolist()])
+    coefs = coefs.reshape(-1, len(polys))
     final = np.empty((config.paths, dim))
     for start in range(0, config.paths, _CHUNK_PATHS):
         count = min(_CHUNK_PATHS, config.paths - start)

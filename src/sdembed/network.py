@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .polynomial import MultiIndex, multi_index_set
+from .polynomial import multi_index_set
 
 __all__ = [
     "MAX_SIGMOID_ORDER",
@@ -146,7 +146,7 @@ def forward(net: SigmoidNet, x) -> float | np.ndarray:
 class NetworkTaylorCoefficients:
     """Taylor coefficients of the network output over a total-degree index set."""
 
-    index_set: tuple[MultiIndex, ...]
+    index_set: np.ndarray  # (L, dim) int64, read-only, grlex order
     values: np.ndarray
     order: int
 
@@ -154,30 +154,27 @@ class NetworkTaylorCoefficients:
         values = np.asarray(self.values, dtype=float).copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index_set", tuple(tuple(n) for n in self.index_set))
 
 
 @lru_cache(maxsize=None)
 def _taylor_tables(dim: int, order: int):
     """Weight-independent tables for the expansion at (dim, order).
 
-    Returns the total-degree index set as an int array (L, dim) and the
-    rational factor table c[l, j] = sigmoid_deriv(|l|+j) / (l! * j!) for
-    j <= order - |l| (zero beyond), already combining the multinomial and
-    1/k! factors of the coefficient formula.
+    Returns the total-degree index set (L, dim) and the rational factor
+    table c[l, j] = sigmoid_deriv(|l|+j) / (l! * j!) for j <= order - |l|
+    (zero beyond), already combining the multinomial and 1/k! factors of
+    the coefficient formula.
     """
     table = sigmoid_derivatives(order).rationals
-    index_set = tuple(multi_index_set(dim, order, "total-degree"))
-    exps = np.array(index_set, dtype=np.int64).reshape(len(index_set), dim)
-    degrees = exps.sum(axis=1)
-    factors = np.zeros((len(index_set), order + 1))
-    for row, l in enumerate(index_set):
+    exps = multi_index_set(dim, order, "total-degree")
+    factors = np.zeros((len(exps), order + 1))
+    for row, l in enumerate(exps.tolist()):
         lfact = math.prod(math.factorial(e) for e in l)
-        deg = int(degrees[row])
+        deg = sum(l)
         for j in range(order - deg + 1):
             factors[row, j] = float(table[deg + j] / (lfact * math.factorial(j)))
     factors.flags.writeable = False
-    return index_set, exps, factors
+    return exps, factors
 
 
 def _power_tables(net: SigmoidNet, order: int):
@@ -190,14 +187,14 @@ def _power_tables(net: SigmoidNet, order: int):
 
 def network_taylor(net: SigmoidNet, order: int) -> NetworkTaylorCoefficients:
     """Exact order-N Taylor coefficients of the network output at the origin."""
-    index_set, exps, factors = _taylor_tables(net.dim, order)
+    exps, factors = _taylor_tables(net.dim, order)
     bias_pow, axis_pow = _power_tables(net, order)
     bias_sum = factors @ bias_pow  # (L, hidden)
     weight_pow = axis_pow[0][exps[:, 0], :]
     for d in range(1, net.dim):
         weight_pow = weight_pow * axis_pow[d][exps[:, d], :]
     values = (weight_pow * bias_sum) @ net.out_weights
-    return NetworkTaylorCoefficients(index_set, values, order)
+    return NetworkTaylorCoefficients(exps, values, order)
 
 
 def taylor_jacobian(net: SigmoidNet, order: int) -> np.ndarray:
@@ -206,7 +203,7 @@ def taylor_jacobian(net: SigmoidNet, order: int) -> np.ndarray:
     Shape (L, hidden * (dim + 2)); columns follow the documented flattening
     (out_weights, then in_weights row-major, then biases).
     """
-    index_set, exps, factors = _taylor_tables(net.dim, order)
+    exps, factors = _taylor_tables(net.dim, order)
     n, dim = net.hidden, net.dim
     bias_pow, axis_pow = _power_tables(net, order)
     bias_sum = factors @ bias_pow  # (L, n)
@@ -224,7 +221,7 @@ def taylor_jacobian(net: SigmoidNet, order: int) -> np.ndarray:
     d_bias = (weight_pow * dbias_sum) * net.out_weights[None, :]
 
     # d/d in_weights[:, d]: lower the exponent on axis d, keep the others
-    d_in = np.empty((len(index_set), n * dim))
+    d_in = np.empty((len(exps), n * dim))
     for d in range(dim):
         lowered = axis_pow[d][np.maximum(exps[:, d] - 1, 0), :]
         dpow = exps[:, d][:, None] * lowered

@@ -7,9 +7,10 @@ multi-indices to float coefficients.  Terms whose coefficient is exactly
 sparsity pattern is never altered by epsilon thresholds.  Instances are
 immutable after construction; every operation returns a new value.
 
-Multi-index sets are enumerated in graded lexicographic order (total
-degree first, then x_1 before x_2 before ...), which fixes the vector
-layout used by the coefficient solver and the least-squares residuals.
+An index set is a read-only (K, dim) int64 array of exponent rows in graded
+lexicographic order (total degree first, then x_1 before x_2 before ...),
+which fixes the vector layout used by the coefficient solver and the
+least-squares residuals.  Tuples remain only as `Polynomial` term keys.
 
 `monomials` is the one evaluator of monomials at points: `Polynomial` compiles
 its terms for it once, and `dual.eval_moment` and `mc.simulate` call it too.
@@ -29,20 +30,23 @@ MultiIndex = tuple[int, ...]
 __all__ = [
     "MultiIndex",
     "Polynomial",
-    "grlex_key",
+    "grlex_order",
+    "index_positions",
     "multi_index_set",
     "multinomial",
     "monomials",
 ]
 
 
-def grlex_key(index: MultiIndex):
-    """Sort key for graded lexicographic order: degree, then x_1 > x_2 > ..."""
-    return (sum(index), tuple(-e for e in index))
+def grlex_order(exps: np.ndarray) -> np.ndarray:
+    """Permutation sorting exponent rows (K, dim) by degree, then x_1 > x_2 > ..."""
+    # lexsort's last key is the primary one
+    return np.lexsort(np.vstack([-exps[:, ::-1].T, exps.sum(axis=1)]))
 
 
-def multi_index_set(dim: int, order: int, mode: str = "total-degree") -> list[MultiIndex]:
-    """Enumerate multi-indices up to an order cap, in graded lexicographic order.
+def multi_index_set(dim: int, order: int, mode: str = "total-degree") -> np.ndarray:
+    """Enumerate multi-indices up to an order cap, as a read-only (K, dim)
+    int64 array in graded lexicographic order.
 
     mode "total-degree" keeps sum(n) <= order, giving C(order+dim, dim)
     indices; mode "max-degree" keeps max(n) <= order, giving (order+1)**dim.
@@ -53,13 +57,34 @@ def multi_index_set(dim: int, order: int, mode: str = "total-degree") -> list[Mu
         raise ValueError(f"order must be >= 0, got {order}")
     if mode not in ("total-degree", "max-degree"):
         raise ValueError(f"unknown mode {mode!r}")
-    indices = itertools.product(range(order + 1), repeat=dim)
+    exps = np.indices((order + 1,) * dim, dtype=np.int64).reshape(dim, -1).T
     if mode == "total-degree":
-        out = [n for n in indices if sum(n) <= order]
-    else:
-        out = list(indices)
-    out.sort(key=grlex_key)
-    return out
+        exps = exps[exps.sum(axis=1) <= order]
+    exps = exps[grlex_order(exps)]
+    exps.flags.writeable = False
+    return exps
+
+
+def index_positions(index_set: np.ndarray, indices) -> np.ndarray:
+    """Rows of the index set (K, dim) holding the multi-indices (..., dim).
+
+    This is the package's one lookup of multi-indices, through a dense
+    (max + 1)**dim table over the set; an index outside the set raises
+    KeyError carrying the first such index as a tuple.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.shape[-1:] != index_set.shape[1:]:
+        raise ValueError(f"indices of shape {indices.shape} need {index_set.shape[1]} exponents each")
+    grid = (int(index_set.max()) + 1,) * index_set.shape[1]
+    table = np.zeros(math.prod(grid), dtype=np.int64)
+    table[np.ravel_multi_index(index_set.T, grid)] = np.arange(len(index_set))
+    flat = indices.reshape(-1, index_set.shape[1])
+    # "clip" maps an index off the table to some row, which the comparison rejects
+    rows = table[np.ravel_multi_index(flat.T, grid, mode="clip")]
+    missing = np.flatnonzero(np.any(index_set[rows] != flat, axis=1))
+    if missing.size:
+        raise KeyError(tuple(flat[missing[0]].tolist()))
+    return rows.reshape(indices.shape[:-1])
 
 
 def multinomial(k: int, parts: Iterable[int]) -> int:
@@ -122,9 +147,10 @@ class Polynomial:
             if coef != 0.0:
                 clean[index] = coef
         self._dim = dim
+        exps = np.array(list(clean), dtype=np.int64).reshape(-1, dim)
         # canonical term order makes evaluation and repr deterministic
-        self._terms = dict(sorted(clean.items(), key=lambda kv: grlex_key(kv[0])))
-        self._exps = np.array(list(self._terms), dtype=np.int64).reshape(-1, dim)
+        self._exps = exps[grlex_order(exps)]
+        self._terms = {n: clean[n] for n in map(tuple, self._exps.tolist())}
         self._coefs = np.array(list(self._terms.values()), dtype=float)
 
     @property

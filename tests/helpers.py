@@ -5,6 +5,7 @@ derivative estimates here never touch the exact-rational or closed-form
 code they are used to check.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,20 @@ def scaled_max_error(approx: dict, exact: dict) -> float:
     cancellations of individual coefficients)."""
     scale = max(max(abs(v) for v in exact.values()), 1e-300)
     return max(abs(approx[k] - exact[k]) for k in exact) / scale
+
+
+def grlex_key(index):
+    """Sort key for graded lexicographic order: degree, then x_1 > x_2 > ..."""
+    return (sum(index), tuple(-e for e in index))
+
+
+def reference_index_set(dim, order, mode):
+    """Multi-index set as a list of tuples, enumerated with itertools and
+    sorted with `grlex_key`, one index at a time."""
+    indices = itertools.product(range(order + 1), repeat=dim)
+    if mode == "total-degree":
+        indices = (n for n in indices if sum(n) <= order)
+    return sorted(indices, key=grlex_key)
 
 
 def term_sum(poly, x):

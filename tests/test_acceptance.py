@@ -57,7 +57,7 @@ def ou_generator_oracle(gamma, sigma, max_degree):
 
 
 def vdp_generator_oracle(eps, nu11, nu22, max_degree):
-    basis = multi_index_set(2, max_degree, "max-degree")
+    basis = list(map(tuple, multi_index_set(2, max_degree, "max-degree").tolist()))
     pos = {n: i for i, n in enumerate(basis)}
     a = np.zeros((len(basis), len(basis)))
 
@@ -240,7 +240,8 @@ def test_criterion_05_taylor_machinery():
         )
         fd = fd_taylor_coefficients(lambda x: forward(net, x), dim, order)
         coeffs = network_taylor(net, order)
-        worst_value = max(worst_value, scaled_max_error(fd, dict(zip(coeffs.index_set, coeffs.values))))
+        exact = dict(zip(map(tuple, coeffs.index_set.tolist()), coeffs.values))
+        worst_value = max(worst_value, scaled_max_error(fd, exact))
 
         # jacobian check at fully random weights (biases exercised here)
         net = SigmoidNet(

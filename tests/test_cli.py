@@ -157,6 +157,55 @@ def test_directory_input_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", "ou", "--order", 1, "--N", 4, "--t", 1.0, "--out", "{dir}"],
+        [
+            "train-baseline", "ou", "--order", 1, "--N", 4, "--t", 1.0, "--size", 10,
+            "--box", -1, 1, "--hidden", 2, "--dataset-out", "{dir}", "--out", "{file}",
+        ],
+    ],
+    ids=["dual-out", "train-baseline-dataset-out"],
+)
+def test_directory_output_is_usage_error_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started working")
+
+    monkeypatch.setattr("sdembed.cli.solve_moment", no_work)
+    folder = tmp_path / "outputs"
+    folder.mkdir()
+    out = tmp_path / "net.json"
+    code = run([str(a).replace("{dir}", str(folder)).replace("{file}", str(out)) for a in argv])
+    assert code == 2
+    assert f"names a directory: {folder}" in capsys.readouterr().err
+    assert list(folder.iterdir()) == [] and not out.exists()
+
+
+NEGATIVE_ROW_CSV = "n_1,n_2,value\n0,0,1.0\n-1,0,2.0\n1,0,3.0\n"
+REPEATED_ROW_CSV = "n_1,value\n0,1.0\n1,2.0\n1,5.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (NEGATIVE_ROW_CSV, ["eval", "--pred", "dual:{csv}", "--grid", 0, 2, 0, 2, 3, 3]),
+        (REPEATED_ROW_CSV, ["eval", "--pred", "dual:{csv}", "--line", 0, 2, 3]),
+        (REPEATED_ROW_CSV, ["fit", "--dual", "{csv}", "--hidden", 2]),
+    ],
+    ids=["negative-eval", "repeated-eval", "repeated-fit"],
+)
+def test_bad_coefficient_rows_are_usage_errors(text, argv, tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(text)
+    out = tmp_path / "out.csv"
+    code = run([str(a).replace("{csv}", str(csv)) for a in argv] + ["--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{csv}: " in err and ("negative exponent" in err or "more than once" in err)
+    assert not out.exists()
+
+
 class TestMcCommand:
     def test_estimate_printed(self, capsys):
         code = run(["mc", "ou", "--x0", 1.0, "--t", 0.1, "--dt", 0.01, "--paths", 500, "--m", 1, "--seed", 3])

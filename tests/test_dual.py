@@ -7,6 +7,7 @@ from scipy import sparse
 
 from sdembed import dual
 from sdembed.dual import (
+    DualCoefficients,
     SolverError,
     build_generator,
     eval_moment,
@@ -42,7 +43,7 @@ def ou_generator_oracle(gamma, sigma, max_degree):
 
 def vdp_generator_oracle(eps, nu11, nu22, max_degree):
     """Dense generator from the two-dimensional six-term recurrence."""
-    basis = multi_index_set(2, max_degree, "max-degree")
+    basis = list(map(tuple, multi_index_set(2, max_degree, "max-degree").tolist()))
     pos = {n: i for i, n in enumerate(basis)}
     a = np.zeros((len(basis), len(basis)))
 
@@ -64,7 +65,7 @@ def vdp_generator_oracle(eps, nu11, nu22, max_degree):
 def generator_by_columns(model, max_degree):
     """The generator assembled column by column from the reference action
     adjoint_apply: column n holds L x^n restricted to in-set targets."""
-    basis = multi_index_set(model.dim, max_degree, "max-degree")
+    basis = list(map(tuple, multi_index_set(model.dim, max_degree, "max-degree").tolist()))
     pos = {n: i for i, n in enumerate(basis)}
     product = diffusion_product(model)
     rows, cols, vals = [], [], []
@@ -150,7 +151,7 @@ class TestBuildGenerator:
 
     def test_index_set_is_canonical(self, vdp):
         gen = build_generator(vdp, 3)
-        assert gen.index_set == tuple(multi_index_set(2, 3, "max-degree"))
+        assert np.array_equal(gen.index_set, multi_index_set(2, 3, "max-degree"))
 
     def test_negative_degree_rejected(self, ou):
         with pytest.raises(ValueError):
@@ -180,25 +181,33 @@ class TestInitialCoefficients:
     def test_first_moment_unit_vector(self):
         index_set = multi_index_set(1, 12, "max-degree")
         vec = initial_coefficients(index_set, axis=1, power=1)
-        assert vec[index_set.index((1,))] == 1.0
+        assert vec[index_set.tolist().index([1])] == 1.0
         assert vec.sum() == 1.0
 
     def test_second_moment_unit_vector(self):
         index_set = multi_index_set(1, 12, "max-degree")
         vec = initial_coefficients(index_set, axis=1, power=2)
-        assert vec[index_set.index((2,))] == 1.0
+        assert vec[index_set.tolist().index([2])] == 1.0
         assert vec.sum() == 1.0
 
     def test_second_axis(self):
         index_set = multi_index_set(2, 17, "max-degree")
         vec = initial_coefficients(index_set, axis=2, power=2)
-        assert vec[index_set.index((0, 2))] == 1.0
+        assert vec[index_set.tolist().index([0, 2])] == 1.0
         assert vec.sum() == 1.0
 
     def test_power_beyond_truncation(self):
         index_set = multi_index_set(1, 4, "max-degree")
         with pytest.raises(ValueError, match="exceeds the truncation"):
             initial_coefficients(index_set, axis=1, power=5)
+
+    def test_power_beyond_truncation_message_names_the_index(self):
+        index_set = multi_index_set(2, 3, "max-degree")
+        with pytest.raises(
+            ValueError,
+            match=r"^moment power 4 exceeds the truncation \(index \(0, 4\) not in set\)$",
+        ):
+            initial_coefficients(index_set, axis=2, power=4)
 
     def test_axis_out_of_range(self):
         index_set = multi_index_set(2, 3, "max-degree")
@@ -352,13 +361,70 @@ class TestSpillDiagnostic:
         assert tight.spill_mass() > 1e-4
 
 
+class TestDualCoefficientsIndexSet:
+    def test_fields_are_read_only_int64_arrays(self, vdp):
+        gen = build_generator(vdp, 4)
+        coeffs = solve_dual(gen, initial_coefficients(gen.index_set, 1, 1), 0.1)
+        for index_set in (gen.index_set, coeffs.index_set):
+            assert index_set.dtype == np.int64 and index_set.shape == (25, 2)
+            assert not index_set.flags.writeable
+        assert coeffs.dim == 2 and coeffs.max_degree == 4
+
+    def test_keeps_its_own_copy(self):
+        rows = np.array([[0], [1], [2]])
+        coeffs = DualCoefficients(rows, [1.0, 2.0, 3.0], t=0.0)
+        rows[1, 0] = 7
+        assert coeffs.index_set.tolist() == [[0], [1], [2]]
+
+    # digests of the parent format (repr of the tuple-of-tuples index set);
+    # the train-baseline dataset_fingerprint is one of these
+    @pytest.mark.parametrize(
+        "name, axis, power, t, max_degree, digest",
+        [
+            ("ou", 1, 2, 1.0, 4, "6689876597cf423d"),
+            ("vdp", 2, 2, 0.1, 3, "877f299889ad4794"),
+        ],
+    )
+    def test_fingerprint_pinned(self, name, axis, power, t, max_degree, digest, request):
+        model = request.getfixturevalue(name)
+        coeffs = solve_moment(model, axis=axis, power=power, t=t, max_degree=max_degree)
+        assert coeffs.fingerprint() == digest
+
+    @pytest.mark.parametrize(
+        "index_set, values, match",
+        [
+            ([[0, 0], [-1, 0], [1, 0]], [1.0, 2.0, 3.0], r"negative exponent in index \(-1, 0\)"),
+            ([[0], [1], [1]], [1.0, 2.0, 5.0], r"index \(1,\) appears more than once"),
+            ([[0.0], [1.0]], [1.0, 2.0], "integer array, got float64"),
+            ([0, 1, 2], [1.0, 2.0, 3.0], r"\(K, dim\)"),
+            (np.empty((0, 2), np.int64), [], r"\(K, dim\)"),
+            ([[0], [1]], [1.0, 2.0, 3.0], "index count"),
+        ],
+        ids=["negative", "repeated", "float", "flat", "empty", "count"],
+    )
+    def test_bad_index_set_rejected(self, index_set, values, match):
+        with pytest.raises(ValueError, match=match):
+            DualCoefficients(index_set, np.array(values), t=0.0)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["n_1,n_2,value\n0,0,1.0\n-1,0,2.0\n1,0,3.0\n", "n_1,value\n0,1.0\n1,2.0\n1,5.0\n"],
+        ids=["negative", "repeated"],
+    )
+    def test_bad_csv_rows_rejected_with_path(self, text, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.csv: "):
+            read_coefficients_csv(path)
+
+
 class TestCsvInterchange:
     def test_round_trip_bit_exact(self, vdp, tmp_path):
         coeffs = solve_moment(vdp, axis=2, power=1, t=0.1, max_degree=5)
         path = tmp_path / "coeffs.csv"
         write_coefficients_csv(coeffs, path)
         again = read_coefficients_csv(path)
-        assert again.index_set == coeffs.index_set
+        assert np.array_equal(again.index_set, coeffs.index_set)
         assert np.array_equal(again.values, coeffs.values)
 
     def test_header_shape(self, ou, tmp_path):

@@ -15,10 +15,10 @@ def synthetic_target(net, order, extra=0):
     """Max-degree coefficient container whose total-degree entries are the
     network's own expansion; everything else zero."""
     dim = net.dim
-    index_set = tuple(multi_index_set(dim, order + extra, "max-degree"))
+    index_set = multi_index_set(dim, order + extra, "max-degree")
     coeffs = network_taylor(net, order)
-    lookup = dict(zip(coeffs.index_set, coeffs.values))
-    values = np.array([lookup.get(n, 0.0) for n in index_set])
+    lookup = dict(zip(map(tuple, coeffs.index_set.tolist()), coeffs.values))
+    values = np.array([lookup.get(n, 0.0) for n in map(tuple, index_set.tolist())])
     return DualCoefficients(index_set, values, t=0.0)
 
 
@@ -54,6 +54,15 @@ class TestResiduals:
         net = SigmoidNet(np.zeros(2), np.zeros((2, 1)), np.zeros(2))
         with pytest.raises(ValueError, match="exceeds"):
             residuals(ou_first_moment, net, 13)
+
+    def test_order_beyond_target_message_names_the_index(self):
+        target = DualCoefficients(multi_index_set(2, 3, "max-degree"), np.zeros(16), t=0.0)
+        net = SigmoidNet(np.zeros(1), np.zeros((1, 2)), np.zeros(1))
+        with pytest.raises(
+            ValueError,
+            match=r"^Taylor order 4 exceeds the solved coefficient set \(missing index \(4, 0\)\)$",
+        ):
+            residuals(target, net, 4)
 
     def test_dimension_mismatch(self, ou_first_moment):
         net = SigmoidNet(np.zeros(2), np.zeros((2, 2)), np.zeros(2))

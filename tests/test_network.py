@@ -121,8 +121,16 @@ class TestNetworkTaylor:
     def test_unit_node_collapses_to_derivative_table(self):
         net = SigmoidNet([1.0], [[1.0]], [0.0])
         coeffs = network_taylor(net, 3)
-        assert coeffs.index_set == ((0,), (1,), (2,), (3,))
+        assert tuple(map(tuple, coeffs.index_set.tolist())) == ((0,), (1,), (2,), (3,))
         assert np.allclose(coeffs.values, [0.5, 0.25, 0.0, -1.0 / 48.0], rtol=1e-15)
+
+    def test_index_set_is_the_cached_read_only_array(self):
+        first = network_taylor(SigmoidNet([1.0, -0.5], [[0.3, 0.2], [0.1, -0.4]], [0.0, 0.2]), 4)
+        second = network_taylor(SigmoidNet([2.0], [[1.0, 1.0]], [0.5]), 4)
+        first, second = first.index_set, second.index_set
+        assert first is second
+        assert first.dtype == np.int64 and first.shape == (15, 2)
+        assert not first.flags.writeable
 
     def test_linear_in_output_weights(self):
         rng = np.random.default_rng(1)
@@ -143,7 +151,7 @@ class TestNetworkTaylor:
             net = random_net(rng, hidden, dim, zero_bias=True)
             fd = fd_taylor_coefficients(lambda x: forward(net, x), dim, order)
             coeffs = network_taylor(net, order)
-            exact = dict(zip(coeffs.index_set, coeffs.values))
+            exact = dict(zip(map(tuple, coeffs.index_set.tolist()), coeffs.values))
             assert scaled_max_error(fd, exact) < 1e-6
 
     def test_truncated_series_tracks_forward_near_origin(self):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import term_sum
+from helpers import grlex_key, reference_index_set, term_sum
 from sdembed.polynomial import (
     Polynomial,
-    grlex_key,
+    grlex_order,
+    index_positions,
     monomials,
     multi_index_set,
     multinomial,
@@ -23,17 +24,17 @@ def poly_strategy(dim, max_terms=5, max_exp=4, coef_range=3.0):
 
 class TestMultiIndexSet:
     def test_total_degree_enumeration(self):
-        assert multi_index_set(2, 2, "total-degree") == [
+        assert list(map(tuple, multi_index_set(2, 2, "total-degree").tolist())) == [
             (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
         ]
 
     def test_max_degree_1d_count(self):
         idx = multi_index_set(1, 12, "max-degree")
-        assert idx == [(k,) for k in range(13)]
+        assert list(map(tuple, idx.tolist())) == [(k,) for k in range(13)]
 
     def test_max_degree_2d(self):
         idx = multi_index_set(2, 1, "max-degree")
-        assert set(idx) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+        assert set(map(tuple, idx.tolist())) == {(0, 0), (1, 0), (0, 1), (1, 1)}
         assert len(idx) == 4
 
     @pytest.mark.parametrize("dim,order", [(1, 5), (2, 4), (3, 3)])
@@ -42,10 +43,31 @@ class TestMultiIndexSet:
         assert len(multi_index_set(dim, order, "max-degree")) == (order + 1) ** dim
 
     def test_canonical_order_is_graded(self):
-        idx = multi_index_set(2, 3, "max-degree")
+        idx = list(map(tuple, multi_index_set(2, 3, "max-degree").tolist()))
         assert idx == sorted(idx, key=grlex_key)
         degrees = [sum(n) for n in idx]
         assert degrees == sorted(degrees)
+
+    @pytest.mark.parametrize("mode", ["total-degree", "max-degree"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_reference_enumeration(self, dim, mode):
+        for order in range(9):
+            want = np.array(reference_index_set(dim, order, mode), dtype=np.int64).reshape(-1, dim)
+            assert np.array_equal(multi_index_set(dim, order, mode), want)
+
+    def test_read_only_int64_array(self):
+        idx = multi_index_set(3, 2, "total-degree")
+        assert idx.dtype == np.int64 and idx.shape == (10, 3)
+        assert not idx.flags.writeable
+
+    def test_grlex_order_matches_reference_sort(self):
+        rng = np.random.default_rng(0)
+        for dim in (1, 2, 3):
+            rows = sorted({tuple(r) for r in rng.integers(0, 6, (40, dim)).tolist()})
+            rng.shuffle(rows)
+            exps = np.array(rows, dtype=np.int64)
+            got = list(map(tuple, exps[grlex_order(exps)].tolist()))
+            assert got == sorted(rows, key=grlex_key)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -54,6 +76,33 @@ class TestMultiIndexSet:
             multi_index_set(2, -1)
         with pytest.raises(ValueError):
             multi_index_set(2, 2, "grevlex")
+
+
+class TestIndexPositions:
+    @pytest.mark.parametrize("mode", ["total-degree", "max-degree"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_row_resolves_to_its_position(self, dim, mode):
+        index_set = multi_index_set(dim, 5, mode)
+        assert np.array_equal(index_positions(index_set, index_set), np.arange(len(index_set)))
+
+    def test_single_index_and_batch_shapes(self):
+        index_set = multi_index_set(2, 3, "max-degree")
+        where = index_set.tolist().index([2, 1])
+        assert index_positions(index_set, (2, 1)) == where
+        batch = np.array([[[2, 1], [0, 0]], [[3, 3], [2, 1]]])
+        assert index_positions(index_set, batch).shape == (2, 2)
+        assert index_positions(index_set, batch)[1, 1] == where
+
+    @pytest.mark.parametrize("missing", [(0, 4), (-1, 0), (2, 2)])
+    def test_missing_index_raises_key_error(self, missing):
+        index_set = multi_index_set(2, 3, "total-degree")
+        with pytest.raises(KeyError) as info:
+            index_positions(index_set, [(0, 0), missing, (1, 0)])
+        assert info.value.args == (missing,)
+
+    def test_wrong_index_length_rejected(self):
+        with pytest.raises(ValueError, match="need 2 exponents each"):
+            index_positions(multi_index_set(2, 3, "max-degree"), (1, 1, 1))
 
 
 class TestArithmetic:
