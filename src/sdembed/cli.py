@@ -96,10 +96,15 @@ class _Run:
 
     def __init__(self, command: str, args: argparse.Namespace, seed_keys: tuple[str, ...]):
         # an output path that is a directory fails the final rename: reject it before any work
-        for flag in ("out", "dataset_out"):
-            path = getattr(args, flag, None)
+        out = getattr(args, "out", None)
+        targets = {"--out": out, "--dataset-out": getattr(args, "dataset_out", None)}
+        if out is not None:
+            targets["the manifest path"] = f"{out}.manifest.json"
+            if getattr(args, "gnuplot", False):
+                targets["the plot script path"] = f"{out}.gp"
+        for what, path in targets.items():
             if path is not None and Path(path).is_dir():
-                raise ValueError(f"--{flag.replace('_', '-')} names a directory: {path}")
+                raise ValueError(f"{what} names a directory: {path}")
         self.started = time.perf_counter()
         self.manifest = {
             "command": command,

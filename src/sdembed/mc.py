@@ -1,12 +1,16 @@
 """Euler-Maruyama sampling of the SDE and moment estimation.
 
 Each path advances by x += a(x) dt + B(x) sqrt(dt) xi with standard
-normal increments xi.  Every path owns a counter-based Philox stream
-derived from (seed, path index), so path j reproduces bit-for-bit no
-matter how the ensemble is split into batches or how many paths run.
-Paths whose state goes non-finite (possible for the cubic van der Pol
-drift at coarse steps) are flagged and excluded from moment estimates
-instead of aborting the run.  Only final-time states are kept.
+normal increments xi.  The loop runs steps outside and blocks of paths
+inside.  Step k draws from one counter-based Philox stream keyed by
+SeedSequence(entropy=seed, spawn_key=(k,)), and the blocks take their
+normals from it in path order.  Consecutive draws from one stream
+concatenate exactly, so path j reproduces bit-for-bit no matter how the
+ensemble is split into blocks or how many paths run, and only one block's
+noise is held at a time, whatever the horizon.  Paths whose state goes
+non-finite (possible for the cubic van der Pol drift at coarse steps) are
+flagged and excluded from moment estimates instead of aborting the run.
+Only final-time states are kept.
 """
 
 from __future__ import annotations
@@ -85,15 +89,6 @@ class TrajectoryEnsemble:
         return int(self.blown.sum())
 
 
-def _path_noise(seed: int, first_path: int, count: int, steps: int, dim: int) -> np.ndarray:
-    out = np.empty((count, steps, dim))
-    for p in range(count):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(first_path + p,))
-        gen = np.random.Generator(np.random.Philox(seq))
-        out[p] = gen.standard_normal((steps, dim))
-    return out
-
-
 def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
     """Euler-Maruyama ensemble from a common start point."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -109,21 +104,19 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
     exps = exps[grlex_order(exps)]
     coefs = np.array([[p.coefficient(n) for p in polys] for n in exps.tolist()])
     coefs = coefs.reshape(-1, len(polys))
-    final = np.empty((config.paths, dim))
-    for start in range(0, config.paths, _CHUNK_PATHS):
-        count = min(_CHUNK_PATHS, config.paths - start)
-        states = np.tile(x0, (count, 1))
-        if steps:
-            noise = _path_noise(config.seed, start, count, steps, dim)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(steps):
-                    xi = noise[:, k, :]
-                    values = monomials(states, exps) @ coefs
-                    incr = values[:, :dim] * config.dt
-                    for col, (i, j) in enumerate(pairs, start=dim):
-                        incr[:, i] += values[:, col] * (sqrt_dt * xi[:, j])
-                    states = states + incr
-        final[start : start + count] = states
+    final = np.tile(x0, (config.paths, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))
+            gen = np.random.Generator(np.random.Philox(seq))
+            for start in range(0, config.paths, _CHUNK_PATHS):
+                states = final[start : start + _CHUNK_PATHS]
+                xi = gen.standard_normal(states.shape)
+                values = monomials(states, exps) @ coefs
+                incr = values[:, :dim] * config.dt
+                for col, (i, j) in enumerate(pairs, start=dim):
+                    incr[:, i] += values[:, col] * (sqrt_dt * xi[:, j])
+                states += incr
     blown = ~np.all(np.isfinite(final), axis=1)
     return TrajectoryEnsemble(final, blown, config, tuple(x0))
 
@@ -148,8 +141,8 @@ def mc_moment(ensemble: TrajectoryEnsemble, axis: int, power: int) -> tuple[floa
 def final_states_csv_text(ensemble: TrajectoryEnsemble) -> str:
     dim = ensemble.final.shape[1]
     lines = [",".join(["path"] + [f"x_{d + 1}" for d in range(dim)])]
-    for p, row in enumerate(ensemble.final):
-        lines.append(",".join([str(p)] + [repr(float(v)) for v in row]))
+    # repr of a Python float is the shortest round-tripping text
+    lines += [",".join([str(p), *map(repr, row)]) for p, row in enumerate(ensemble.final.tolist())]
     return "\n".join(lines) + "\n"
 
 

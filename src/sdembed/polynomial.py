@@ -109,20 +109,26 @@ def monomials(x: np.ndarray, exps: np.ndarray, out: np.ndarray | None = None) ->
     of exps (K, dim), as an array (..., K); `out`, of that shape, receives
     them if given, so a caller working in blocks can reuse one buffer.
 
-    This is the package's one monomial evaluator.  Per-axis power tables
-    built by repeated multiplication (x^0 = 1, 0 included) cost one multiply
-    per (point, index); the product runs from axis 0 upwards.
+    This is the package's one monomial evaluator.  One power table
+    (top + 1, ..., dim), built by repeated multiplication (x^0 = 1, 0
+    included), holds every axis's powers up to that axis's largest exponent;
+    the product of the gathered powers then runs from axis 0 upwards.
     """
-    tables = []
-    for d, top in enumerate(exps.max(axis=0, initial=0)):
-        table = np.empty((top + 1,) + x.shape[:-1])
-        table[0], table[1:] = 1.0, x[..., d]
-        tables.append(np.cumprod(table, axis=0, out=table))
+    # column by column: a reduction over axis 0 of a (K, dim) array is ten times slower
+    tops = [int(exps[:, d].max(initial=0)) for d in range(exps.shape[1])]
+    table = np.empty((max(tops) + 1,) + x.shape)
+    table[0], table[1:2] = 1.0, x
+    for k, (prev, cur) in enumerate(zip(table[1:], table[2:]), start=2):
+        if k <= min(tops):
+            np.multiply(prev, x, out=cur)
+        else:  # only the axes that use x_d^k: a power no row needs must not overflow
+            for d in [d for d, top in enumerate(tops) if top >= k]:
+                np.multiply(prev[..., d], x[..., d], out=cur[..., d])
     rows = np.empty((len(exps),) + x.shape[:-1]) if out is None else np.moveaxis(out, -1, 0)
-    # "clip" is a no-op (exponents fit their tables) that spares take's buffered copy
-    np.take(tables[0], exps[:, 0], axis=0, out=rows, mode="clip")
-    for d in range(1, len(tables)):
-        rows *= tables[d][exps[:, d]]
+    # "clip" is a no-op (exponents fit the table) that spares take's buffered copy
+    np.take(table[..., 0], exps[:, 0], axis=0, out=rows, mode="clip")
+    for d in range(1, exps.shape[1]):
+        rows *= table[exps[:, d], ..., d]
     return np.moveaxis(rows, 0, -1)
 
 

@@ -111,3 +111,27 @@ def term_sum(poly, x):
     for index, coef in poly.terms.items():
         out = out + coef * np.prod(x ** np.asarray(index, dtype=np.int64), axis=-1)
     return out
+
+
+def step_noise(seed, step, paths, dim):
+    """Standard normals (paths, dim) of Euler step `step`, by the keying rule
+    `mc.simulate` documents: one Philox stream per step, keyed by
+    SeedSequence(entropy=seed, spawn_key=(step,)), drawn in path order."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(step,))
+    return np.random.Generator(np.random.Philox(seq)).standard_normal((paths, dim))
+
+
+def cumprod_monomials(x, exps, out=None):
+    """Monomials (..., K) by the earlier formulation of `monomials`: one
+    power table per axis, up to that axis's largest exponent, built with
+    `np.cumprod`; the gathered powers are multiplied from axis 0 upwards."""
+    tables = []
+    for d, top in enumerate(exps.max(axis=0, initial=0)):
+        table = np.empty((top + 1,) + x.shape[:-1])
+        table[0], table[1:] = 1.0, x[..., d]
+        tables.append(np.cumprod(table, axis=0, out=table))
+    rows = np.empty((len(exps),) + x.shape[:-1]) if out is None else np.moveaxis(out, -1, 0)
+    np.take(tables[0], exps[:, 0], axis=0, out=rows)
+    for d in range(1, len(tables)):
+        rows *= tables[d][exps[:, d]]
+    return np.moveaxis(rows, 0, -1)

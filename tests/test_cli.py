@@ -182,6 +182,31 @@ def test_directory_output_is_usage_error_before_any_work(argv, tmp_path, capsys,
     assert list(folder.iterdir()) == [] and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, suffix",
+    [
+        (["dual", "ou", "--order", 1, "--N", 4, "--t", 1.0], ".manifest.json"),
+        (["eval", "--pred", "ou:m=1,t=1", "--line", -1, 1, 3, "--gnuplot"], ".gp"),
+    ],
+    ids=["manifest", "gnuplot-script"],
+)
+def test_directory_at_derived_output_is_usage_error_before_any_work(
+    argv, suffix, tmp_path, capsys, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started working")
+
+    monkeypatch.setattr("sdembed.cli.solve_moment", no_work)
+    monkeypatch.setattr("sdembed.cli.line_eval", no_work)
+    out = tmp_path / "out.csv"
+    folder = tmp_path / f"out.csv{suffix}"
+    folder.mkdir()
+    code = run(argv + ["--out", out])
+    assert code == 2
+    assert f"names a directory: {folder}" in capsys.readouterr().err
+    assert list(folder.iterdir()) == [] and not out.exists()
+
+
 NEGATIVE_ROW_CSV = "n_1,n_2,value\n0,0,1.0\n-1,0,2.0\n1,0,3.0\n"
 REPEATED_ROW_CSV = "n_1,value\n0,1.0\n1,2.0\n1,5.0\n"
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sdembed.mc as mc_module
-from helpers import term_sum
+from helpers import step_noise, term_sum
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.mc import (
     EstimationError,
@@ -74,6 +75,23 @@ class TestSimulate:
         whole = simulate(vdp, [1.0, 1.0], config)
         assert np.array_equal(chunked.final, whole.final)
 
+    def test_path_count_prefix_invariance(self, vdp):
+        more = simulate(vdp, [1.0, 1.0], SimConfig(dt=0.01, horizon=0.1, paths=40, seed=4))
+        fewer = simulate(vdp, [1.0, 1.0], SimConfig(dt=0.01, horizon=0.1, paths=25, seed=4))
+        assert np.array_equal(more.final[:25], fewer.final)
+
+    def test_noise_memory_flat_in_horizon(self, ou):
+        def peak(horizon):
+            config = SimConfig(dt=0.01, horizon=horizon, paths=4096, seed=2)
+            tracemalloc.start()
+            try:
+                simulate(ou, [1.0], config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10.0) <= 1.5 * peak(1.0)
+
     def test_ou_mean_within_sampling_error(self, ou):
         ens = simulate(ou, [1.0], SimConfig(dt=1e-3, horizon=1.0, paths=20_000, seed=12))
         estimate, std_error = mc_moment(ens, 1, 1)
@@ -117,11 +135,10 @@ def reference_euler(model, x0, config):
     """Euler-Maruyama on simulate's noise stream, evaluating every drift and
     diffusion entry on its own with the per-term oracle."""
     dim = model.dim
-    noise = mc_module._path_noise(config.seed, 0, config.paths, config.steps, dim)
     sqrt_dt = math.sqrt(config.dt)
     states = np.tile(x0, (config.paths, 1))
     for k in range(config.steps):
-        xi = noise[:, k, :]
+        xi = step_noise(config.seed, k, config.paths, dim)
         incr = np.empty_like(states)
         for i in range(dim):
             incr[:, i] = term_sum(model.drift[i], states) * config.dt
@@ -204,6 +221,14 @@ class TestCsvExport:
         assert len(lines) == 6
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert np.array_equal(values, ens.final[:, 0])
+
+    def test_text_bytes_of_special_values(self):
+        final = np.array([[math.inf, math.nan], [-0.0, 5e-324], [-math.inf, 2.5e-310], [0.1, -1e300]])
+        config = SimConfig(dt=0.1, horizon=0.0, paths=4, seed=0)
+        ens = TrajectoryEnsemble(final, np.array([True, False, True, False]), config, (0.0, 0.0))
+        assert final_states_csv_text(ens) == (
+            "path,x_1,x_2\n0,inf,nan\n1,-0.0,5e-324\n2,-inf,2.5e-310\n3,0.1,-1e+300\n"
+        )
 
     def test_text_matches_file(self, vdp, tmp_path):
         ens = simulate(vdp, [0.5, 0.5], SimConfig(dt=0.01, horizon=0.02, paths=3, seed=1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import grlex_key, reference_index_set, term_sum
+from helpers import cumprod_monomials, grlex_key, reference_index_set, term_sum
 from sdembed.polynomial import (
     Polynomial,
     grlex_order,
@@ -261,6 +261,56 @@ class TestMonomialEval:
         left = monomials(x, np.array([n, m])).prod()
         right = monomials(x, np.array([n]) + np.array([m]))[0]
         assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
+
+    def test_unused_power_does_not_overflow(self):
+        # x_1^5 would overflow, but only x_2 is raised that high
+        exps = np.array([[0, 0], [1, 0], [0, 5]])
+        assert np.array_equal(monomials(np.array([1e200, 2.0]), exps), [1.0, 1e200, 32.0])
+
+
+class TestMatchesCumprodReference:
+    """`monomials` bit for bit against the per-axis cumprod tables it replaced."""
+
+    @staticmethod
+    def random_exps(rng):
+        dim = int(rng.integers(1, 4))
+        tops = rng.integers(0, 9, dim)  # unequal per-axis tops
+        return rng.integers(0, tops + 1, (int(rng.integers(1, 15)), dim))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_exponent_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        exps = self.random_exps(rng)
+        dim = exps.shape[1]
+        for shape in [(dim,), (6, dim), (2, 3, dim)]:
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 3)
+            assert np.array_equal(monomials(x, exps), cumprod_monomials(x, exps))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_exponent_set(self, dim):
+        exps = np.empty((0, dim), dtype=np.int64)
+        for shape in [(dim,), (4, dim)]:
+            x = np.ones(shape)
+            got, want = monomials(x, exps), cumprod_monomials(x, exps)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_finite_points(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        exps = self.random_exps(rng)
+        x = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.5], size=(30, exps.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = monomials(x, exps), cumprod_monomials(x, exps)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_out_buffer(self):
+        rng = np.random.default_rng(7)
+        exps = self.random_exps(rng)
+        x = rng.normal(size=(9, exps.shape[1]))
+        work = np.empty((len(exps), 12))
+        got = monomials(x, exps, out=work[:, :9].T)
+        assert np.shares_memory(got, work)
+        assert np.array_equal(got, cumprod_monomials(x, exps))
 
 
 class TestEvaluate:
