@@ -13,7 +13,6 @@ from .baseline import Dataset, TrainConfig, TrainResult, generate_dataset, train
 from .dual import (
     DualCoefficients,
     GeneratorMatrix,
-    IntegratorConfig,
     SolverError,
     build_generator,
     eval_moment,
@@ -22,7 +21,7 @@ from .dual import (
     solve_moment,
 )
 from .evaluate import RadialErrorProfile, analytic_ou_moment, grid_eval, radial_error_profile
-from .fit import FitConfig, FitError, FitResult, fit_network, residuals
+from .fit import FitConfig, FitError, FitResult, fit_network
 from .mc import SimConfig, TrajectoryEnsemble, mc_moment, simulate
 from .network import (
     SigmoidNet,
@@ -31,19 +30,16 @@ from .network import (
     read_network,
     sigmoid_derivatives,
     taylor_jacobian,
-    write_network,
 )
-from .polynomial import MultiIndex, Polynomial, monomials, multi_index_set, multinomial
+from .polynomial import MultiIndex, Polynomial, monomials, multi_index_set
 from .sde import (
     ModelParseError,
     SdeModel,
-    adjoint_apply,
     builtin_model,
     diffusion_product,
     parse_model,
     read_model,
     shift_model_origin,
-    write_model,
 )
 
 __all__ = [
@@ -51,20 +47,16 @@ __all__ = [
     "MultiIndex",
     "Polynomial",
     "multi_index_set",
-    "multinomial",
     "monomials",
     "SdeModel",
     "ModelParseError",
     "builtin_model",
     "diffusion_product",
-    "adjoint_apply",
     "shift_model_origin",
     "parse_model",
     "read_model",
-    "write_model",
     "GeneratorMatrix",
     "DualCoefficients",
-    "IntegratorConfig",
     "SolverError",
     "build_generator",
     "initial_coefficients",
@@ -77,11 +69,9 @@ __all__ = [
     "network_taylor",
     "taylor_jacobian",
     "read_network",
-    "write_network",
     "FitConfig",
     "FitResult",
     "FitError",
-    "residuals",
     "fit_network",
     "SimConfig",
     "TrajectoryEnsemble",

@@ -11,7 +11,6 @@ produces, so all evaluation code is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -27,7 +26,6 @@ __all__ = [
     "generate_dataset",
     "train_backprop",
     "dataset_csv_text",
-    "write_dataset_csv",
 ]
 
 
@@ -181,7 +179,3 @@ def dataset_csv_text(data: Dataset) -> str:
     for row, target in zip(data.inputs, data.targets):
         lines.append(",".join([repr(float(v)) for v in row] + [repr(float(target))]))
     return "\n".join(lines) + "\n"
-
-
-def write_dataset_csv(data: Dataset, path) -> None:
-    Path(path).write_text(dataset_csv_text(data))

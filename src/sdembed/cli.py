@@ -31,7 +31,6 @@ from . import __version__
 from .baseline import TrainConfig, dataset_csv_text, generate_dataset, train_backprop
 from .dual import (
     DualCoefficients,
-    IntegratorConfig,
     SolverError,
     coefficients_csv_text,
     eval_moment,
@@ -162,15 +161,7 @@ def _param_flags(args) -> dict[str, float]:
 
 def _solve_target(args, run: _Run) -> DualCoefficients:
     model = run.model(args.model, _param_flags(args), getattr(args, "origin", None))
-    config = IntegratorConfig(rtol=args.rtol, atol=args.atol)
-    return solve_moment(
-        model,
-        axis=args.axis,
-        power=args.order,
-        t=args.t,
-        max_degree=args.N,
-        config=config,
-    )
+    return solve_moment(model, axis=args.axis, power=args.order, t=args.t, max_degree=args.N)
 
 
 # -- commands ----------------------------------------------------------------
@@ -188,10 +179,14 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-def _target_from_args(args, run: _Run) -> tuple[DualCoefficients, int]:
-    """Coefficient target plus the Taylor order to use."""
+def _target_from_args(args, run: _Run, unread=()) -> tuple[DualCoefficients, int]:
+    """Coefficient target plus the Taylor order to use.
+
+    With --dual, the solve flags are a usage error, and so are the flags in
+    `unread`, which the command reads only to solve a target.
+    """
     if args.dual is not None:
-        ignored = [f"--{flag}" for flag in ("order", "t", *_PARAM_NAMES)
+        ignored = [f"--{flag}" for flag in ("order", "t", *unread, *_PARAM_NAMES)
                    if getattr(args, flag) is not None]
         if args.model is not None:
             ignored.insert(0, f"model {args.model!r}")
@@ -216,10 +211,7 @@ def _cmd_fit(args) -> int:
         hidden=args.hidden,
         order=order,
         restarts=args.restarts,
-        init_range=(args.init_low, args.init_high),
         max_iterations=args.max_iterations,
-        gradient_tol=args.gtol,
-        cost_tol=args.ctol,
         seed=args.seed,
     )
     result = fit_network(coeffs, config)
@@ -244,7 +236,8 @@ def _cmd_mc(args) -> int:
 
 def _cmd_train_baseline(args) -> int:
     run = _Run("train-baseline", args, ("seed", "data_seed"))
-    coeffs, _ = _target_from_args(args, run)
+    # --N is only the truncation of a solve here, not a Taylor order as in fit
+    coeffs, _ = _target_from_args(args, run, unread=("N",))
     lo, hi = args.box
     region = tuple((lo, hi) for _ in range(coeffs.dim))
     data_seed = args.data_seed if args.data_seed is not None else args.seed
@@ -453,8 +446,6 @@ def _add_solve_arguments(parser: argparse.ArgumentParser, required: bool = True)
         "--N", type=int, required=required, help="truncation: max exponent per axis (fit: Taylor order)"
     )
     parser.add_argument("--t", type=float, required=required, help="time horizon")
-    parser.add_argument("--rtol", type=float, default=IntegratorConfig.rtol)
-    parser.add_argument("--atol", type=float, default=IntegratorConfig.atol)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -480,14 +471,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--hidden", type=int, required=True)
     fit.add_argument("--restarts", type=int, default=FitConfig.restarts)
     fit.add_argument("--seed", type=int, default=_default_seed())
-    fit.add_argument("--init-low", type=float, default=FitConfig.init_range[0])
-    fit.add_argument("--init-high", type=float, default=FitConfig.init_range[1])
     # Deliberately not FitConfig.max_iterations (30): the vdp m=2 fit (h=8,
     # N=17) needs about 200 to reach a cost below 1e-2 on every seed, while
     # the library default keeps the OU m=2 embedding accurate on [-1, 1].
     fit.add_argument("--max-iterations", type=int, default=200)
-    fit.add_argument("--gtol", type=float, default=FitConfig.gradient_tol)
-    fit.add_argument("--ctol", type=float, default=FitConfig.cost_tol)
     fit.add_argument("--out", required=True)
     fit.set_defaults(func=_cmd_fit)
 

@@ -29,7 +29,6 @@ from .polynomial import MultiIndex, grlex_order, index_positions, monomials, mul
 from .sde import SdeModel, diffusion_product
 
 __all__ = [
-    "IntegratorConfig",
     "SolverError",
     "GeneratorMatrix",
     "DualCoefficients",
@@ -39,21 +38,15 @@ __all__ = [
     "solve_moment",
     "eval_moment",
     "coefficients_csv_text",
-    "write_coefficients_csv",
     "read_coefficients_csv",
 ]
 
 
 # the paper's Runge-Kutta 5(4) pair; solve_ivp's default max_step (inf) applies
 _IVP_METHOD = "RK45"
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Adaptive IVP tolerances; defaults make truncation the dominant error."""
-
-    rtol: float = 1e-10
-    atol: float = 1e-12
+# adaptive step tolerances, tight enough that truncation is the dominant error
+_RTOL = 1e-10
+_ATOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -142,9 +135,10 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     the (K, dim) exponent array: a drift term c x^e on axis i maps x^n to
     c n_i x^(n - e_i + e), and a [BB^T]_ij term c x^e maps x^n to
     (c / 2) n_i (n_j - delta_ij) x^(n - e_i - e_j + e).  Each entry is
-    summed in the term order of `sde.adjoint_apply` (drift axes, then
-    (i, j) row-major), so the matrix is bit-for-bit the one built column
-    by column from that reference action.
+    summed in the order of the operator's terms (drift axes, then (i, j)
+    row-major), so the matrix is bit-for-bit the one built column by column
+    from the reference action on one monomial, `adjoint_apply` in
+    `tests/helpers.py`.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -156,7 +150,7 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     # (polynomial, coefficient scale, exponent shift, integer multiplier per column)
     slots = [(model.drift[i], 1.0, -unit[i], exps[:, i]) for i in range(dim)]
     slots += [
-        (product[i, j], 0.5, -unit[i] - unit[j], exps[:, i] * (exps[:, j] - (i == j)))
+        (product[i][j], 0.5, -unit[i] - unit[j], exps[:, i] * (exps[:, j] - (i == j)))
         for i in range(dim)
         for j in range(dim)
     ]
@@ -174,7 +168,7 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
                 vals.append((c * scale) * factor[inside])
         rows = index_positions(exps, np.concatenate(targets))
         # one target per column and term, so each += below hits a key once;
-        # the running sums therefore add in adjoint_apply's order
+        # the running sums therefore add in the operator's term order
         entries, where = np.unique(rows * size + np.concatenate(cols), return_inverse=True)
         data = np.zeros(entries.size)
         start = 0
@@ -214,11 +208,10 @@ def solve_dual(
     generator: GeneratorMatrix,
     start: np.ndarray,
     t: float,
-    config: IntegratorConfig | None = None,
     observable: tuple[int, int] | None = None,
 ) -> DualCoefficients:
-    """Integrate dP/dt = A P from the start vector to time t."""
-    config = config or IntegratorConfig()
+    """Integrate dP/dt = A P from the start vector to time t (RK45, rtol
+    `_RTOL`, atol `_ATOL`)."""
     start = np.asarray(start, dtype=float)
     if start.shape != (len(generator.index_set),):
         raise ValueError(f"start shape {start.shape} does not match the index set")
@@ -239,8 +232,8 @@ def solve_dual(
             (0.0, t),
             start,
             method=_IVP_METHOD,
-            rtol=config.rtol,
-            atol=config.atol,
+            rtol=_RTOL,
+            atol=_ATOL,
             t_eval=[t],
         )
         if not sol.success:
@@ -263,12 +256,11 @@ def solve_moment(
     power: int,
     t: float,
     max_degree: int,
-    config: IntegratorConfig | None = None,
 ) -> DualCoefficients:
     """Build the generator, apply the delta start for E[x_axis^power], solve to t."""
     generator = build_generator(model, max_degree)
     start = initial_coefficients(generator.index_set, axis, power)
-    return solve_dual(generator, start, t, config, observable=(axis, power))
+    return solve_dual(generator, start, t, observable=(axis, power))
 
 
 # monomial bytes per eval_moment block: peak memory is O(block + points), not O(points * K)
@@ -308,10 +300,6 @@ def coefficients_csv_text(coeffs: DualCoefficients) -> str:
     for index, value in zip(coeffs.index_set.tolist(), coeffs.values):
         lines.append(",".join([str(e) for e in index] + [repr(float(value))]))
     return "\n".join(lines) + "\n"
-
-
-def write_coefficients_csv(coeffs: DualCoefficients, path) -> None:
-    Path(path).write_text(coefficients_csv_text(coeffs))
 
 
 def read_coefficients_csv(path) -> DualCoefficients:

@@ -6,6 +6,10 @@ total-degree index set {l : sum l_j <= N}.  Minimization uses damped
 Gauss-Newton (Levenberg-Marquardt) steps with the analytic Jacobian from
 the network module, restarted from several random initializations; the
 lowest-cost restart wins.  Everything is deterministic for a fixed seed.
+Each restart draws its initial weights uniformly from [-1, 1] and stops at
+a gradient norm of 1e-10, at a relative cost drop of 1e-15 or on its
+iteration budget; only the budget is a setting, the rest are the module
+constants `_INIT_RANGE`, `_GRADIENT_TOL` and `_COST_TOL`.
 
 The default iteration budget (30) is deliberately modest, and it is not
 the one `sdembed fit` uses (200); neither serves both fits below.  On
@@ -28,25 +32,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualCoefficients
-from .network import (
-    SigmoidNet,
-    flatten_params,
-    net_to_dict,
-    network_taylor,
-    taylor_jacobian,
-    unflatten_params,
-)
+from .network import SigmoidNet, net_to_dict, network_taylor, taylor_jacobian, unflatten_params
 from .polynomial import index_positions, multi_index_set
 
 __all__ = [
     "FitConfig",
     "FitResult",
     "FitError",
-    "residuals",
     "fit_network",
     "fit_result_to_dict",
 ]
 
+# initial weights are drawn uniformly from this interval
+_INIT_RANGE = (-1.0, 1.0)
+# a restart stops when max |J^T r| falls to _GRADIENT_TOL, or when an accepted
+# step lowers the cost by no more than _COST_TOL relative
+_GRADIENT_TOL = 1e-10
+_COST_TOL = 1e-15
 # Levenberg-Marquardt damping: start, factors after rejected/accepted steps, range
 _DAMPING_INIT = 1e-3
 _DAMPING_UP = 10.0
@@ -61,15 +63,16 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fit settings; defaults follow the builtin demonstration setups."""
+    """Fit settings; defaults follow the builtin demonstration setups.
+
+    The initial-weight interval and the stopping tolerances are the module
+    constants `_INIT_RANGE`, `_GRADIENT_TOL` and `_COST_TOL`.
+    """
 
     hidden: int
     order: int
     restarts: int = 10
-    init_range: tuple[float, float] = (-1.0, 1.0)
     max_iterations: int = 30
-    gradient_tol: float = 1e-10
-    cost_tol: float = 1e-15
     seed: int = 0
 
     def __post_init__(self):
@@ -81,11 +84,6 @@ class FitConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gradient_tol <= 0 or self.cost_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-        lo, hi = self.init_range
-        if not lo < hi:
-            raise ValueError("init_range must be a nonempty interval")
 
 
 @dataclass(frozen=True)
@@ -110,13 +108,6 @@ def _target_vector(target: DualCoefficients, dim: int, order: int) -> np.ndarray
     return target.values[rows]
 
 
-def residuals(target: DualCoefficients, net: SigmoidNet, order: int) -> np.ndarray:
-    """P(l, t) - T_net(l) over the total-degree set, in canonical order."""
-    if target.dim != net.dim:
-        raise ValueError(f"target dimension {target.dim} != network dimension {net.dim}")
-    return _target_vector(target, net.dim, order) - network_taylor(net, order).values
-
-
 def _lm_minimize(theta0, target_values, hidden, dim, config):
     """One damped Gauss-Newton descent; returns (theta, cost, iterations, converged)."""
 
@@ -138,7 +129,7 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
     iterations = 0
     while iterations < config.max_iterations:
         jac, gnorm = gradient_norm(theta, r)
-        if gnorm <= config.gradient_tol:
+        if gnorm <= _GRADIENT_TOL:
             converged = True
             break
         gradient = jac.T @ r
@@ -165,9 +156,9 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
         drop = cost - cost_new
         theta, r, cost = theta + step, r_new, cost_new
         damping = max(damping * _DAMPING_DOWN, _DAMPING_FLOOR)
-        if drop <= config.cost_tol * max(cost, _DAMPING_FLOOR):
+        if drop <= _COST_TOL * max(cost, _DAMPING_FLOOR):
             _, gnorm = gradient_norm(theta, r)
-            converged = gnorm <= config.gradient_tol
+            converged = gnorm <= _GRADIENT_TOL
             break
     return theta, cost, iterations, converged
 
@@ -175,7 +166,7 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
 def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
     """Multi-start Levenberg-Marquardt minimization of the matching cost.
 
-    Each restart draws initial weights uniformly from init_range using an
+    Each restart draws initial weights uniformly from `_INIT_RANGE` using an
     independent per-restart stream of the configured seed, so restart k is
     reproducible regardless of how many restarts run.  The lowest-cost
     restart is returned (ties break toward the earlier restart).
@@ -185,13 +176,12 @@ def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
     if not np.all(np.isfinite(target_values)):
         raise FitError("target coefficients contain non-finite values")
     n_params = config.hidden * (dim + 2)
-    lo, hi = config.init_range
 
     best = None
     costs = []
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
-        theta0 = rng.uniform(lo, hi, n_params)
+        theta0 = rng.uniform(*_INIT_RANGE, n_params)
         theta, cost, iterations, converged = _lm_minimize(
             theta0, target_values, config.hidden, dim, config
         )

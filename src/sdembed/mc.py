@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "simulate",
     "mc_moment",
     "final_states_csv_text",
-    "write_final_states_csv",
 ]
 
 _CHUNK_PATHS = 8192
@@ -144,7 +142,3 @@ def final_states_csv_text(ensemble: TrajectoryEnsemble) -> str:
     # repr of a Python float is the shortest round-tripping text
     lines += [",".join([str(p), *map(repr, row)]) for p, row in enumerate(ensemble.final.tolist())]
     return "\n".join(lines) + "\n"
-
-
-def write_final_states_csv(ensemble: TrajectoryEnsemble, path) -> None:
-    Path(path).write_text(final_states_csv_text(ensemble))

@@ -38,25 +38,17 @@ __all__ = [
     "SigmoidNet",
     "SigmoidDerivativeTable",
     "NetworkTaylorCoefficients",
-    "sigmoid",
     "sigmoid_derivatives",
     "forward",
     "network_taylor",
     "taylor_jacobian",
-    "flatten_params",
     "unflatten_params",
     "net_to_dict",
     "dict_to_net",
     "read_network",
-    "write_network",
 ]
 
 MAX_SIGMOID_ORDER = 20
-
-
-def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), stable for large |x|."""
-    return expit(x)
 
 
 @dataclass(frozen=True)
@@ -233,11 +225,6 @@ def taylor_jacobian(net: SigmoidNet, order: int) -> np.ndarray:
     return np.hstack([d_out, d_in, d_bias])
 
 
-def flatten_params(net: SigmoidNet) -> np.ndarray:
-    """Concatenate (out_weights, in_weights row-major, biases)."""
-    return np.concatenate([net.out_weights, net.in_weights.ravel(), net.biases])
-
-
 def unflatten_params(theta: np.ndarray, hidden: int, dim: int) -> SigmoidNet:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (hidden * (dim + 2),):
@@ -277,7 +264,3 @@ def read_network(path) -> SigmoidNet:
     if "network" in doc and "q" not in doc:
         doc = doc["network"]
     return dict_to_net(doc)
-
-
-def write_network(net: SigmoidNet, path) -> None:
-    Path(path).write_text(json.dumps(net_to_dict(net)) + "\n")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "grlex_order",
     "index_positions",
     "multi_index_set",
-    "multinomial",
     "monomials",
 ]
 
@@ -85,23 +84,6 @@ def index_positions(index_set: np.ndarray, indices) -> np.ndarray:
     if missing.size:
         raise KeyError(tuple(flat[missing[0]].tolist()))
     return rows.reshape(indices.shape[:-1])
-
-
-def multinomial(k: int, parts: Iterable[int]) -> int:
-    """Number of ways to split k items into groups of the given sizes.
-
-    Exact integer k! / prod(parts_i!); the parts must be non-negative and
-    sum to k.
-    """
-    parts = tuple(int(p) for p in parts)
-    if any(p < 0 for p in parts):
-        raise ValueError(f"parts must be non-negative, got {parts}")
-    if sum(parts) != k:
-        raise ValueError(f"parts {parts} do not sum to k={k}")
-    out = math.factorial(k)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 def monomials(x: np.ndarray, exps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -175,28 +157,11 @@ class Polynomial:
     def constant(cls, dim: int, value: float) -> "Polynomial":
         return cls(dim, {(0,) * dim: value})
 
-    @classmethod
-    def variable(cls, dim: int, axis: int) -> "Polynomial":
-        """The coordinate polynomial x_axis (axis is 0-based)."""
-        if not 0 <= axis < dim:
-            raise ValueError(f"axis {axis} out of range for dimension {dim}")
-        index = tuple(1 if d == axis else 0 for d in range(dim))
-        return cls(dim, {index: 1.0})
-
-    @classmethod
-    def monomial(cls, dim: int, index: MultiIndex, coef: float = 1.0) -> "Polynomial":
-        return cls(dim, {tuple(index): coef})
-
     def coefficient(self, index: MultiIndex) -> float:
         return self._terms.get(tuple(index), 0.0)
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports degree 0."""
-        return max((sum(n) for n in self._terms), default=0)
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
@@ -247,27 +212,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = Polynomial.constant(self._dim, 1.0)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def derivative(self, axis: int) -> "Polynomial":
-        """Partial derivative with respect to x_axis (axis is 0-based)."""
-        if not 0 <= axis < self._dim:
-            raise ValueError(f"axis {axis} out of range for dimension {self._dim}")
-        acc: dict[MultiIndex, float] = {}
-        for index, coef in self._terms.items():
-            e = index[axis]
-            if e == 0:
-                continue
-            lowered = tuple(v - 1 if d == axis else v for d, v in enumerate(index))
-            acc[lowered] = acc.get(lowered, 0.0) + coef * e
-        return Polynomial(self._dim, acc)
-
     def shift(self, offset) -> "Polynomial":
         """Re-expand around a translated origin: returns q with q(y) = p(y + offset)."""
         offset = tuple(float(c) for c in offset)
@@ -297,17 +241,6 @@ class Polynomial:
         return self._dim == other._dim and self._terms == other._terms
 
     __hash__ = None  # mutable-looking value semantics; not hashable
-
-    def allclose(self, other: "Polynomial", rel_tol: float = 1e-12, abs_tol: float = 0.0) -> bool:
-        """Coefficient-wise closeness over the union of term indices."""
-        if self._dim != other._dim:
-            return False
-        for index in self._terms.keys() | other._terms.keys():
-            a = self._terms.get(index, 0.0)
-            b = other._terms.get(index, 0.0)
-            if abs(a - b) > max(abs_tol, rel_tol * max(abs(a), abs(b))):
-                return False
-        return True
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -6,8 +6,8 @@ finite polynomial.  The generator acting on observables is
 
     L = sum_i a_i(x) d/dx_i + 1/2 sum_{i,j} [B(x) B(x)^T]_{i,j} d2/dx_i dx_j
 
-and `adjoint_apply` returns L x^n exactly; it is the reference action that
-the whole-basis assembly in `dual.build_generator` reproduces bit-for-bit.
+and `dual.build_generator` assembles its action on a whole monomial basis
+from the drift terms and the `diffusion_product` entries.
 Two builtin models are provided: the Ornstein-Uhlenbeck process (1-D,
 linear) and the noisy van der Pol oscillator (2-D, cubic drift).
 `BUILTIN_PARAMS` and `BUILTIN_ALIASES` name them and their parameters.
@@ -27,16 +27,13 @@ __all__ = [
     "BUILTIN_PARAMS",
     "BUILTIN_ALIASES",
     "SdeModel",
-    "DiffusionProduct",
     "ModelParseError",
     "builtin_model",
     "diffusion_product",
-    "adjoint_apply",
     "shift_model_origin",
     "parse_model",
     "model_to_dict",
     "read_model",
-    "write_model",
 ]
 
 
@@ -87,20 +84,6 @@ class SdeModel:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class DiffusionProduct:
-    """The symmetric polynomial matrix B(x) B(x)^T."""
-
-    entries: tuple[tuple[Polynomial, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Polynomial:
-        i, j = ij
-        return self.entries[i][j]
-
-
 def _require_params(name: str, params: dict, required: tuple[str, ...]) -> dict[str, float]:
     missing = [k for k in required if k not in params]
     if missing:
@@ -141,8 +124,9 @@ def builtin_model(name: str, params: dict | None = None) -> SdeModel:
     return SdeModel(2, drift, diffusion, name=key)
 
 
-def diffusion_product(model: SdeModel) -> DiffusionProduct:
-    """B B^T as exact polynomial products; symmetric by construction."""
+def diffusion_product(model: SdeModel) -> tuple[tuple[Polynomial, ...], ...]:
+    """B B^T as exact polynomial products, entry (i, j) at [i][j]; symmetric
+    by construction."""
     d = model.dim
     rows = []
     for i in range(d):
@@ -153,37 +137,7 @@ def diffusion_product(model: SdeModel) -> DiffusionProduct:
                 acc = acc + model.diffusion[i][k] * model.diffusion[j][k]
             row.append(acc)
         rows.append(tuple(row))
-    return DiffusionProduct(tuple(rows))
-
-
-def adjoint_apply(model: SdeModel, index: MultiIndex, product: DiffusionProduct | None = None) -> Polynomial:
-    """Image of the monomial x^index under the backward-equation generator.
-
-    Returns sum_i a_i(x) d(x^n)/dx_i + 1/2 sum_{i,j} [BB^T]_{i,j}(x)
-    d2(x^n)/dx_i dx_j as an exact polynomial.  Pass a precomputed
-    `product` to reuse BB^T across many monomials.
-    """
-    d = model.dim
-    index = tuple(int(e) for e in index)
-    if len(index) != d:
-        raise ValueError(f"index length {len(index)} != model dimension {d}")
-    if product is None:
-        product = diffusion_product(model)
-    mono = Polynomial.monomial(d, index)
-    out = Polynomial.zero(d)
-    firsts = [mono.derivative(i) for i in range(d)]
-    for i in range(d):
-        if not firsts[i].is_zero():
-            out = out + model.drift[i] * firsts[i]
-    for i in range(d):
-        for j in range(d):
-            entry = product[i, j]
-            if entry.is_zero():
-                continue
-            second = firsts[i].derivative(j)
-            if not second.is_zero():
-                out = out + 0.5 * entry * second
-    return out
+    return tuple(rows)
 
 
 def shift_model_origin(model: SdeModel, offset) -> SdeModel:
@@ -273,7 +227,3 @@ def read_model(path) -> SdeModel:
     except json.JSONDecodeError as exc:
         raise ModelParseError(f"{path}: invalid JSON ({exc})") from exc
     return parse_model(doc)
-
-
-def write_model(model: SdeModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")

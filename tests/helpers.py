@@ -2,13 +2,21 @@
 
 Finite differences are built from Fornberg interpolation weights, so the
 derivative estimates here never touch the exact-rational or closed-form
-code they are used to check.
+code they are used to check.  The polynomial, generator, network and fit
+references below (`adjoint_apply`, `multinomial`, `flatten_params`,
+`residuals`, ...) are what the tests compare the library against; no
+library code calls them.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from sdembed.fit import _target_vector
+from sdembed.network import network_taylor
+from sdembed.polynomial import Polynomial
+from sdembed.sde import diffusion_product
 
 
 def fd_weights(order, nodes, center=0.0):
@@ -135,3 +143,95 @@ def cumprod_monomials(x, exps, out=None):
     for d in range(1, len(tables)):
         rows *= tables[d][exps[:, d]]
     return np.moveaxis(rows, 0, -1)
+
+
+def total_degree(poly):
+    """Largest total degree of a term; the zero polynomial reports 0."""
+    return max((sum(n) for n in poly.terms), default=0)
+
+
+def allclose(p, q, rel_tol=1e-12, abs_tol=0.0):
+    """Coefficient-wise closeness of two polynomials over the union of their terms."""
+    if p.dim != q.dim:
+        return False
+    for index in p.terms.keys() | q.terms.keys():
+        a, b = p.coefficient(index), q.coefficient(index)
+        if abs(a - b) > max(abs_tol, rel_tol * max(abs(a), abs(b))):
+            return False
+    return True
+
+
+def derivative(poly, axis):
+    """Partial derivative of a polynomial with respect to x_axis (0-based)."""
+    if not 0 <= axis < poly.dim:
+        raise ValueError(f"axis {axis} out of range for dimension {poly.dim}")
+    acc = {}
+    for index, coef in poly.terms.items():
+        e = index[axis]
+        if e == 0:
+            continue
+        lowered = tuple(v - 1 if d == axis else v for d, v in enumerate(index))
+        acc[lowered] = acc.get(lowered, 0.0) + coef * e
+    return Polynomial(poly.dim, acc)
+
+
+def adjoint_apply(model, index, product=None):
+    """Image of the monomial x^index under the backward-equation generator.
+
+    Returns sum_i a_i(x) d(x^n)/dx_i + 1/2 sum_{i,j} [BB^T]_{i,j}(x)
+    d2(x^n)/dx_i dx_j as an exact polynomial, adding the terms in that
+    order (drift axes, then (i, j) row-major).  Pass a precomputed
+    `product` (`sde.diffusion_product`) to reuse BB^T across many monomials.
+    """
+    d = model.dim
+    index = tuple(int(e) for e in index)
+    if len(index) != d:
+        raise ValueError(f"index length {len(index)} != model dimension {d}")
+    if product is None:
+        product = diffusion_product(model)
+    mono = Polynomial(d, {index: 1.0})
+    out = Polynomial.zero(d)
+    firsts = [derivative(mono, i) for i in range(d)]
+    for i in range(d):
+        if not firsts[i].is_zero():
+            out = out + model.drift[i] * firsts[i]
+    for i in range(d):
+        for j in range(d):
+            entry = product[i][j]
+            if entry.is_zero():
+                continue
+            second = derivative(firsts[i], j)
+            if not second.is_zero():
+                out = out + 0.5 * entry * second
+    return out
+
+
+def multinomial(k, parts):
+    """Number of ways to split k items into groups of the given sizes.
+
+    Exact integer k! / prod(parts_i!); the parts must be non-negative and
+    sum to k.
+    """
+    parts = tuple(int(p) for p in parts)
+    if any(p < 0 for p in parts):
+        raise ValueError(f"parts must be non-negative, got {parts}")
+    if sum(parts) != k:
+        raise ValueError(f"parts {parts} do not sum to k={k}")
+    out = math.factorial(k)
+    for p in parts:
+        out //= math.factorial(p)
+    return out
+
+
+def flatten_params(net):
+    """Concatenate (out_weights, in_weights row-major, biases): the layout of
+    `network.unflatten_params` and of the Jacobian columns."""
+    return np.concatenate([net.out_weights, net.in_weights.ravel(), net.biases])
+
+
+def residuals(target, net, order):
+    """P(l, t) - T_net(l) over the total-degree set, in canonical order: the
+    residual vector whose squared norm `fit_network` minimises."""
+    if target.dim != net.dim:
+        raise ValueError(f"target dimension {target.dim} != network dimension {net.dim}")
+    return _target_vector(target, net.dim, order) - network_taylor(net, order).values

@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import fd_taylor_coefficients, scaled_max_error
+from helpers import fd_taylor_coefficients, flatten_params, scaled_max_error
 from sdembed.baseline import TrainConfig, dataset_csv_text, generate_dataset, train_backprop
 from sdembed.dual import build_generator, coefficients_csv_text, eval_moment, solve_moment
 from sdembed.evaluate import analytic_ou_moment, profile_csv_text, radial_error_profile
@@ -23,7 +23,6 @@ from sdembed.fit import FitConfig, fit_network, fit_result_to_dict
 from sdembed.mc import SimConfig, final_states_csv_text, mc_moment, simulate
 from sdembed.network import (
     SigmoidNet,
-    flatten_params,
     forward,
     net_to_dict,
     network_taylor,

@@ -8,8 +8,8 @@ from sdembed.baseline import (
     dataset_csv_text,
     generate_dataset,
     train_backprop,
-    write_dataset_csv,
 )
+from sdembed.cli import main
 from sdembed.dual import solve_moment
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.network import SigmoidNet, forward
@@ -107,11 +107,9 @@ class TestTrainBackprop:
 
 
 class TestDatasetCsv:
-    def test_layout_and_round_trip_values(self, ou_coeffs, tmp_path):
+    def test_layout_and_round_trip_values(self, ou_coeffs):
         data = generate_dataset(ou_coeffs, [(-2.0, 2.0)], size=7, seed=8)
-        path = tmp_path / "data.csv"
-        write_dataset_csv(data, path)
-        lines = path.read_text().strip().splitlines()
+        lines = dataset_csv_text(data).strip().splitlines()
         assert lines[0] == "x_1,target"
         assert len(lines) == 8
         first = lines[1].split(",")
@@ -119,7 +117,10 @@ class TestDatasetCsv:
         assert float(first[1]) == data.targets[0]
 
     def test_text_matches_file(self, ou_coeffs, tmp_path):
+        # the dataset file `sdembed train-baseline --dataset-out` writes is this text
         data = generate_dataset(ou_coeffs, [(-1.0, 1.0)], size=3, seed=9)
         path = tmp_path / "data.csv"
-        write_dataset_csv(data, path)
+        argv = "train-baseline ou --order 1 --t 1 --N 12 --size 3 --box -1 1 --hidden 2 --epochs 1"
+        outs = ["--data-seed", "9", "--dataset-out", str(path), "--out", str(tmp_path / "net.json")]
+        assert main([*argv.split(), *outs]) == 0
         assert path.read_text() == dataset_csv_text(data)

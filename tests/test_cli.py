@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,10 +71,10 @@ class TestDualCommand:
         assert "not found" in capsys.readouterr().err
 
     def test_model_file_round_trip(self, tmp_path):
-        from sdembed.sde import builtin_model, write_model
+        from sdembed.sde import builtin_model, model_to_dict
 
         path = tmp_path / "model.json"
-        write_model(builtin_model("ou", {"gamma": 1.0, "sigma": 1.0}), path)
+        path.write_text(json.dumps(model_to_dict(builtin_model("ou", {"gamma": 1.0, "sigma": 1.0}))))
         out_file = tmp_path / "file.csv"
         out_builtin = tmp_path / "builtin.csv"
         assert run(["dual", path, "--order", 1, "--N", 6, "--t", 1.0, "--out", out_file]) == 0
@@ -205,6 +208,57 @@ def test_directory_at_derived_output_is_usage_error_before_any_work(
     assert code == 2
     assert f"names a directory: {folder}" in capsys.readouterr().err
     assert list(folder.iterdir()) == [] and not out.exists()
+
+
+def test_train_baseline_dual_rejects_truncation_flag(ou_dual_csv, tmp_path, capsys, monkeypatch):
+    # --N only truncates a solve; the coefficient file already fixes it
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started working")
+
+    monkeypatch.setattr("sdembed.cli.read_coefficients_csv", no_work)
+    monkeypatch.setattr("sdembed.cli.generate_dataset", no_work)
+    out = tmp_path / "net.json"
+    argv = ["train-baseline", "--dual", ou_dual_csv, "--N", 5, "--size", 10, "--box", -1, 1]
+    code = run([*argv, "--hidden", 2, "--out", out])
+    assert code == 2
+    assert "--N would be ignored" in capsys.readouterr().err
+    assert not out.exists()
+
+
+REMOVED_FLAGS = ["--rtol", "--atol", "--init-low", "--init-high", "--gtol", "--ctol"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        *((["fit", "--dual", "{csv}", "--hidden", 2], flag) for flag in REMOVED_FLAGS),
+        (["dual", "ou", "--order", 1, "--N", 4, "--t", 1.0], "--rtol"),
+        (["train-baseline", "--dual", "{csv}", "--size", 10, "--box", -1, 1, "--hidden", 2], "--rtol"),
+    ],
+    ids=[*(f"fit{flag}" for flag in REMOVED_FLAGS), "dual--rtol", "train-baseline--rtol"],
+)
+def test_removed_tolerance_flags_are_usage_errors(argv, flag, ou_dual_csv, tmp_path, capsys):
+    # the solver tolerances and fit start/stop settings are fixed constants
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        run([str(a).replace("{csv}", str(ou_dual_csv)) for a in argv] + [flag, 5, "--out", out])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    # every `sdembed ...` line of the README's code blocks is a valid command line
+    from sdembed.cli import _build_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("sdembed ")]
+    assert len(commands) >= 10
+    parser = _build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func is not None, argv
 
 
 NEGATIVE_ROW_CSV = "n_1,n_2,value\n0,0,1.0\n-1,0,2.0\n1,0,3.0\n"
@@ -345,10 +399,10 @@ class TestEvalCommand:
         assert len(out.read_text().strip().splitlines()) == 6
 
     def test_mc_predictor_takes_model_json(self, tmp_path):
-        from sdembed.sde import builtin_model, write_model
+        from sdembed.sde import builtin_model, model_to_dict
 
         model = tmp_path / "ou.json"
-        write_model(builtin_model("ou", {"gamma": 1.0, "sigma": 1.0}), model)
+        model.write_text(json.dumps(model_to_dict(builtin_model("ou", {"gamma": 1.0, "sigma": 1.0}))))
         from_file, from_builtin = tmp_path / "file.csv", tmp_path / "builtin.csv"
         for ref, out in ((model, from_file), ("ou", from_builtin)):
             code = run([
@@ -405,21 +459,15 @@ class TestEvalCommand:
 def test_parser_defaults_match_library():
     from sdembed.baseline import TrainConfig
     from sdembed.cli import _build_parser
-    from sdembed.dual import IntegratorConfig
     from sdembed.fit import FitConfig
 
     parser = _build_parser()
-    dual = parser.parse_args(["dual", "ou", "--order", "1", "--N", "4", "--t", "1", "--out", "o"])
     fit = parser.parse_args(["fit", "--dual", "c.csv", "--hidden", "2", "--out", "o"])
     train = parser.parse_args(
         ["train-baseline", "--dual", "c.csv", "--size", "8", "--box", "-1", "1", "--hidden", "2", "--out", "o"]
     )
-    solve, fitting, training = IntegratorConfig(), FitConfig(hidden=2, order=1), TrainConfig()
-    for args in (dual, fit, train):
-        assert (args.rtol, args.atol) == (solve.rtol, solve.atol)
+    fitting, training = FitConfig(hidden=2, order=1), TrainConfig()
     assert fit.restarts == fitting.restarts
-    assert (fit.init_low, fit.init_high) == fitting.init_range
-    assert (fit.gtol, fit.ctol) == (fitting.gradient_tol, fitting.cost_tol)
     assert (train.epochs, train.batch, train.lr) == (
         training.epochs,
         training.batch_size,

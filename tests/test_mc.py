@@ -6,6 +6,7 @@ import pytest
 
 import sdembed.mc as mc_module
 from helpers import step_noise, term_sum
+from sdembed.cli import main
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.mc import (
     EstimationError,
@@ -14,7 +15,6 @@ from sdembed.mc import (
     final_states_csv_text,
     mc_moment,
     simulate,
-    write_final_states_csv,
 )
 from sdembed.polynomial import Polynomial
 from sdembed.sde import SdeModel, builtin_model
@@ -212,11 +212,9 @@ class TestMcMoment:
 
 
 class TestCsvExport:
-    def test_layout_and_values(self, ou, tmp_path):
+    def test_layout_and_values(self, ou):
         ens = simulate(ou, [1.0], SimConfig(dt=0.01, horizon=0.05, paths=5, seed=8))
-        path = tmp_path / "states.csv"
-        write_final_states_csv(ens, path)
-        lines = path.read_text().strip().splitlines()
+        lines = final_states_csv_text(ens).strip().splitlines()
         assert lines[0] == "path,x_1"
         assert len(lines) == 6
         values = [float(line.split(",")[1]) for line in lines[1:]]
@@ -231,9 +229,11 @@ class TestCsvExport:
         )
 
     def test_text_matches_file(self, vdp, tmp_path):
+        # the states file `sdembed mc --out` writes is this text
         ens = simulate(vdp, [0.5, 0.5], SimConfig(dt=0.01, horizon=0.02, paths=3, seed=1))
         path = tmp_path / "states.csv"
-        write_final_states_csv(ens, path)
+        argv = "mc vdp --x0 0.5 0.5 --t 0.02 --dt 0.01 --paths 3 --m 1 --seed 1 --out".split()
+        assert main([*argv, str(path)]) == 0
         assert path.read_text() == final_states_csv_text(ens)
 
 

@@ -6,12 +6,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import fd_taylor_coefficients, scaled_max_error
+from helpers import fd_taylor_coefficients, flatten_params, multinomial, scaled_max_error
 from sdembed.network import (
     MAX_SIGMOID_ORDER,
     SigmoidNet,
     dict_to_net,
-    flatten_params,
     forward,
     net_to_dict,
     network_taylor,
@@ -19,7 +18,6 @@ from sdembed.network import (
     sigmoid_derivatives,
     taylor_jacobian,
     unflatten_params,
-    write_network,
 )
 
 
@@ -154,6 +152,31 @@ class TestNetworkTaylor:
             exact = dict(zip(map(tuple, coeffs.index_set.tolist()), coeffs.values))
             assert scaled_max_error(fd, exact) < 1e-6
 
+    def test_matches_the_documented_formula_in_exact_arithmetic(self):
+        # the module docstring's T(l), summed in rationals term by term;
+        # dyadic weights make every Fraction(weight) exact
+        order = 7
+        net = SigmoidNet(
+            [0.75, -1.25, 0.5], [[0.5, -0.25], [-0.375, 1.0], [0.125, 0.625]], [0.25, -0.5, 0.0]
+        )
+        q = [Fraction(v) for v in net.out_weights.tolist()]
+        r = [[Fraction(v) for v in row] for row in net.in_weights.tolist()]
+        s = [Fraction(v) for v in net.biases.tolist()]
+        rationals = sigmoid_derivatives(order).rationals
+        coeffs = network_taylor(net, order)
+        exact = {}
+        for l in map(tuple, coeffs.index_set.tolist()):
+            deg, total = sum(l), Fraction(0)
+            for k in range(deg, order + 1):
+                factor = multinomial(k, [*l, k - deg]) * rationals[k] / math.factorial(k)
+                total += factor * sum(
+                    q[i] * math.prod(w**e for w, e in zip(r[i], l)) * s[i] ** (k - deg)
+                    for i in range(net.hidden)
+                )
+            exact[l] = float(total)
+        approx = dict(zip(map(tuple, coeffs.index_set.tolist()), coeffs.values.tolist()))
+        assert scaled_max_error(approx, exact) < 1e-14
+
     def test_truncated_series_tracks_forward_near_origin(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -235,7 +258,7 @@ class TestSerialization:
         rng = np.random.default_rng(8)
         net = random_net(rng, 4, 2, scale=3.0)
         path = tmp_path / "net.json"
-        write_network(net, path)
+        path.write_text(json.dumps(net_to_dict(net)) + "\n")
         again = read_network(path)
         assert np.array_equal(again.out_weights, net.out_weights)
         assert np.array_equal(again.in_weights, net.in_weights)
