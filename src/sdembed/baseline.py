@@ -39,9 +39,7 @@ class Dataset:
 
     inputs: np.ndarray  # (size, dim)
     targets: np.ndarray  # (size,)
-    region: tuple[tuple[float, float], ...]
     generator_fingerprint: str
-    seed: int
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=float)
@@ -54,7 +52,6 @@ class Dataset:
         targets.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "region", tuple((float(a), float(b)) for a, b in self.region))
 
     @property
     def size(self) -> int:
@@ -113,7 +110,7 @@ def generate_dataset(coeffs: DualCoefficients, region, size: int, seed: int = 0)
     hi = np.array([b for _, b in region])
     inputs = rng.uniform(lo, hi, size=(size, coeffs.dim))
     targets = np.asarray(eval_moment(coeffs, inputs), dtype=float).reshape(size)
-    return Dataset(inputs, targets, region, coeffs.fingerprint(), seed)
+    return Dataset(inputs, targets, coeffs.fingerprint())
 
 
 def _mse(net_params, inputs, targets):

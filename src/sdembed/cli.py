@@ -54,6 +54,7 @@ from .sde import (
     BUILTIN_PARAMS,
     SdeModel,
     builtin_model,
+    check_moment,
     read_model,
     shift_model_origin,
 )
@@ -224,6 +225,7 @@ def _cmd_fit(args) -> int:
 def _cmd_mc(args) -> int:
     run = _Run("mc", args, ("seed",))
     model = run.model(args.model, _param_flags(args))
+    check_moment(model.dim, args.axis, args.m)
     config = SimConfig(dt=args.dt, horizon=args.t, paths=args.paths, seed=args.seed)
     ensemble = simulate(model, args.x0, config)
     estimate, std_error = mc_moment(ensemble, args.axis, args.m)
@@ -291,7 +293,6 @@ def _pop(kv: dict[str, str], key: str, where: str, convert, default=None):
 class _Predictor:
     fn: object
     dim: int
-    label: str
 
 
 def _build_predictor(spec: str, run: _Run) -> _Predictor:
@@ -305,13 +306,11 @@ def _build_predictor(spec: str, run: _Run) -> _Predictor:
         raise ValueError(f"cannot interpret predictor spec {spec!r}")
 
     if kind == "net":
-        path = run.input_file(body, "network file")
-        net = read_network(path)
-        return _Predictor(lambda pts: forward(net, pts), net.dim, f"net:{path.name}")
+        net = read_network(run.input_file(body, "network file"))
+        return _Predictor(lambda pts: forward(net, pts), net.dim)
     if kind == "dual":
-        path = run.input_file(body, "coefficient file")
-        coeffs = read_coefficients_csv(path)
-        return _Predictor(lambda pts: eval_moment(coeffs, pts), coeffs.dim, f"dual:{path.name}")
+        coeffs = read_coefficients_csv(run.input_file(body, "coefficient file"))
+        return _Predictor(lambda pts: eval_moment(coeffs, pts), coeffs.dim)
     if kind == "ou":
         where = "ou predictor"
         kv = _parse_kv(body, where)
@@ -322,7 +321,7 @@ def _build_predictor(spec: str, run: _Run) -> _Predictor:
         if kv:
             raise ValueError(f"{where}: unknown keys {sorted(kv)}")
         fn = lambda pts: analytic_ou_moment(gamma, sigma, np.asarray(pts)[:, 0], t, power)
-        return _Predictor(fn, 1, f"ou-analytic:m={power}")
+        return _Predictor(fn, 1)
     # kind == "mc": Monte Carlo estimate at every requested point (slow)
     where = "mc predictor"
     kv = _parse_kv(body, where)
@@ -337,6 +336,7 @@ def _build_predictor(spec: str, run: _Run) -> _Predictor:
     seed = _pop(kv, "seed", where, int, _default_seed())
     if kv:
         raise ValueError(f"{where}: unknown keys {sorted(kv)}")
+    check_moment(model.dim, axis, power)
     config = SimConfig(dt=dt, horizon=t, paths=paths, seed=seed)
 
     def fn(pts):
@@ -346,7 +346,7 @@ def _build_predictor(spec: str, run: _Run) -> _Predictor:
             out[i] = mc_moment(simulate(model, point, config), axis, power)[0]
         return out
 
-    return _Predictor(fn, model.dim, f"mc:{model.name or ref}:m={power}")
+    return _Predictor(fn, model.dim)
 
 
 _GNUPLOT = {
@@ -392,12 +392,7 @@ def _cmd_eval(args) -> int:
             raise ValueError("--polar requires 2-D predictors")
         r_max, n_r, n_theta = args.polar
         profile = radial_error_profile(
-            predictor.fn,
-            reference.fn,
-            r_max,
-            (_count(n_r, "NR"), _count(n_theta, "NTHETA")),
-            bands=args.bands,
-            labels=(predictor.label, reference.label),
+            predictor.fn, reference.fn, r_max, (_count(n_r, "NR"), _count(n_theta, "NTHETA"))
         )
         text = profile_csv_text(profile)
     else:
@@ -510,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--pred", required=True, help="net:PATH | dual:PATH | ou:KV | mc:KV")
     ev.add_argument("--ref", help="reference predictor (for --polar)")
     ev.add_argument("--polar", type=float, nargs=3, metavar=("RMAX", "NR", "NTHETA"))
-    ev.add_argument("--bands", type=int, default=None)
     ev.add_argument(
         "--grid", type=float, nargs=6, metavar=("X1LO", "X1HI", "X2LO", "X2HI", "N1", "N2")
     )

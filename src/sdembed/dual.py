@@ -25,8 +25,8 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .polynomial import MultiIndex, grlex_order, index_positions, monomials, multi_index_set
-from .sde import SdeModel, diffusion_product
+from .polynomial import grlex_order, index_positions, monomials, multi_index_set
+from .sde import SdeModel, check_moment, diffusion_product
 
 __all__ = [
     "SolverError",
@@ -104,9 +104,6 @@ class DualCoefficients:
     @property
     def max_degree(self) -> int:
         return int(self.index_set.max())
-
-    def value_at(self, index: MultiIndex) -> float:
-        return float(self.values[index_positions(self.index_set, index)])
 
     def spill_mass(self) -> float:
         """Sum of |P(n, t)| over indices with any exponent >= max_degree - 1.
@@ -188,10 +185,7 @@ def initial_coefficients(index_set: np.ndarray, axis: int, power: int) -> np.nda
     axis is 1-based; the target index must lie inside the set.
     """
     dim = index_set.shape[1]
-    if not 1 <= axis <= dim:
-        raise ValueError(f"axis {axis} out of range for dimension {dim}")
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
+    check_moment(dim, axis, power)
     target = tuple(power if d == axis - 1 else 0 for d in range(dim))
     try:
         where = index_positions(index_set, target)

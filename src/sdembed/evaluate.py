@@ -3,7 +3,8 @@
 Holds the closed-form Ornstein-Uhlenbeck moments (the only analytic
 reference among the builtin systems), rectangular grid tabulation for
 heatmap data, and the radial error profile: mean squared difference of two
-predictors over a polar mesh, aggregated by distance from the origin.
+predictors over a polar mesh, one band per ring of the mesh
+(`RadialErrorProfile.band_mean` averages rings into wider bands).
 Predictors are vectorized callables mapping an (M, dim) array of points to
 an (M,) array of values; rendering of the emitted CSV tables is left to
 external tooling.
@@ -51,13 +52,11 @@ def analytic_ou_moment(gamma: float, sigma: float, x0, t: float, power: int):
 
 @dataclass(frozen=True)
 class RadialErrorProfile:
-    """Per-band mean squared difference of two predictors on a polar mesh."""
+    """Mean squared difference of two predictors per ring of a polar mesh;
+    each ring is one band, bounded by consecutive `band_edges`."""
 
-    band_edges: np.ndarray  # (bands + 1,)
-    mse: np.ndarray  # (bands,)
-    mesh: tuple[int, int]  # (radial, angular) point counts
-    predictor_label: str = ""
-    reference_label: str = ""
+    band_edges: np.ndarray  # (rings + 1,)
+    mse: np.ndarray  # (rings,)
 
     def __post_init__(self):
         edges = np.asarray(self.band_edges, dtype=float).copy()
@@ -74,7 +73,7 @@ class RadialErrorProfile:
         object.__setattr__(self, "mse", mse)
 
     def band_mean(self, r_lo: float, r_hi: float) -> float:
-        """Average MSE over the bands whose centers fall in [r_lo, r_hi]."""
+        """Average MSE over the rings whose centers fall in [r_lo, r_hi]."""
         centers = 0.5 * (self.band_edges[:-1] + self.band_edges[1:])
         mask = (centers >= r_lo) & (centers <= r_hi)
         if not mask.any():
@@ -109,41 +108,28 @@ def line_eval(predictor, lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def radial_error_profile(
-    predictor,
-    reference,
-    r_max: float,
-    mesh: tuple[int, int] = (100, 100),
-    bands: int | None = None,
-    labels: tuple[str, str] = ("", ""),
+    predictor, reference, r_max: float, mesh: tuple[int, int] = (100, 100)
 ) -> RadialErrorProfile:
-    """Squared predictor-reference differences averaged by distance band.
+    """Squared predictor-reference differences averaged over each ring.
 
     The mesh places radii at ring centers (uniform spacing r_max / n_r,
     first ring at half a spacing) and angles uniformly on [0, 2pi); every
-    mesh point weighs equally within a band.  By default each ring is its
-    own band; passing a smaller `bands` groups rings into equal-width
-    radial bands.
+    mesh point weighs equally within its ring.  The profile has one band
+    per ring; `RadialErrorProfile.band_mean` averages rings into wider
+    bands.
     """
     n_r, n_theta = mesh
     if n_r < 2 or n_theta < 2:
         raise ValueError("mesh must have at least 2 points per coordinate")
     if r_max <= 0:
         raise ValueError(f"r_max must be > 0, got {r_max}")
-    if bands is None:
-        bands = n_r
-    if not 1 <= bands <= n_r:
-        raise ValueError(f"bands must be in 1..{n_r}, got {bands}")
-    spacing = r_max / n_r
-    radii = (np.arange(n_r) + 0.5) * spacing
+    radii = (np.arange(n_r) + 0.5) * (r_max / n_r)
     angles = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     rr, tt = np.meshgrid(radii, angles, indexing="ij")
     points = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
     diff = np.asarray(predictor(points), dtype=float) - np.asarray(reference(points), dtype=float)
     ring_mse = (diff.reshape(n_r, n_theta) ** 2).mean(axis=1)
-    edges = np.linspace(0.0, r_max, bands + 1)
-    band_of_ring = np.minimum((radii / (r_max / bands)).astype(int), bands - 1)
-    mse = np.array([ring_mse[band_of_ring == b].mean() for b in range(bands)])
-    return RadialErrorProfile(edges, mse, (n_r, n_theta), labels[0], labels[1])
+    return RadialErrorProfile(np.linspace(0.0, r_max, n_r + 1), ring_mse)
 
 
 # -- CSV interchange ---------------------------------------------------------

@@ -113,7 +113,7 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
 
     def cost_and_residual(theta):
         net = unflatten_params(theta, hidden, dim)
-        r = target_values - network_taylor(net, config.order).values
+        r = target_values - network_taylor(net, config.order)
         return r, float(r @ r)
 
     def gradient_norm(theta, r):

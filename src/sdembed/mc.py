@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomial import grlex_order, monomials
-from .sde import SdeModel
+from .sde import SdeModel, check_moment
 
 __all__ = [
     "SimConfig",
@@ -71,7 +71,6 @@ class TrajectoryEnsemble:
     final: np.ndarray  # (paths, dim)
     blown: np.ndarray  # (paths,) bool
     config: SimConfig
-    x0: tuple[float, ...]
 
     def __post_init__(self):
         final = np.asarray(self.final, dtype=float)
@@ -80,7 +79,6 @@ class TrajectoryEnsemble:
         blown.flags.writeable = False
         object.__setattr__(self, "final", final)
         object.__setattr__(self, "blown", blown)
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 
     @property
     def n_excluded(self) -> int:
@@ -116,16 +114,12 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
                     incr[:, i] += values[:, col] * (sqrt_dt * xi[:, j])
                 states += incr
     blown = ~np.all(np.isfinite(final), axis=1)
-    return TrajectoryEnsemble(final, blown, config, tuple(x0))
+    return TrajectoryEnsemble(final, blown, config)
 
 
 def mc_moment(ensemble: TrajectoryEnsemble, axis: int, power: int) -> tuple[float, float]:
     """Sample estimate and standard error of E[x_axis^power] (axis 1-based)."""
-    dim = ensemble.final.shape[1]
-    if not 1 <= axis <= dim:
-        raise ValueError(f"axis {axis} out of range for dimension {dim}")
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
+    check_moment(ensemble.final.shape[1], axis, power)
     ok = ~ensemble.blown
     n = int(ok.sum())
     if n == 0:

@@ -36,8 +36,6 @@ from .polynomial import multi_index_set
 __all__ = [
     "MAX_SIGMOID_ORDER",
     "SigmoidNet",
-    "SigmoidDerivativeTable",
-    "NetworkTaylorCoefficients",
     "sigmoid_derivatives",
     "forward",
     "network_taylor",
@@ -51,18 +49,10 @@ __all__ = [
 MAX_SIGMOID_ORDER = 20
 
 
-@dataclass(frozen=True)
-class SigmoidDerivativeTable:
-    """sigmoid^(k)(0) for k = 0..order, exact rationals plus float copies."""
-
-    order: int
-    rationals: tuple[Fraction, ...]
-    floats: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def sigmoid_derivatives(order: int = MAX_SIGMOID_ORDER) -> SigmoidDerivativeTable:
-    """Derivatives of the sigmoid at zero, by the polynomial recurrence.
+def sigmoid_derivatives(order: int = MAX_SIGMOID_ORDER) -> tuple[Fraction, ...]:
+    """Derivatives sigmoid^(k)(0) for k = 0..order, as a tuple of exact
+    `Fraction`s, by the polynomial recurrence.
 
     Writing sigmoid^(k) = p_k(sigmoid) with integer-coefficient p_k,
     p_0(u) = u and p_{k+1}(u) = p_k'(u) * (u - u^2); evaluating at u = 1/2
@@ -85,9 +75,7 @@ def sigmoid_derivatives(order: int = MAX_SIGMOID_ORDER) -> SigmoidDerivativeTabl
             nxt[p + 1] += c
             nxt[p + 2] -= c
         coeffs = nxt
-    floats = np.array([float(r) for r in rationals])
-    floats.flags.writeable = False
-    return SigmoidDerivativeTable(order, tuple(rationals), floats)
+    return tuple(rationals)
 
 
 @dataclass(frozen=True)
@@ -134,20 +122,6 @@ def forward(net: SigmoidNet, x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class NetworkTaylorCoefficients:
-    """Taylor coefficients of the network output over a total-degree index set."""
-
-    index_set: np.ndarray  # (L, dim) int64, read-only, grlex order
-    values: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
 @lru_cache(maxsize=None)
 def _taylor_tables(dim: int, order: int):
     """Weight-independent tables for the expansion at (dim, order).
@@ -157,7 +131,7 @@ def _taylor_tables(dim: int, order: int):
     (zero beyond), already combining the multinomial and 1/k! factors of
     the coefficient formula.
     """
-    table = sigmoid_derivatives(order).rationals
+    table = sigmoid_derivatives(order)
     exps = multi_index_set(dim, order, "total-degree")
     factors = np.zeros((len(exps), order + 1))
     for row, l in enumerate(exps.tolist()):
@@ -177,16 +151,19 @@ def _power_tables(net: SigmoidNet, order: int):
     return bias_pow, axis_pow
 
 
-def network_taylor(net: SigmoidNet, order: int) -> NetworkTaylorCoefficients:
-    """Exact order-N Taylor coefficients of the network output at the origin."""
+def network_taylor(net: SigmoidNet, order: int) -> np.ndarray:
+    """Exact order-N Taylor coefficients of the network output at the origin.
+
+    Returns an (L,) float array, one coefficient per row of
+    `multi_index_set(net.dim, order, "total-degree")`, in that order.
+    """
     exps, factors = _taylor_tables(net.dim, order)
     bias_pow, axis_pow = _power_tables(net, order)
     bias_sum = factors @ bias_pow  # (L, hidden)
     weight_pow = axis_pow[0][exps[:, 0], :]
     for d in range(1, net.dim):
         weight_pow = weight_pow * axis_pow[d][exps[:, d], :]
-    values = (weight_pow * bias_sum) @ net.out_weights
-    return NetworkTaylorCoefficients(exps, values, order)
+    return (weight_pow * bias_sum) @ net.out_weights
 
 
 def taylor_jacobian(net: SigmoidNet, order: int) -> np.ndarray:
@@ -249,10 +226,14 @@ def net_to_dict(net: SigmoidNet) -> dict:
 
 
 def dict_to_net(doc: dict) -> SigmoidNet:
+    if not isinstance(doc, dict):
+        raise ValueError(f"network document must be a JSON object, got {type(doc).__name__}")
     try:
         net = SigmoidNet(doc["q"], doc["R"], doc["s"])
     except KeyError as exc:
         raise ValueError(f"network document is missing key {exc}") from exc
+    except TypeError as exc:  # e.g. an object where a list of numbers belongs
+        raise ValueError(f"network document weights must be numbers ({exc})") from None
     if net.hidden != doc.get("hidden", net.hidden) or net.dim != doc.get("dim", net.dim):
         raise ValueError("network document shape fields disagree with the weight arrays")
     return net
@@ -261,6 +242,6 @@ def dict_to_net(doc: dict) -> SigmoidNet:
 def read_network(path) -> SigmoidNet:
     """Load a network JSON file; fit-result documents embedding one also work."""
     doc = json.loads(Path(path).read_text())
-    if "network" in doc and "q" not in doc:
+    if isinstance(doc, dict) and "network" in doc and "q" not in doc:
         doc = doc["network"]
     return dict_to_net(doc)

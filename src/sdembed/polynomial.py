@@ -168,8 +168,6 @@ class Polynomial:
             if other._dim != self._dim:
                 raise ValueError(f"dimension mismatch: {self._dim} vs {other._dim}")
             return other
-        if isinstance(other, (int, float)):
-            return Polynomial.constant(self._dim, other)
         return None
 
     def __add__(self, other) -> "Polynomial":
@@ -181,23 +179,7 @@ class Polynomial:
             acc[index] = acc.get(index, 0.0) + coef
         return Polynomial(self._dim, acc)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self._dim, {n: -c for n, c in self._terms.items()})
-
-    def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
-
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, float)):
-            return Polynomial(self._dim, {n: c * other for n, c in self._terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -209,8 +191,6 @@ class Polynomial:
         # fsum is exactly rounded, so the result is independent of term order
         # and multiplication commutes bit-for-bit
         return Polynomial(self._dim, {key: math.fsum(vals) for key, vals in acc.items()})
-
-    __rmul__ = __mul__
 
     def shift(self, offset) -> "Polynomial":
         """Re-expand around a translated origin: returns q with q(y) = p(y + offset)."""
@@ -239,8 +219,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._dim == other._dim and self._terms == other._terms
-
-    __hash__ = None  # mutable-looking value semantics; not hashable
 
     def __repr__(self) -> str:
         if not self._terms:

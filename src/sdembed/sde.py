@@ -28,6 +28,7 @@ __all__ = [
     "BUILTIN_ALIASES",
     "SdeModel",
     "ModelParseError",
+    "check_moment",
     "builtin_model",
     "diffusion_product",
     "shift_model_origin",
@@ -82,6 +83,15 @@ class SdeModel:
         doc.pop("name", None)
         blob = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def check_moment(dim: int, axis: int, power: int) -> None:
+    """Reject a moment E[x_axis^power] (axis 1-based) that a dim-dimensional
+    state does not have."""
+    if not 1 <= axis <= dim:
+        raise ValueError(f"axis {axis} out of range for dimension {dim}")
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
 
 
 def _require_params(name: str, params: dict, required: tuple[str, ...]) -> dict[str, float]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from sdembed.fit import _target_vector
 from sdembed.network import network_taylor
-from sdembed.polynomial import Polynomial
+from sdembed.polynomial import Polynomial, index_positions, multi_index_set
 from sdembed.sde import diffusion_product
 
 
@@ -175,6 +175,11 @@ def derivative(poly, axis):
     return Polynomial(poly.dim, acc)
 
 
+def scale(poly, factor):
+    """The polynomial with every coefficient multiplied by a float factor."""
+    return Polynomial(poly.dim, {n: c * factor for n, c in poly.terms.items()})
+
+
 def adjoint_apply(model, index, product=None):
     """Image of the monomial x^index under the backward-equation generator.
 
@@ -202,7 +207,7 @@ def adjoint_apply(model, index, product=None):
                 continue
             second = derivative(firsts[i], j)
             if not second.is_zero():
-                out = out + 0.5 * entry * second
+                out = out + scale(entry, 0.5) * second
     return out
 
 
@@ -234,4 +239,16 @@ def residuals(target, net, order):
     residual vector whose squared norm `fit_network` minimises."""
     if target.dim != net.dim:
         raise ValueError(f"target dimension {target.dim} != network dimension {net.dim}")
-    return _target_vector(target, net.dim, order) - network_taylor(net, order).values
+    return _target_vector(target, net.dim, order) - network_taylor(net, order)
+
+
+def taylor_terms(net, order):
+    """The network's order-N Taylor coefficients keyed by exponent tuple, in
+    the total-degree order `network_taylor` returns them in."""
+    index_set = multi_index_set(net.dim, order, "total-degree")
+    return dict(zip(map(tuple, index_set.tolist()), network_taylor(net, order).tolist()))
+
+
+def value_at(coeffs, index):
+    """The solved coefficient P(index, t) of a `DualCoefficients`."""
+    return float(coeffs.values[index_positions(coeffs.index_set, index)])

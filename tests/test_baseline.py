@@ -60,14 +60,14 @@ class TestTrainBackprop:
             rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4)
         )
         inputs = rng.uniform(-2, 2, (20_000, 2))
-        data = Dataset(inputs, forward(teacher, inputs), ((-2.0, 2.0), (-2.0, 2.0)), "teacher", 0)
+        data = Dataset(inputs, forward(teacher, inputs), "teacher")
         result = train_backprop(data, (4, 2), TrainConfig(epochs=60, batch_size=128, seed=3))
         assert result.loss_trace[-1] < 1e-4
 
     def test_constant_target_learned(self):
         rng = np.random.default_rng(1)
         inputs = rng.uniform(-1, 1, (5_000, 1))
-        data = Dataset(inputs, np.full(5_000, 0.7), ((-1.0, 1.0),), "const", 1)
+        data = Dataset(inputs, np.full(5_000, 0.7), "const")
         result = train_backprop(data, (3, 1), TrainConfig(epochs=100, batch_size=128, seed=1))
         probe = np.linspace(-1, 1, 41)[:, None]
         assert np.max(np.abs(forward(result.net, probe) - 0.7)) < 1e-3
@@ -96,7 +96,7 @@ class TestTrainBackprop:
 
     def test_divergence_raises_with_epoch(self):
         inputs = np.linspace(-1, 1, 64)[:, None]
-        data = Dataset(inputs, np.full(64, 1e200), ((-1.0, 1.0),), "huge", 0)
+        data = Dataset(inputs, np.full(64, 1e200), "huge")
         with pytest.raises(TrainingError, match="epoch"):
             train_backprop(data, (2, 1), TrainConfig(epochs=3, batch_size=16, seed=0))
 

@@ -225,6 +225,57 @@ def test_train_baseline_dual_rejects_truncation_flag(ou_dual_csv, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["mc", "vdp", "--x0", 1, 1, "--t", 0.1, "--dt", 1e-3, "--paths", 100_000, "--axis", 3, "--m", 2],
+            "axis 3 out of range for dimension 2",
+        ),
+        (
+            ["mc", "ou", "--x0", 1, "--t", 0.1, "--dt", 1e-3, "--paths", 100_000, "--m", -1],
+            "power must be >= 0, got -1",
+        ),
+        (
+            ["eval", "--pred", "mc:model=vdp,axis=3,m=2,t=0.1", "--grid", -1, 1, -1, 1, 2, 2],
+            "axis 3 out of range for dimension 2",
+        ),
+        (["eval", "--pred", "mc:model=ou,m=-1,t=0.1", "--line", -1, 1, 3], "power must be >= 0, got -1"),
+    ],
+    ids=["mc-axis", "mc-power", "eval-mc-axis", "eval-mc-power"],
+)
+def test_bad_moment_is_usage_error_before_simulating(argv, message, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command simulated before checking the moment")
+
+    monkeypatch.setattr("sdembed.cli.simulate", no_work)
+    out = tmp_path / "out.csv"
+    code = run([*argv, "--out", out])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "network document must be a JSON object, got list"),
+        ({"network": [1]}, "network document must be a JSON object, got list"),
+        (["network"], "network document must be a JSON object, got list"),
+        ({"q": {}, "R": [[1.0]], "s": [0.0]}, "network document weights must be numbers"),
+    ],
+    ids=["list", "embedded-list", "list-of-key", "object-weights"],
+)
+def test_malformed_network_document_is_usage_error(doc, message, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "line.csv"
+    code = run(["eval", "--pred", f"net:{path}", "--line", -1, 1, 3, "--out", out])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 REMOVED_FLAGS = ["--rtol", "--atol", "--init-low", "--init-high", "--gtol", "--ctol"]
 
 

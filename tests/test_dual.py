@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import adjoint_apply
+from helpers import adjoint_apply, value_at
 from sdembed import dual
 from sdembed.dual import (
     DualCoefficients,
@@ -224,15 +224,15 @@ class TestSolveDual:
 
     def test_ou_first_moment_closed_form(self, ou):
         coeffs = solve_moment(ou, axis=1, power=1, t=1.0, max_degree=12)
-        assert coeffs.value_at((1,)) == pytest.approx(math.exp(-1.0), abs=1e-10)
-        others = [coeffs.value_at((n,)) for n in range(13) if n != 1]
+        assert value_at(coeffs, (1,)) == pytest.approx(math.exp(-1.0), abs=1e-10)
+        others = [value_at(coeffs, (n,)) for n in range(13) if n != 1]
         assert np.allclose(others, 0.0, atol=1e-15)
 
     def test_ou_second_moment_closed_form(self, ou):
         coeffs = solve_moment(ou, axis=1, power=2, t=1.0, max_degree=12)
-        assert coeffs.value_at((2,)) == pytest.approx(math.exp(-2.0), abs=1e-10)
-        assert coeffs.value_at((0,)) == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, abs=1e-10)
-        others = [coeffs.value_at((n,)) for n in range(13) if n not in (0, 2)]
+        assert value_at(coeffs, (2,)) == pytest.approx(math.exp(-2.0), abs=1e-10)
+        assert value_at(coeffs, (0,)) == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, abs=1e-10)
+        others = [value_at(coeffs, (n,)) for n in range(13) if n not in (0, 2)]
         assert np.allclose(others, 0.0, atol=1e-15)
 
     def test_semigroup_property(self, vdp):

@@ -126,16 +126,8 @@ class TestRadialErrorProfile:
         turned = radial_error_profile(rotate(f), rotate(g), 4.0, (25, 100))
         assert np.allclose(turned.mse, base.mse, rtol=1e-12)
 
-    def test_band_grouping_consistent_with_rings(self):
-        f = lambda p: np.zeros(len(p))
-        g = lambda p: p[:, 0] ** 2 + p[:, 1] ** 2  # radial, exact per ring
-        per_ring = radial_error_profile(f, g, 4.0, (20, 8))
-        grouped = radial_error_profile(f, g, 4.0, (20, 8), bands=5)
-        assert grouped.mse.shape == (5,)
-        assert np.allclose(grouped.mse, per_ring.mse.reshape(5, 4).mean(axis=1), rtol=1e-14)
-
     def test_band_mean_selects_by_center(self):
-        profile = RadialErrorProfile(np.linspace(0, 4, 5), np.array([1.0, 2.0, 3.0, 4.0]), (4, 4))
+        profile = RadialErrorProfile(np.linspace(0, 4, 5), np.array([1.0, 2.0, 3.0, 4.0]))
         assert profile.band_mean(0.0, 1.0) == 1.0
         assert profile.band_mean(3.0, 4.0) == 4.0
         assert profile.band_mean(0.0, 4.0) == 2.5
@@ -146,8 +138,6 @@ class TestRadialErrorProfile:
             radial_error_profile(f, f, 0.0, (10, 10))
         with pytest.raises(ValueError):
             radial_error_profile(f, f, 1.0, (1, 10))
-        with pytest.raises(ValueError):
-            radial_error_profile(f, f, 1.0, (10, 10), bands=11)
 
 
 class TestCsvFormats:
@@ -166,7 +156,7 @@ class TestCsvFormats:
         assert [float(v) for v in lines[2].split(",")] == [1.0, 1.0]
 
     def test_profile_csv(self):
-        profile = RadialErrorProfile(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.125]), (2, 4))
+        profile = RadialErrorProfile(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.125]))
         lines = profile_csv_text(profile).strip().splitlines()
         assert lines[0] == "r_lo,r_hi,mse"
         assert lines[1] == "0.0,1.0,0.5"

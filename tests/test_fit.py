@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import flatten_params, residuals
+from helpers import flatten_params, residuals, taylor_terms, value_at
 from sdembed import fit
 from sdembed.dual import DualCoefficients, solve_moment
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.fit import FitConfig, FitError, fit_network, fit_result_to_dict
-from sdembed.network import SigmoidNet, forward, network_taylor, taylor_jacobian
+from sdembed.network import SigmoidNet, forward, taylor_jacobian
 from sdembed.polynomial import multi_index_set
 from sdembed.sde import builtin_model
 
@@ -18,8 +18,7 @@ def synthetic_target(net, order, extra=0):
     network's own expansion; everything else zero."""
     dim = net.dim
     index_set = multi_index_set(dim, order + extra, "max-degree")
-    coeffs = network_taylor(net, order)
-    lookup = dict(zip(map(tuple, coeffs.index_set.tolist()), coeffs.values))
+    lookup = taylor_terms(net, order)
     values = np.array([lookup.get(n, 0.0) for n in map(tuple, index_set.tolist())])
     return DualCoefficients(index_set, values, t=0.0)
 
@@ -40,7 +39,7 @@ class TestResiduals:
     def test_zero_output_weights_reproduce_target(self, ou_first_moment):
         net = SigmoidNet(np.zeros(4), np.ones((4, 1)), np.ones(4))
         index_set = multi_index_set(1, 12, "total-degree")
-        expected = np.array([ou_first_moment.value_at(l) for l in index_set])
+        expected = np.array([value_at(ou_first_moment, l) for l in index_set])
         assert np.array_equal(residuals(ou_first_moment, net, 12), expected)
 
     def test_ordering_matches_total_degree_enumeration(self):
@@ -49,7 +48,7 @@ class TestResiduals:
         target = DualCoefficients(index_set, values, t=0.0)
         net = SigmoidNet(np.zeros(1), np.zeros((1, 2)), np.zeros(1))
         out = residuals(target, net, 2)
-        expected = [target.value_at(l) for l in multi_index_set(2, 2, "total-degree")]
+        expected = [value_at(target, l) for l in multi_index_set(2, 2, "total-degree")]
         assert np.array_equal(out, expected)
 
     def test_order_beyond_target_rejected(self, ou_first_moment):

@@ -178,7 +178,7 @@ class TestMcMoment:
     def constant_ensemble(value, paths=8):
         final = np.tile(np.atleast_1d(value), (paths, 1))
         config = SimConfig(dt=0.1, horizon=0.0, paths=paths, seed=0)
-        return TrajectoryEnsemble(final, np.zeros(paths, bool), config, tuple(np.atleast_1d(value)))
+        return TrajectoryEnsemble(final, np.zeros(paths, bool), config)
 
     def test_identical_states(self):
         ens = self.constant_ensemble(2.0)
@@ -191,7 +191,7 @@ class TestMcMoment:
     def test_excludes_flagged_paths(self):
         final = np.array([[1.0], [math.nan], [3.0]])
         config = SimConfig(dt=0.1, horizon=0.0, paths=3, seed=0)
-        ens = TrajectoryEnsemble(final, np.array([False, True, False]), config, (0.0,))
+        ens = TrajectoryEnsemble(final, np.array([False, True, False]), config)
         estimate, _ = mc_moment(ens, 1, 1)
         assert estimate == 2.0
         assert ens.n_excluded == 1
@@ -199,7 +199,7 @@ class TestMcMoment:
     def test_all_flagged_raises(self):
         final = np.full((3, 1), math.inf)
         config = SimConfig(dt=0.1, horizon=0.0, paths=3, seed=0)
-        ens = TrajectoryEnsemble(final, np.ones(3, bool), config, (0.0,))
+        ens = TrajectoryEnsemble(final, np.ones(3, bool), config)
         with pytest.raises(EstimationError):
             mc_moment(ens, 1, 1)
 
@@ -223,7 +223,7 @@ class TestCsvExport:
     def test_text_bytes_of_special_values(self):
         final = np.array([[math.inf, math.nan], [-0.0, 5e-324], [-math.inf, 2.5e-310], [0.1, -1e300]])
         config = SimConfig(dt=0.1, horizon=0.0, paths=4, seed=0)
-        ens = TrajectoryEnsemble(final, np.array([True, False, True, False]), config, (0.0, 0.0))
+        ens = TrajectoryEnsemble(final, np.array([True, False, True, False]), config)
         assert final_states_csv_text(ens) == (
             "path,x_1,x_2\n0,inf,nan\n1,-0.0,5e-324\n2,-inf,2.5e-310\n3,0.1,-1e+300\n"
         )

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import pkgutil
 from pathlib import Path
@@ -6,9 +7,13 @@ from pathlib import Path
 import pytest
 
 import sdembed
+from sdembed import cli
+from sdembed.polynomial import Polynomial
 
 MODULES = ["sdembed", *(f"sdembed.{info.name}" for info in pkgutil.iter_modules(sdembed.__path__))]
 SRC = Path(sdembed.__file__).parent
+# the benchmark harness reads library attributes too (`perfbench/spans.py`)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Names that may stay public with no caller in the library, each with its reason.
 UNREFERENCED_ALLOWED = {
@@ -89,3 +94,95 @@ def test_every_public_polynomial_method_has_a_library_caller():
     }
     assert len(methods) >= 5
     assert _unreferenced(methods, _references(trees)) == []
+
+
+def _members(cls: ast.ClassDef) -> dict[str, ast.AST]:
+    """A class's dataclass fields, properties and public methods."""
+    is_dataclass = any(
+        getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+    members = {}
+    for node in cls.body:
+        if is_dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            members[node.target.id] = node
+        elif isinstance(node, ast.FunctionDef):
+            decorators = {getattr(d, "id", None) for d in node.decorator_list}
+            if not node.name.startswith("_") or decorators & {"property", "cached_property"}:
+                members[node.name] = node
+    return members
+
+
+def _attribute_reads(trees) -> list[tuple[str, frozenset]]:
+    """Every attribute loaded in the given modules, with the ids of the nodes
+    that enclose it."""
+    reads = []
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, enclosing))
+        inner = enclosing | {id(node)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    for tree in trees:
+        visit(tree, frozenset())
+    return reads
+
+
+def test_every_class_member_is_read():
+    """Every dataclass field, property and public method of a library class
+    is read as an attribute somewhere in the library or the benchmark.
+
+    A read inside the member's own definition, or inside its class's
+    `__init__` or `__post_init__` (where fields are stored and validated),
+    does not count.  The match is by attribute name, so a member sharing its
+    name with a read attribute of another object passes unchecked.
+    """
+    trees = _library_trees()
+    benchmark = [ast.parse(p.read_text()) for p in sorted(PERFBENCH.glob("*.py"))]
+    reads = _attribute_reads([*trees.values(), *benchmark])
+    unread = []
+    for stem, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            setup = {id(node) for node in cls.body
+                     if isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__post_init__")}
+            for name, node in _members(cls).items():
+                ignored = setup | {id(node)}
+                if not any(attr == name and not where & ignored for attr, where in reads):
+                    unread.append(f"{stem}.{cls.name}.{name}")
+    assert unread == []
+
+
+# Dunders of Polynomial that no library computation needs to apply: the
+# constructor, and equality and repr, which are value protocol (comparison
+# and display), not arithmetic.
+OPERATOR_EXEMPT = {"__init__", "__eq__", "__repr__"}
+
+
+def test_every_polynomial_operator_runs_in_the_pipelines(tmp_path, monkeypatch):
+    operators = [name for name, value in vars(Polynomial).items()
+                 if name.startswith("__") and name.endswith("__") and callable(value)
+                 and name not in OPERATOR_EXEMPT]
+    assert "__add__" in operators and "__mul__" in operators
+    calls = dict.fromkeys(operators, 0)
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in operators:
+        monkeypatch.setattr(Polynomial, name, counted(name, vars(Polynomial)[name]))
+    vdp, ou = tmp_path / "vdp.csv", tmp_path / "ou.csv"
+    for argv in (
+        ["dual", "vdp", "--axis", "2", "--order", "2", "--N", "4", "--t", "0.1", "--out", str(vdp)],
+        ["dual", "ou", "--order", "2", "--N", "4", "--t", "1", "--origin", "0.5", "--out", str(ou)],
+        ["fit", "--dual", str(vdp), "--hidden", "2", "--restarts", "1", "--max-iterations", "2",
+         "--out", str(tmp_path / "net.json")],
+    ):
+        assert cli.main(argv) == 0
+    assert [name for name, count in calls.items() if count == 0] == []

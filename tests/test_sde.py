@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import adjoint_apply, allclose, derivative, total_degree
+from helpers import adjoint_apply, allclose, derivative, scale, total_degree
 from sdembed.polynomial import Polynomial
 from sdembed.sde import (
     ModelParseError,
@@ -130,7 +130,7 @@ class TestAdjointApply:
             direct = direct + vdp.drift[i] * derivative(p, i)
         for i in range(2):
             for j in range(2):
-                direct = direct + 0.5 * product[i][j] * derivative(derivative(p, i), j)
+                direct = direct + scale(product[i][j], 0.5) * derivative(derivative(p, i), j)
         assert direct == adjoint_apply(vdp, (2, 1)) + adjoint_apply(vdp, (0, 3))
 
     @pytest.mark.parametrize("index", [(0,), (1,), (3,), (4,)])
