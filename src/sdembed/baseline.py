@@ -70,12 +70,15 @@ _EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
+    hidden: int
     epochs: int = 50
     batch_size: int = 256
     learning_rate: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError("hidden node count must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -120,19 +123,15 @@ def _mse(net_params, inputs, targets):
     return float(err @ err) / err.size
 
 
-def train_backprop(data: Dataset, arch: tuple[int, int], config: TrainConfig) -> TrainResult:
+def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     """Mini-batch Adam on mean squared error over the dataset.
 
-    arch is (hidden nodes, input dimension).  Initial weights are uniform
-    on [-1, 1); shuffling and initialization both derive from the seed, so
-    training is reproducible.  The loss trace records the full-dataset MSE
-    after each epoch.
+    The network has `config.hidden` nodes and the dataset's input
+    dimension.  Initial weights are uniform on [-1, 1); shuffling and
+    initialization both derive from the seed, so training is reproducible.
+    The loss trace records the full-dataset MSE after each epoch.
     """
-    hidden, dim = arch
-    if dim != data.dim:
-        raise ValueError(f"architecture dimension {dim} != dataset dimension {data.dim}")
-    if hidden < 1:
-        raise ValueError("hidden node count must be >= 1")
+    hidden, dim = config.hidden, data.dim
     rng = np.random.default_rng(config.seed)
     out_w = rng.uniform(-1.0, 1.0, hidden)
     in_w = rng.uniform(-1.0, 1.0, (hidden, dim))

@@ -31,7 +31,6 @@ from . import __version__
 from .baseline import TrainConfig, dataset_csv_text, generate_dataset, train_backprop
 from .dual import (
     DualCoefficients,
-    SolverError,
     coefficients_csv_text,
     eval_moment,
     read_coefficients_csv,
@@ -41,13 +40,11 @@ from .evaluate import (
     analytic_ou_moment,
     grid_csv_text,
     grid_eval,
-    line_csv_text,
-    line_eval,
     profile_csv_text,
     radial_error_profile,
 )
-from .fit import FitConfig, FitError, fit_network, fit_result_to_dict
-from .mc import EstimationError, SimConfig, final_states_csv_text, mc_moment, simulate
+from .fit import FitConfig, fit_network, fit_result_to_dict
+from .mc import SimConfig, final_states_csv_text, mc_moment, simulate
 from .network import forward, net_to_dict, read_network
 from .sde import (
     BUILTIN_ALIASES,
@@ -140,11 +137,7 @@ class _Run:
         """A builtin (unset parameters 1.0) or a model JSON, whose hash is recorded."""
         key = BUILTIN_ALIASES.get(ref.lower(), ref.lower())
         if key in BUILTIN_PARAMS:
-            wanted = BUILTIN_PARAMS[key]
-            unknown = [k for k in params if k not in wanted]
-            if unknown:
-                raise ValueError(f"parameters {unknown} do not apply to model {key!r}")
-            model = builtin_model(key, {name: params.get(name, 1.0) for name in wanted})
+            model = builtin_model(key, {**dict.fromkeys(BUILTIN_PARAMS[key], 1.0), **params})
         else:
             if params:
                 raise ValueError("builtin parameter flags do not apply to model files")
@@ -180,8 +173,8 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-def _target_from_args(args, run: _Run, unread=()) -> tuple[DualCoefficients, int]:
-    """Coefficient target plus the Taylor order to use.
+def _target_from_args(args, run: _Run, unread=()) -> DualCoefficients:
+    """The coefficient target: read from --dual, or solved for a model reference.
 
     With --dual, the solve flags are a usage error, and so are the flags in
     `unread`, which the command reads only to solve a target.
@@ -193,29 +186,25 @@ def _target_from_args(args, run: _Run, unread=()) -> tuple[DualCoefficients, int
             ignored.insert(0, f"model {args.model!r}")
         if ignored:
             raise ValueError(f"--dual fixes the target; {', '.join(ignored)} would be ignored")
-        coeffs = read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
-    else:
-        if args.model is None:
-            raise ValueError("either --dual or a model reference is required")
-        missing = [flag for flag in ("order", "t", "N") if getattr(args, flag) is None]
-        if missing:
-            raise ValueError(f"a model reference also needs --{', --'.join(missing)}")
-        coeffs = _solve_target(args, run)
-    order = args.N if args.N is not None else coeffs.max_degree
-    return coeffs, order
+        return read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
+    if args.model is None:
+        raise ValueError("either --dual or a model reference is required")
+    missing = [flag for flag in ("order", "t", "N") if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"a model reference also needs --{', --'.join(missing)}")
+    return _solve_target(args, run)
 
 
 def _cmd_fit(args) -> int:
     run = _Run("fit", args, ("seed",))
-    coeffs, order = _target_from_args(args, run)
     config = FitConfig(
         hidden=args.hidden,
-        order=order,
+        order=args.N,
         restarts=args.restarts,
         max_iterations=args.max_iterations,
         seed=args.seed,
     )
-    result = fit_network(coeffs, config)
+    result = fit_network(_target_from_args(args, run), config)
     run.write_output(args.out, json.dumps(fit_result_to_dict(result), indent=2) + "\n")
     run.finish(args.out)
     print(f"final cost: {result.cost:.6e} (best of {config.restarts} restarts, converged={result.converged})")
@@ -238,19 +227,20 @@ def _cmd_mc(args) -> int:
 
 def _cmd_train_baseline(args) -> int:
     run = _Run("train-baseline", args, ("seed", "data_seed"))
-    # --N is only the truncation of a solve here, not a Taylor order as in fit
-    coeffs, _ = _target_from_args(args, run, unread=("N",))
-    lo, hi = args.box
-    region = tuple((lo, hi) for _ in range(coeffs.dim))
-    data_seed = args.data_seed if args.data_seed is not None else args.seed
-    dataset = generate_dataset(coeffs, region, args.size, data_seed)
     config = TrainConfig(
+        hidden=args.hidden,
         epochs=args.epochs,
         batch_size=args.batch,
         learning_rate=args.lr,
         seed=args.seed,
     )
-    result = train_backprop(dataset, (args.hidden, coeffs.dim), config)
+    # --N is only the truncation of a solve here, not a Taylor order as in fit
+    coeffs = _target_from_args(args, run, unread=("N",))
+    lo, hi = args.box
+    region = tuple((lo, hi) for _ in range(coeffs.dim))
+    data_seed = args.data_seed if args.data_seed is not None else args.seed
+    dataset = generate_dataset(coeffs, region, args.size, data_seed)
+    result = train_backprop(dataset, config)
     doc = {
         "network": net_to_dict(result.net),
         "final_mse": float(result.loss_trace[-1]),
@@ -375,14 +365,14 @@ def _count(value: float, name: str) -> int:
 
 def _cmd_eval(args) -> int:
     run = _Run("eval", args, ())
-    predictor = _build_predictor(args.pred, run)
     modes = [name for name in ("polar", "grid", "line") if getattr(args, name) is not None]
     if len(modes) != 1:
         raise ValueError("exactly one of --polar, --grid, --line is required")
     mode = modes[0]
+    if (mode == "polar") != (args.ref is not None):
+        raise ValueError("--ref is required with --polar and applies only to it")
+    predictor = _build_predictor(args.pred, run)
     if mode == "polar":
-        if args.ref is None:
-            raise ValueError("--polar requires --ref")
         reference = _build_predictor(args.ref, run)
         if predictor.dim != reference.dim:
             raise ValueError(
@@ -396,22 +386,14 @@ def _cmd_eval(args) -> int:
         )
         text = profile_csv_text(profile)
     else:
-        if args.ref is not None:
-            raise ValueError("--ref only applies to --polar profiles")
-        if mode == "grid":
-            if predictor.dim != 2:
-                raise ValueError("--grid requires a 2-D predictor")
-            x1_lo, x1_hi, x2_lo, x2_hi, n1, n2 = args.grid
-            table = grid_eval(
-                predictor.fn, ((x1_lo, x1_hi), (x2_lo, x2_hi)), (_count(n1, "N1"), _count(n2, "N2"))
-            )
-            text = grid_csv_text(table)
-        else:
-            if predictor.dim != 1:
-                raise ValueError("--line requires a 1-D predictor")
-            lo, hi, count = args.line
-            table = line_eval(predictor.fn, lo, hi, _count(count, "COUNT"))
-            text = line_csv_text(table)
+        # --line LO HI COUNT, --grid X1LO X1HI X2LO X2HI N1 N2: bounds per axis, then counts
+        flags = getattr(args, mode)
+        dim = len(flags) // 3
+        if predictor.dim != dim:
+            raise ValueError(f"--{mode} requires a {dim}-D predictor")
+        names = ["COUNT"] if dim == 1 else [f"N{d + 1}" for d in range(dim)]
+        counts = [_count(n, name) for n, name in zip(flags[-dim:], names)]
+        text = grid_csv_text(grid_eval(predictor.fn, np.reshape(flags[:-dim], (dim, 2)), counts))
     run.write_output(args.out, text)
     if args.gnuplot:
         script = _GNUPLOT[mode].format(csv=Path(args.out).name)
@@ -524,7 +506,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:  # ModelParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, FitError, EstimationError, RuntimeError) as exc:
+    except RuntimeError as exc:  # SolverError, FitError, EstimationError, TrainingError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

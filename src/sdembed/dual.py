@@ -209,8 +209,8 @@ def solve_dual(
     start = np.asarray(start, dtype=float)
     if start.shape != (len(generator.index_set),):
         raise ValueError(f"start shape {start.shape} does not match the index set")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if not np.all(np.isfinite(generator.matrix.data)):
         raise SolverError("generator matrix contains non-finite entries", {"t": t})
     if t == 0.0:
@@ -311,8 +311,13 @@ def read_coefficients_csv(path) -> DualCoefficients:
         parts = line.split(",")
         if len(parts) != dim + 1:
             raise ValueError(f"{path}:{ln}: expected {dim + 1} fields")
-        indices.append([int(p) for p in parts[:-1]])
-        values.append(float(parts[-1]))
+        try:
+            indices.append([int(p) for p in parts[:-1]])
+            values.append(float(parts[-1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"{path}:{ln}: non-finite value {parts[-1]!r}")
     try:
         return DualCoefficients(indices, np.array(values), t=math.nan, observable=None)
     except ValueError as exc:

@@ -1,10 +1,11 @@
 """Evaluation oracles and error geometry.
 
 Holds the closed-form Ornstein-Uhlenbeck moments (the only analytic
-reference among the builtin systems), rectangular grid tabulation for
-heatmap data, and the radial error profile: mean squared difference of two
-predictors over a polar mesh, one band per ring of the mesh
-(`RadialErrorProfile.band_mean` averages rings into wider bands).
+reference among the builtin systems), rectangular grid tabulation in any
+dimension (curves and heatmap data), and the radial error profile: mean
+squared difference of two predictors over a polar mesh, one band per ring
+of the mesh (`RadialErrorProfile.band_mean` averages rings into wider
+bands).
 Predictors are vectorized callables mapping an (M, dim) array of points to
 an (M,) array of values; rendering of the emitted CSV tables is left to
 external tooling.
@@ -21,10 +22,8 @@ __all__ = [
     "RadialErrorProfile",
     "analytic_ou_moment",
     "grid_eval",
-    "line_eval",
     "radial_error_profile",
     "grid_csv_text",
-    "line_csv_text",
     "profile_csv_text",
 ]
 
@@ -82,29 +81,20 @@ class RadialErrorProfile:
 
 
 def grid_eval(predictor, box, resolution) -> np.ndarray:
-    """Tabulate a 2-D predictor on a rectangular grid including the corners.
+    """Tabulate a predictor on a rectangular grid of any dimension, corners included.
 
-    Returns rows (x1, x2, value) in row-major order (x1 outer, x2 inner).
+    box holds one (lo, hi) pair and resolution one point count per axis.
+    Returns rows (x_1, ..., x_dim, value) in row-major order (first axis
+    outermost).
     """
-    (x1_lo, x1_hi), (x2_lo, x2_hi) = box
-    n1, n2 = resolution
-    if n1 < 2 or n2 < 2:
+    if len(box) != len(resolution):
+        raise ValueError(f"box has {len(box)} axes but resolution has {len(resolution)}")
+    if min(resolution) < 2:
         raise ValueError("resolution must be at least 2 per axis")
-    x1 = np.linspace(x1_lo, x1_hi, n1)
-    x2 = np.linspace(x2_lo, x2_hi, n2)
-    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
-    points = np.column_stack([g1.ravel(), g2.ravel()])
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, resolution)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     values = np.asarray(predictor(points), dtype=float).reshape(points.shape[0])
     return np.column_stack([points, values])
-
-
-def line_eval(predictor, lo: float, hi: float, count: int) -> np.ndarray:
-    """Tabulate a 1-D predictor on [lo, hi]; rows are (x, value)."""
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    x = np.linspace(lo, hi, count)
-    values = np.asarray(predictor(x[:, None]), dtype=float).reshape(count)
-    return np.column_stack([x, values])
 
 
 def radial_error_profile(
@@ -136,16 +126,11 @@ def radial_error_profile(
 
 
 def grid_csv_text(table: np.ndarray) -> str:
-    lines = ["x1,x2,value"]
-    for x1, x2, value in table:
-        lines.append(f"{float(x1)!r},{float(x2)!r},{float(value)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def line_csv_text(table: np.ndarray) -> str:
-    lines = ["x,value"]
-    for x, value in table:
-        lines.append(f"{float(x)!r},{float(value)!r}")
+    """A `grid_eval` table as CSV: header x,value in 1-D, else x1,...,xD,value."""
+    dim = table.shape[1] - 1
+    names = ["x"] if dim == 1 else [f"x{d + 1}" for d in range(dim)]
+    lines = [",".join([*names, "value"])]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -27,7 +27,7 @@ radial band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class FitConfig:
     """
 
     hidden: int
-    order: int
+    order: int | None = None  # Taylor order; None means the target's truncation
     restarts: int = 10
     max_iterations: int = 30
     seed: int = 0
@@ -78,7 +78,7 @@ class FitConfig:
     def __post_init__(self):
         if self.hidden < 1:
             raise ValueError("hidden node count must be >= 1")
-        if self.order < 0:
+        if self.order is not None and self.order < 0:
             raise ValueError("Taylor order must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
@@ -169,8 +169,11 @@ def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
     Each restart draws initial weights uniformly from `_INIT_RANGE` using an
     independent per-restart stream of the configured seed, so restart k is
     reproducible regardless of how many restarts run.  The lowest-cost
-    restart is returned (ties break toward the earlier restart).
+    restart is returned (ties break toward the earlier restart).  An unset
+    `config.order` matches up to the target's truncation, `max_degree`.
     """
+    if config.order is None:
+        config = replace(config, order=target.max_degree)
     dim = target.dim
     target_values = _target_vector(target, dim, config.order)
     if not np.all(np.isfinite(target_values)):

@@ -47,10 +47,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
         if self.paths < 1:
             raise ValueError(f"paths must be >= 1, got {self.paths}")
         if self.seed < 0:

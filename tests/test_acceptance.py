@@ -131,7 +131,7 @@ def build_baseline_run():
     target = solve_moment(VDP, axis=2, power=2, t=0.1, max_degree=17)
     dataset = generate_dataset(target, ((-4.0, 4.0), (-4.0, 4.0)), 10_000, seed=BASELINE_SEED)
     trained = train_backprop(
-        dataset, (8, 2), TrainConfig(epochs=50, batch_size=256, seed=BASELINE_SEED)
+        dataset, TrainConfig(hidden=8, epochs=50, batch_size=256, seed=BASELINE_SEED)
     )
     profile = radial_error_profile(
         lambda pts: forward(trained.net, pts),

@@ -61,29 +61,29 @@ class TestTrainBackprop:
         )
         inputs = rng.uniform(-2, 2, (20_000, 2))
         data = Dataset(inputs, forward(teacher, inputs), "teacher")
-        result = train_backprop(data, (4, 2), TrainConfig(epochs=60, batch_size=128, seed=3))
+        result = train_backprop(data, TrainConfig(hidden=4, epochs=60, batch_size=128, seed=3))
         assert result.loss_trace[-1] < 1e-4
 
     def test_constant_target_learned(self):
         rng = np.random.default_rng(1)
         inputs = rng.uniform(-1, 1, (5_000, 1))
         data = Dataset(inputs, np.full(5_000, 0.7), "const")
-        result = train_backprop(data, (3, 1), TrainConfig(epochs=100, batch_size=128, seed=1))
+        result = train_backprop(data, TrainConfig(hidden=3, epochs=100, batch_size=128, seed=1))
         probe = np.linspace(-1, 1, 41)[:, None]
         assert np.max(np.abs(forward(result.net, probe) - 0.7)) < 1e-3
 
     def test_loss_trace_smoothed_non_increasing(self, ou_coeffs):
         data = generate_dataset(ou_coeffs, [(-2.0, 2.0)], size=4_000, seed=4)
-        result = train_backprop(data, (4, 1), TrainConfig(epochs=40, batch_size=128, seed=4))
+        result = train_backprop(data, TrainConfig(hidden=4, epochs=40, batch_size=128, seed=4))
         window = 10
         smoothed = np.convolve(result.loss_trace, np.ones(window) / window, mode="valid")
         assert np.all(np.diff(smoothed) <= 1e-12)
 
     def test_seed_determinism(self, ou_coeffs):
         data = generate_dataset(ou_coeffs, [(-2.0, 2.0)], size=1_000, seed=5)
-        config = TrainConfig(epochs=5, batch_size=64, seed=5)
-        a = train_backprop(data, (3, 1), config)
-        b = train_backprop(data, (3, 1), config)
+        config = TrainConfig(hidden=3, epochs=5, batch_size=64, seed=5)
+        a = train_backprop(data, config)
+        b = train_backprop(data, config)
         assert np.array_equal(a.net.out_weights, b.net.out_weights)
         assert np.array_equal(a.net.in_weights, b.net.in_weights)
         assert np.array_equal(a.net.biases, b.net.biases)
@@ -91,19 +91,23 @@ class TestTrainBackprop:
 
     def test_result_is_shared_network_type(self, ou_coeffs):
         data = generate_dataset(ou_coeffs, [(-1.0, 1.0)], size=200, seed=6)
-        result = train_backprop(data, (2, 1), TrainConfig(epochs=2, batch_size=32, seed=6))
+        result = train_backprop(data, TrainConfig(hidden=2, epochs=2, batch_size=32, seed=6))
         assert isinstance(result.net, SigmoidNet)
 
     def test_divergence_raises_with_epoch(self):
         inputs = np.linspace(-1, 1, 64)[:, None]
         data = Dataset(inputs, np.full(64, 1e200), "huge")
         with pytest.raises(TrainingError, match="epoch"):
-            train_backprop(data, (2, 1), TrainConfig(epochs=3, batch_size=16, seed=0))
+            train_backprop(data, TrainConfig(hidden=2, epochs=3, batch_size=16, seed=0))
 
-    def test_architecture_dimension_mismatch(self, ou_coeffs):
-        data = generate_dataset(ou_coeffs, [(-1.0, 1.0)], size=100, seed=7)
+    @pytest.mark.parametrize(
+        "settings",
+        [{"hidden": 0}, {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}],
+        ids=["hidden", "epochs", "batch", "lr"],
+    )
+    def test_config_rejects_bad_settings(self, settings):
         with pytest.raises(ValueError):
-            train_backprop(data, (2, 2), TrainConfig(epochs=1, seed=0))
+            TrainConfig(**{"hidden": 2, **settings})
 
 
 class TestDatasetCsv:

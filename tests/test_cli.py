@@ -200,7 +200,7 @@ def test_directory_at_derived_output_is_usage_error_before_any_work(
         raise AssertionError("the command started working")
 
     monkeypatch.setattr("sdembed.cli.solve_moment", no_work)
-    monkeypatch.setattr("sdembed.cli.line_eval", no_work)
+    monkeypatch.setattr("sdembed.cli.grid_eval", no_work)
     out = tmp_path / "out.csv"
     folder = tmp_path / f"out.csv{suffix}"
     folder.mkdir()
@@ -249,6 +249,76 @@ def test_bad_moment_is_usage_error_before_simulating(argv, message, tmp_path, ca
         raise AssertionError("the command simulated before checking the moment")
 
     monkeypatch.setattr("sdembed.cli.simulate", no_work)
+    out = tmp_path / "out.csv"
+    code = run([*argv, "--out", out])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def forbid_work(monkeypatch, *targets):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started working")
+
+    for target in targets:
+        monkeypatch.setattr(target, no_work)
+
+
+SOLVE_OU = ["ou", "--order", 1, "--t", 1.0, "--N", 4]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", *SOLVE_OU, "--hidden", 0],
+        ["fit", *SOLVE_OU, "--hidden", 2, "--restarts", 0],
+        ["fit", *SOLVE_OU, "--hidden", 2, "--max-iterations", 0],
+        *(
+            ["train-baseline", *target, "--size", 10, "--box", -1, 1, "--hidden", 2, *setting]
+            for target in (["--dual", "{csv}"], SOLVE_OU)
+            for setting in (["--hidden", 0], ["--epochs", 0], ["--batch", 0], ["--lr", 0])
+        ),
+    ],
+    ids=[
+        "fit-hidden", "fit-restarts", "fit-max-iterations",
+        *(f"train-baseline-{target}-{flag}" for target in ("dual", "model")
+          for flag in ("hidden", "epochs", "batch", "lr")),
+    ],
+)
+def test_bad_setting_is_usage_error_before_any_work(argv, ou_dual_csv, tmp_path, capsys, monkeypatch):
+    forbid_work(
+        monkeypatch, "sdembed.cli.solve_moment", "sdembed.cli.read_coefficients_csv",
+        "sdembed.cli.generate_dataset",
+    )
+    out = tmp_path / "net.json"
+    code = run([str(a).replace("{csv}", str(ou_dual_csv)) for a in argv] + ["--out", out])
+    assert code == 2
+    assert re.search(r"must be >=? ?[01]", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dual", "ou", "--order", 1, "--N", 4, "--t", "nan"], "t must be finite"),
+        (["dual", "ou", "--order", 1, "--N", 4, "--t", "inf"], "t must be finite"),
+        (["fit", "ou", "--order", 1, "--N", 4, "--t", "nan", "--hidden", 2], "t must be finite"),
+        (
+            ["train-baseline", "ou", "--order", 1, "--N", 4, "--t", "inf", "--size", 10,
+             "--box", -1, 1, "--hidden", 2],
+            "t must be finite",
+        ),
+        (["mc", "ou", "--x0", 1, "--t", 1, "--dt", "inf", "--paths", 10, "--m", 1], "dt must be finite"),
+        (["mc", "ou", "--x0", 1, "--t", 1, "--dt", "nan", "--paths", 10, "--m", 1], "dt must be finite"),
+        (["mc", "ou", "--x0", 1, "--t", "inf", "--dt", 0.1, "--paths", 10, "--m", 1], "horizon must be finite"),
+        (["eval", "--pred", "mc:model=ou,m=1,t=inf,dt=0.1", "--line", -1, 1, 3], "horizon must be finite"),
+    ],
+    ids=["dual-nan", "dual-inf", "fit-nan", "train-baseline-inf", "mc-dt-inf", "mc-dt-nan",
+         "mc-t-inf", "eval-mc-t-inf"],
+)
+def test_non_finite_horizon_or_step_is_usage_error(argv, message, tmp_path, capsys, monkeypatch):
+    # a stubbed integrator fails the test instead of running without end on t = nan
+    forbid_work(monkeypatch, "sdembed.dual.solve_ivp", "sdembed.cli.simulate")
     out = tmp_path / "out.csv"
     code = run([*argv, "--out", out])
     assert code == 2
@@ -314,25 +384,33 @@ def test_readme_command_lines_parse():
 
 NEGATIVE_ROW_CSV = "n_1,n_2,value\n0,0,1.0\n-1,0,2.0\n1,0,3.0\n"
 REPEATED_ROW_CSV = "n_1,value\n0,1.0\n1,2.0\n1,5.0\n"
+NAN_VALUE_CSV = "n_1,value\n0,1.0\n1,nan\n"
+FRACTIONAL_EXPONENT_CSV = "n_1,value\n0,1.0\n1.5,2.0\n"
+EVAL_LINE = ["eval", "--pred", "dual:{csv}", "--line", -1, 1, 3]
+FIT_DUAL = ["fit", "--dual", "{csv}", "--hidden", 2]
 
 
 @pytest.mark.parametrize(
-    "text, argv",
+    "text, argv, message",
     [
-        (NEGATIVE_ROW_CSV, ["eval", "--pred", "dual:{csv}", "--grid", 0, 2, 0, 2, 3, 3]),
-        (REPEATED_ROW_CSV, ["eval", "--pred", "dual:{csv}", "--line", 0, 2, 3]),
-        (REPEATED_ROW_CSV, ["fit", "--dual", "{csv}", "--hidden", 2]),
+        (NEGATIVE_ROW_CSV, ["eval", "--pred", "dual:{csv}", "--grid", 0, 2, 0, 2, 3, 3], ": negative exponent"),
+        (REPEATED_ROW_CSV, ["eval", "--pred", "dual:{csv}", "--line", 0, 2, 3], ": index (1,) appears more than once"),
+        (REPEATED_ROW_CSV, FIT_DUAL, ": index (1,) appears more than once"),
+        (NAN_VALUE_CSV, EVAL_LINE, ":3: non-finite value 'nan'"),
+        (NAN_VALUE_CSV, FIT_DUAL, ":3: non-finite value 'nan'"),
+        (FRACTIONAL_EXPONENT_CSV, EVAL_LINE, ":3: invalid literal for int() with base 10: '1.5'"),
+        (FRACTIONAL_EXPONENT_CSV, FIT_DUAL, ":3: invalid literal for int() with base 10: '1.5'"),
     ],
-    ids=["negative-eval", "repeated-eval", "repeated-fit"],
+    ids=["negative-eval", "repeated-eval", "repeated-fit", "nan-eval", "nan-fit", "fractional-eval",
+         "fractional-fit"],
 )
-def test_bad_coefficient_rows_are_usage_errors(text, argv, tmp_path, capsys):
+def test_bad_coefficient_rows_are_usage_errors(text, argv, message, tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text(text)
     out = tmp_path / "out.csv"
     code = run([str(a).replace("{csv}", str(csv)) for a in argv] + ["--out", out])
     assert code == 2
-    err = capsys.readouterr().err
-    assert f"{csv}: " in err and ("negative exponent" in err or "more than once" in err)
+    assert f"{csv}{message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -517,7 +595,7 @@ def test_parser_defaults_match_library():
     train = parser.parse_args(
         ["train-baseline", "--dual", "c.csv", "--size", "8", "--box", "-1", "1", "--hidden", "2", "--out", "o"]
     )
-    fitting, training = FitConfig(hidden=2, order=1), TrainConfig()
+    fitting, training = FitConfig(hidden=2), TrainConfig(hidden=2)
     assert fit.restarts == fitting.restarts
     assert (train.epochs, train.batch, train.lr) == (
         training.epochs,

@@ -285,6 +285,18 @@ class TestSolveDual:
         with pytest.raises(ValueError):
             solve_dual(gen, start, -0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_time_rejected_before_integrating(self, ou, t, monkeypatch):
+        # an unbounded horizon used to send the adaptive integrator on an endless run
+        def no_work(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr("sdembed.dual.solve_ivp", no_work)
+        gen = build_generator(ou, 4)
+        start = initial_coefficients(gen.index_set, 1, 1)
+        with pytest.raises(ValueError, match="t must be finite"):
+            solve_dual(gen, start, t)
+
 
 class TestEvalMoment:
     def test_origin_reads_constant_coefficient(self, ou):
@@ -407,14 +419,23 @@ class TestDualCoefficientsIndexSet:
             DualCoefficients(index_set, np.array(values), t=0.0)
 
     @pytest.mark.parametrize(
-        "text",
-        ["n_1,n_2,value\n0,0,1.0\n-1,0,2.0\n1,0,3.0\n", "n_1,value\n0,1.0\n1,2.0\n1,5.0\n"],
-        ids=["negative", "repeated"],
+        "text, match",
+        [
+            ("n_1,n_2,value\n0,0,1.0\n-1,0,2.0\n1,0,3.0\n", "bad.csv: negative exponent"),
+            ("n_1,value\n0,1.0\n1,2.0\n1,5.0\n", r"bad.csv: index \(1,\) appears more than once"),
+            ("n_1,value\n0,1.0\n1.5,2.0\n", r"bad.csv:3: invalid literal for int\(\) with base 10: '1.5'"),
+            ("n_1,n_2,value\n0,0,1.0\n0,x,2.0\n", r"bad.csv:3: invalid literal for int\(\)"),
+            ("n_1,value\n0,1.0\n1,abc\n", "bad.csv:3: could not convert string to float: 'abc'"),
+            ("n_1,value\n0,nan\n1,2.0\n", "bad.csv:2: non-finite value 'nan'"),
+            ("n_1,value\n0,1.0\n1,-inf\n", "bad.csv:3: non-finite value '-inf'"),
+        ],
+        ids=["negative", "repeated", "fractional-exponent", "word-exponent", "word-value", "nan-value",
+             "inf-value"],
     )
-    def test_bad_csv_rows_rejected_with_path(self, text, tmp_path):
+    def test_bad_csv_rows_rejected_with_path(self, text, match, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match="bad.csv: "):
+        with pytest.raises(ValueError, match=match):
             read_coefficients_csv(path)
 
 

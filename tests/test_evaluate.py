@@ -8,8 +8,6 @@ from sdembed.evaluate import (
     analytic_ou_moment,
     grid_csv_text,
     grid_eval,
-    line_csv_text,
-    line_eval,
     profile_csv_text,
     radial_error_profile,
 )
@@ -68,10 +66,22 @@ class TestGridEval:
         with pytest.raises(ValueError):
             grid_eval(lambda p: p[:, 0], ((0, 1), (0, 1)), (1, 5))
 
+    def test_three_dimensional_box(self):
+        table = grid_eval(lambda p: p.sum(axis=1), ((0, 1), (0, 2), (0, 3)), (2, 3, 4))
+        assert table.shape == (24, 4)
+        assert np.array_equal(table[:4, :3], [[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 3]])
+        assert np.array_equal(table[:, 3], table[:, :3].sum(axis=1))
+
+    def test_box_and_resolution_must_agree(self):
+        with pytest.raises(ValueError, match="axes"):
+            grid_eval(lambda p: p[:, 0], ((0, 1), (0, 1)), (3,))
+
 
 class TestLineEval:
+    # `eval --line` tabulates through grid_eval with a one-axis box
     def test_linear_function(self):
-        table = line_eval(lambda p: 3.0 * p[:, 0], -1.0, 1.0, 5)
+        table = grid_eval(lambda p: 3.0 * p[:, 0], [(-1.0, 1.0)], [5])
+        assert table.shape == (5, 2)
         assert np.allclose(table[:, 1], 3.0 * table[:, 0])
         assert table[0, 0] == -1.0 and table[-1, 0] == 1.0
 
@@ -150,10 +160,23 @@ class TestCsvFormats:
         assert np.array_equal(parsed, table)
 
     def test_line_csv(self):
-        table = line_eval(lambda p: p[:, 0] ** 2, 0.0, 2.0, 3)
-        lines = line_csv_text(table).strip().splitlines()
+        table = grid_eval(lambda p: p[:, 0] ** 2, [(0.0, 2.0)], [3])
+        lines = grid_csv_text(table).strip().splitlines()
         assert lines[0] == "x,value"
         assert [float(v) for v in lines[2].split(",")] == [1.0, 1.0]
+
+    def test_tables_keep_the_bytes_of_the_per_mode_tabulators(self):
+        # the text the former line_eval/line_csv_text and 2-D grid_eval/grid_csv_text wrote
+        line = grid_csv_text(grid_eval(lambda p: np.exp(-p[:, 0]), [(-1.0, 1.0)], [4]))
+        assert line == (
+            "x,value\n-1.0,2.718281828459045\n-0.33333333333333337,1.3956124250860895\n"
+            "0.33333333333333326,0.7165313105737893\n1.0,0.36787944117144233\n"
+        )
+        grid = grid_csv_text(grid_eval(lambda p: p[:, 0] - p[:, 1] / 3, ((0, 1), (-1, 1)), (2, 3)))
+        assert grid == (
+            "x1,x2,value\n0.0,-1.0,0.3333333333333333\n0.0,0.0,0.0\n0.0,1.0,-0.3333333333333333\n"
+            "1.0,-1.0,1.3333333333333333\n1.0,0.0,1.0\n1.0,1.0,0.6666666666666667\n"
+        )
 
     def test_profile_csv(self):
         profile = RadialErrorProfile(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.125]))

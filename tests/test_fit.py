@@ -110,6 +110,13 @@ class TestFitNetwork:
         assert four.cost <= three.cost
         assert four.restart_costs[:3] == three.restart_costs
 
+    def test_order_defaults_to_target_truncation(self, ou_first_moment):
+        settings = dict(hidden=2, restarts=2, seed=4, max_iterations=5)
+        implicit = fit_network(ou_first_moment, FitConfig(**settings))
+        explicit = fit_network(ou_first_moment, FitConfig(order=ou_first_moment.max_degree, **settings))
+        assert implicit.restart_costs == explicit.restart_costs
+        assert np.array_equal(flatten_params(implicit.net), flatten_params(explicit.net))
+
     def test_ou_first_moment_quality(self, ou_first_moment):
         result = fit_network(ou_first_moment, FitConfig(hidden=4, order=12, restarts=4, seed=0))
         assert result.cost < 1e-6

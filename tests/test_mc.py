@@ -39,6 +39,20 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=0.1, horizon=-1.0, paths=10)
 
+    @pytest.mark.parametrize(
+        "dt, horizon, match",
+        [
+            (math.inf, 1.0, "dt must be finite"),
+            (math.nan, 1.0, "dt must be finite"),
+            (0.1, math.inf, "horizon must be finite"),
+            (0.1, math.nan, "horizon must be finite"),
+        ],
+        ids=["dt-inf", "dt-nan", "horizon-inf", "horizon-nan"],
+    )
+    def test_non_finite_step_or_horizon_rejected(self, dt, horizon, match):
+        with pytest.raises(ValueError, match=match):
+            SimConfig(dt=dt, horizon=horizon, paths=10)
+
     def test_step_count_must_be_integral(self):
         with pytest.raises(ValueError, match="integer multiple"):
             SimConfig(dt=0.3, horizon=1.0, paths=10)

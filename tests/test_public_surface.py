@@ -186,3 +186,23 @@ def test_every_polynomial_operator_runs_in_the_pipelines(tmp_path, monkeypatch):
     ):
         assert cli.main(argv) == 0
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+def test_no_except_tuple_lists_a_class_with_its_base():
+    """An `except (A, B)` that names B together with a subclass A catches
+    nothing more than `except B`: the subclass is a second name for one
+    handler."""
+    redundant = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+                classes = [(ast.unparse(elt), eval(ast.unparse(elt), vars(module))) for elt in node.type.elts]
+                redundant += [
+                    f"{name}:{node.lineno}: {sub} is a {base}"
+                    for sub, sub_cls in classes
+                    for base, base_cls in classes
+                    if sub_cls is not base_cls and issubclass(sub_cls, base_cls)
+                ]
+    assert redundant == []
