@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .baseline import TrainConfig, dataset_csv_text, generate_dataset, train_backprop
 from .dual import (
-    DualCoefficients,
     coefficients_csv_text,
     eval_moment,
     read_coefficients_csv,
@@ -153,17 +152,13 @@ def _param_flags(args) -> dict[str, float]:
     return {name: getattr(args, name) for name in _PARAM_NAMES if getattr(args, name) is not None}
 
 
-def _solve_target(args, run: _Run) -> DualCoefficients:
-    model = run.model(args.model, _param_flags(args), getattr(args, "origin", None))
-    return solve_moment(model, axis=args.axis, power=args.order, t=args.t, max_degree=args.N)
-
-
 # -- commands ----------------------------------------------------------------
 
 
 def _cmd_dual(args) -> int:
     run = _Run("dual", args, ())
-    coeffs = _solve_target(args, run)
+    model = run.model(args.model, _param_flags(args), args.origin)
+    coeffs = solve_moment(model, axis=args.axis, power=args.order, t=args.t, max_degree=args.N)
     run.write_output(args.out, coefficients_csv_text(coeffs))
     run.finish(args.out)
     print(
@@ -171,28 +166,6 @@ def _cmd_dual(args) -> int:
         f"boundary spill mass {coeffs.spill_mass():.3e}"
     )
     return 0
-
-
-def _target_from_args(args, run: _Run, unread=()) -> DualCoefficients:
-    """The coefficient target: read from --dual, or solved for a model reference.
-
-    With --dual, the solve flags are a usage error, and so are the flags in
-    `unread`, which the command reads only to solve a target.
-    """
-    if args.dual is not None:
-        ignored = [f"--{flag}" for flag in ("order", "t", *unread, *_PARAM_NAMES)
-                   if getattr(args, flag) is not None]
-        if args.model is not None:
-            ignored.insert(0, f"model {args.model!r}")
-        if ignored:
-            raise ValueError(f"--dual fixes the target; {', '.join(ignored)} would be ignored")
-        return read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
-    if args.model is None:
-        raise ValueError("either --dual or a model reference is required")
-    missing = [flag for flag in ("order", "t", "N") if getattr(args, flag) is None]
-    if missing:
-        raise ValueError(f"a model reference also needs --{', --'.join(missing)}")
-    return _solve_target(args, run)
 
 
 def _cmd_fit(args) -> int:
@@ -204,7 +177,8 @@ def _cmd_fit(args) -> int:
         max_iterations=args.max_iterations,
         seed=args.seed,
     )
-    result = fit_network(_target_from_args(args, run), config)
+    coeffs = read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
+    result = fit_network(coeffs, config)
     run.write_output(args.out, json.dumps(fit_result_to_dict(result), indent=2) + "\n")
     run.finish(args.out)
     print(f"final cost: {result.cost:.6e} (best of {config.restarts} restarts, converged={result.converged})")
@@ -234,8 +208,7 @@ def _cmd_train_baseline(args) -> int:
         learning_rate=args.lr,
         seed=args.seed,
     )
-    # --N is only the truncation of a solve here, not a Taylor order as in fit
-    coeffs = _target_from_args(args, run, unread=("N",))
+    coeffs = read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
     lo, hi = args.box
     region = tuple((lo, hi) for _ in range(coeffs.dim))
     data_seed = args.data_seed if args.data_seed is not None else args.seed
@@ -286,13 +259,8 @@ class _Predictor:
 
 
 def _build_predictor(spec: str, run: _Run) -> _Predictor:
-    if ":" in spec and spec.split(":", 1)[0] in ("net", "dual", "ou", "mc"):
-        kind, body = spec.split(":", 1)
-    elif spec.endswith(".json"):
-        kind, body = "net", spec
-    elif spec.endswith(".csv"):
-        kind, body = "dual", spec
-    else:
+    kind, colon, body = spec.partition(":")
+    if not colon or kind not in ("net", "dual", "ou", "mc"):
         raise ValueError(f"cannot interpret predictor spec {spec!r}")
 
     if kind == "net":
@@ -406,23 +374,12 @@ def _cmd_eval(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
+def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     """The model reference and the builtin parameter flags."""
-    nargs = None if required else "?"
-    parser.add_argument("model", nargs=nargs, help="builtin model name (ou, vdp) or model JSON path")
+    parser.add_argument("model", help="builtin model name (ou, vdp) or model JSON path")
     group = parser.add_argument_group("builtin model parameters (default 1.0)")
     for name in _PARAM_NAMES:
         group.add_argument(f"--{name}", type=float, default=None)
-
-
-def _add_solve_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    """The coefficient-solve flags; optional where --dual can supply the target."""
-    parser.add_argument("--axis", type=int, default=1, help="coordinate of the moment (1-based)")
-    parser.add_argument("--order", type=int, required=required, help="moment power m")
-    parser.add_argument(
-        "--N", type=int, required=required, help="truncation: max exponent per axis (fit: Taylor order)"
-    )
-    parser.add_argument("--t", type=float, required=required, help="time horizon")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -436,15 +393,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dual = sub.add_parser("dual", help="solve the truncated coefficient ODEs, write CSV")
     _add_model_arguments(dual)
-    _add_solve_arguments(dual)
+    dual.add_argument("--axis", type=int, default=1, help="coordinate of the moment (1-based)")
+    dual.add_argument("--order", type=int, required=True, help="moment power m")
+    dual.add_argument("--N", type=int, required=True, help="truncation: max exponent per axis")
+    dual.add_argument("--t", type=float, required=True, help="time horizon")
     dual.add_argument("--origin", type=float, nargs="+", help="shift the expansion origin")
     dual.add_argument("--out", required=True)
     dual.set_defaults(func=_cmd_dual)
 
     fit = sub.add_parser("fit", help="fit a network to coefficients by Taylor matching")
-    _add_model_arguments(fit, required=False)
-    _add_solve_arguments(fit, required=False)
-    fit.add_argument("--dual", help="solved coefficient CSV to match against")
+    fit.add_argument("--dual", required=True, help="coefficient CSV written by `dual`")
+    fit.add_argument("--N", type=int, help="Taylor order (default: the file's truncation)")
     fit.add_argument("--hidden", type=int, required=True)
     fit.add_argument("--restarts", type=int, default=FitConfig.restarts)
     fit.add_argument("--seed", type=int, default=_default_seed())
@@ -468,9 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(func=_cmd_mc)
 
     train = sub.add_parser("train-baseline", help="label a dataset from coefficients, train by backprop")
-    _add_model_arguments(train, required=False)
-    _add_solve_arguments(train, required=False)
-    train.add_argument("--dual", help="solved coefficient CSV supplying the targets")
+    train.add_argument("--dual", required=True, help="coefficient CSV written by `dual`")
     train.add_argument("--size", type=int, required=True)
     train.add_argument("--box", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     train.add_argument("--hidden", type=int, required=True)

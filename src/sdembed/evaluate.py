@@ -38,6 +38,8 @@ def analytic_ou_moment(gamma: float, sigma: float, x0, t: float, power: int):
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     x0 = np.asarray(x0, dtype=float)
     decayed = x0 * math.exp(-gamma * t)
     if power == 1:

@@ -10,7 +10,7 @@ from sdembed.baseline import (
     train_backprop,
 )
 from sdembed.cli import main
-from sdembed.dual import solve_moment
+from sdembed.dual import coefficients_csv_text, solve_moment
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.network import SigmoidNet, forward
 from sdembed.sde import builtin_model
@@ -124,7 +124,9 @@ class TestDatasetCsv:
         # the dataset file `sdembed train-baseline --dataset-out` writes is this text
         data = generate_dataset(ou_coeffs, [(-1.0, 1.0)], size=3, seed=9)
         path = tmp_path / "data.csv"
-        argv = "train-baseline ou --order 1 --t 1 --N 12 --size 3 --box -1 1 --hidden 2 --epochs 1"
+        coeffs = tmp_path / "ou.csv"
+        coeffs.write_text(coefficients_csv_text(ou_coeffs))
+        argv = "train-baseline --size 3 --box -1 1 --hidden 2 --epochs 1"
         outs = ["--data-seed", "9", "--dataset-out", str(path), "--out", str(tmp_path / "net.json")]
-        assert main([*argv.split(), *outs]) == 0
+        assert main([*argv.split(), "--dual", str(coeffs), *outs]) == 0
         assert path.read_text() == dataset_csv_text(data)

@@ -95,15 +95,6 @@ class TestFitCommand:
         assert doc["network"]["hidden"] == 2
         assert len(doc["restart_costs"]) == 2
 
-    def test_fit_from_model_reference(self, tmp_path):
-        net_path = tmp_path / "net.json"
-        code = run([
-            "fit", "ou", "--order", 1, "--t", 1.0, "--N", 8,
-            "--hidden", 2, "--restarts", 2, "--max-iterations", 10, "--out", net_path,
-        ])
-        assert code == 0
-        assert net_path.exists()
-
     def test_zero_restarts_is_usage_error(self, ou_dual_csv, tmp_path):
         code = run([
             "fit", "--dual", ou_dual_csv, "--hidden", 2, "--restarts", 0,
@@ -111,13 +102,11 @@ class TestFitCommand:
         ])
         assert code == 2
 
-    def test_needs_dual_or_model(self, tmp_path):
-        assert run(["fit", "--hidden", 2, "--out", tmp_path / "net.json"]) == 2
-
-    def test_model_reference_needs_solve_flags(self, tmp_path, capsys):
-        code = run(["fit", "ou", "--hidden", 2, "--out", tmp_path / "net.json"])
-        assert code == 2
-        assert "--order" in capsys.readouterr().err
+    def test_needs_dual_or_model(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["fit", "--hidden", 2, "--out", tmp_path / "net.json"])
+        assert exit_info.value.code == 2
+        assert "required: --dual" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -129,13 +118,18 @@ class TestFitCommand:
     ids=["fit", "train-baseline"],
 )
 @pytest.mark.parametrize(
-    "target", [["vdp"], ["--order", 2], ["--t", 5], ["--epsilon", 3]], ids=["model", "order", "t", "param"]
+    "target",
+    [["vdp"], ["--order", 2], ["--t", 5], ["--epsilon", 3], ["--axis", 2]],
+    ids=["model", "order", "t", "param", "axis"],
 )
-def test_dual_rejects_target_flags(command, extra, target, ou_dual_csv, tmp_path, capsys):
+def test_dual_rejects_target_flags(command, extra, target, ou_dual_csv, tmp_path, capsys, monkeypatch):
+    # the coefficient file fixes the target; the solve flags belong to `dual` alone
+    forbid_work(monkeypatch, "sdembed.cli.read_coefficients_csv")
     out = tmp_path / "net.json"
-    code = run([*command, "--dual", ou_dual_csv, *target, "--out", out])
-    assert code == 2
-    assert "ignored" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        run([*command, "--dual", ou_dual_csv, *target, "--out", out])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -165,21 +159,21 @@ def test_directory_input_is_usage_error(argv, tmp_path, capsys):
     [
         ["dual", "ou", "--order", 1, "--N", 4, "--t", 1.0, "--out", "{dir}"],
         [
-            "train-baseline", "ou", "--order", 1, "--N", 4, "--t", 1.0, "--size", 10,
+            "train-baseline", "--dual", "{csv}", "--size", 10,
             "--box", -1, 1, "--hidden", 2, "--dataset-out", "{dir}", "--out", "{file}",
         ],
     ],
     ids=["dual-out", "train-baseline-dataset-out"],
 )
-def test_directory_output_is_usage_error_before_any_work(argv, tmp_path, capsys, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the command started working")
-
-    monkeypatch.setattr("sdembed.cli.solve_moment", no_work)
+def test_directory_output_is_usage_error_before_any_work(argv, ou_dual_csv, tmp_path, capsys, monkeypatch):
+    forbid_work(monkeypatch, "sdembed.cli.solve_moment", "sdembed.cli.read_coefficients_csv")
     folder = tmp_path / "outputs"
     folder.mkdir()
     out = tmp_path / "net.json"
-    code = run([str(a).replace("{dir}", str(folder)).replace("{file}", str(out)) for a in argv])
+    code = run([
+        str(a).replace("{dir}", str(folder)).replace("{file}", str(out)).replace("{csv}", str(ou_dual_csv))
+        for a in argv
+    ])
     assert code == 2
     assert f"names a directory: {folder}" in capsys.readouterr().err
     assert list(folder.iterdir()) == [] and not out.exists()
@@ -211,7 +205,7 @@ def test_directory_at_derived_output_is_usage_error_before_any_work(
 
 
 def test_train_baseline_dual_rejects_truncation_flag(ou_dual_csv, tmp_path, capsys, monkeypatch):
-    # --N only truncates a solve; the coefficient file already fixes it
+    # the truncation is a setting of `dual`; the coefficient file already fixes it
     def no_work(*args, **kwargs):
         raise AssertionError("the command started working")
 
@@ -219,9 +213,10 @@ def test_train_baseline_dual_rejects_truncation_flag(ou_dual_csv, tmp_path, caps
     monkeypatch.setattr("sdembed.cli.generate_dataset", no_work)
     out = tmp_path / "net.json"
     argv = ["train-baseline", "--dual", ou_dual_csv, "--N", 5, "--size", 10, "--box", -1, 1]
-    code = run([*argv, "--hidden", 2, "--out", out])
-    assert code == 2
-    assert "--N would be ignored" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        run([*argv, "--hidden", 2, "--out", out])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --N" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -264,25 +259,20 @@ def forbid_work(monkeypatch, *targets):
         monkeypatch.setattr(target, no_work)
 
 
-SOLVE_OU = ["ou", "--order", 1, "--t", 1.0, "--N", 4]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["fit", *SOLVE_OU, "--hidden", 0],
-        ["fit", *SOLVE_OU, "--hidden", 2, "--restarts", 0],
-        ["fit", *SOLVE_OU, "--hidden", 2, "--max-iterations", 0],
+        ["fit", "--dual", "{csv}", "--hidden", 0],
+        ["fit", "--dual", "{csv}", "--hidden", 2, "--restarts", 0],
+        ["fit", "--dual", "{csv}", "--hidden", 2, "--max-iterations", 0],
         *(
-            ["train-baseline", *target, "--size", 10, "--box", -1, 1, "--hidden", 2, *setting]
-            for target in (["--dual", "{csv}"], SOLVE_OU)
+            ["train-baseline", "--dual", "{csv}", "--size", 10, "--box", -1, 1, "--hidden", 2, *setting]
             for setting in (["--hidden", 0], ["--epochs", 0], ["--batch", 0], ["--lr", 0])
         ),
     ],
     ids=[
         "fit-hidden", "fit-restarts", "fit-max-iterations",
-        *(f"train-baseline-{target}-{flag}" for target in ("dual", "model")
-          for flag in ("hidden", "epochs", "batch", "lr")),
+        *(f"train-baseline-dual-{flag}" for flag in ("hidden", "epochs", "batch", "lr")),
     ],
 )
 def test_bad_setting_is_usage_error_before_any_work(argv, ou_dual_csv, tmp_path, capsys, monkeypatch):
@@ -302,19 +292,12 @@ def test_bad_setting_is_usage_error_before_any_work(argv, ou_dual_csv, tmp_path,
     [
         (["dual", "ou", "--order", 1, "--N", 4, "--t", "nan"], "t must be finite"),
         (["dual", "ou", "--order", 1, "--N", 4, "--t", "inf"], "t must be finite"),
-        (["fit", "ou", "--order", 1, "--N", 4, "--t", "nan", "--hidden", 2], "t must be finite"),
-        (
-            ["train-baseline", "ou", "--order", 1, "--N", 4, "--t", "inf", "--size", 10,
-             "--box", -1, 1, "--hidden", 2],
-            "t must be finite",
-        ),
         (["mc", "ou", "--x0", 1, "--t", 1, "--dt", "inf", "--paths", 10, "--m", 1], "dt must be finite"),
         (["mc", "ou", "--x0", 1, "--t", 1, "--dt", "nan", "--paths", 10, "--m", 1], "dt must be finite"),
         (["mc", "ou", "--x0", 1, "--t", "inf", "--dt", 0.1, "--paths", 10, "--m", 1], "horizon must be finite"),
         (["eval", "--pred", "mc:model=ou,m=1,t=inf,dt=0.1", "--line", -1, 1, 3], "horizon must be finite"),
     ],
-    ids=["dual-nan", "dual-inf", "fit-nan", "train-baseline-inf", "mc-dt-inf", "mc-dt-nan",
-         "mc-t-inf", "eval-mc-t-inf"],
+    ids=["dual-nan", "dual-inf", "mc-dt-inf", "mc-dt-nan", "mc-t-inf", "eval-mc-t-inf"],
 )
 def test_non_finite_horizon_or_step_is_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     # a stubbed integrator fails the test instead of running without end on t = nan
@@ -454,15 +437,6 @@ class TestTrainBaselineCommand:
         assert len(doc["loss_trace"]) == 4
         assert len(data_out.read_text().strip().splitlines()) == 401
 
-    def test_solves_target_when_given_model(self, tmp_path):
-        out = tmp_path / "baseline.json"
-        code = run([
-            "train-baseline", "vdp", "--axis", 2, "--order", 2, "--t", 0.1, "--N", 6,
-            "--size", 300, "--box", -4, 4, "--hidden", 4, "--epochs", 2, "--out", out,
-        ])
-        assert code == 0
-        assert json.loads(out.read_text())["network"]["dim"] == 2
-
 
 class TestEvalCommand:
     def test_line_eval_of_network(self, ou_dual_csv, tmp_path):
@@ -510,6 +484,28 @@ class TestEvalCommand:
         ])
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 26
+
+    @pytest.mark.parametrize("t", ["nan", "-1"])
+    def test_analytic_predictor_rejects_bad_horizon(self, t, tmp_path, capsys):
+        out = tmp_path / "analytic.csv"
+        code = run(["eval", "--pred", f"ou:t={t},m=2", "--line", -1, 1, 3, "--out", out])
+        assert code == 2
+        assert "t must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["net", "dual"])
+    def test_bare_path_is_not_a_predictor(self, kind, ou_dual_csv, tmp_path, capsys):
+        # each predictor has one spelling, `kind:PATH`; a bare file name is not one
+        path = ou_dual_csv
+        if kind == "net":
+            path = tmp_path / "net.json"
+            fit = ["fit", "--dual", ou_dual_csv, "--hidden", 2, "--restarts", 1, "--max-iterations", 2]
+            assert run([*fit, "--out", path]) == 0
+        out = tmp_path / "line.csv"
+        code = run(["eval", "--pred", path, "--line", -1, 1, 3, "--out", out])
+        assert code == 2
+        assert "cannot interpret predictor spec" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch_is_usage_error(self, ou_dual_csv, vdp_dual_csv, tmp_path):
         code = run([

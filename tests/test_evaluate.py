@@ -43,6 +43,12 @@ class TestAnalyticOuMoment:
         with pytest.raises(ValueError):
             analytic_ou_moment(0.0, 1.0, 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_rejects_bad_horizon(self, t):
+        # a NaN horizon gave NaN moments and a negative one a negative variance
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            analytic_ou_moment(1.0, 1.0, 0.0, t, 2)
+
 
 class TestGridEval:
     def test_constant_predictor(self):

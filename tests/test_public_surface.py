@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import importlib
@@ -206,3 +207,36 @@ def test_no_except_tuple_lists_a_class_with_its_base():
                     if sub_cls is not base_cls and issubclass(sub_cls, base_cls)
                 ]
     assert redundant == []
+
+
+@pytest.mark.parametrize("command", ["dual", "fit", "mc", "train-baseline", "eval"])
+def test_every_parsed_option_is_read(command, tmp_path, monkeypatch):
+    """A small valid run of each command reads every option it parses.
+
+    An option that the command parses but never reads is a flag the user can
+    set to no effect.  Only attribute reads on the parsed namespace count:
+    the manifest copies the namespace with `vars`, which reads no option.
+    """
+    monkeypatch.chdir(tmp_path)
+    setup = "dual ou --order 1 --N 4 --t 1 --out ou.csv"
+    argv = {
+        "dual": setup,
+        "fit": "fit --dual ou.csv --hidden 2 --restarts 1 --max-iterations 2 --out net.json",
+        "mc": "mc ou --x0 1 --t 0.02 --dt 0.01 --paths 10 --m 1 --out states.csv",
+        "train-baseline": "train-baseline --dual ou.csv --size 10 --box -1 1 --hidden 2 --epochs 1 "
+        "--dataset-out data.csv --out baseline.json",
+        "eval": "eval --pred dual:ou.csv --line -1 1 3 --out line.csv",
+    }[command].split()
+    if command != "dual":
+        assert cli.main(setup.split()) == 0
+    reads = set()
+
+    class Recorded(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli._build_parser().parse_args(argv, namespace=Recorded())
+    reads.clear()
+    assert args.func(args) == 0
+    assert sorted(set(vars(args)) - {"func", "command"} - reads) == []
