@@ -10,13 +10,14 @@ produces, so all evaluation code is shared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .dual import DualCoefficients, eval_moment
-from .network import SigmoidNet
+from .network import SigmoidNet, forward, param_views, unflatten_params
 
 __all__ = [
     "Dataset",
@@ -83,8 +84,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be > 0 and finite, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,8 @@ def generate_dataset(coeffs: DualCoefficients, region, size: int, seed: int = 0)
     region = tuple((float(a), float(b)) for a, b in region)
     if len(region) != coeffs.dim:
         raise ValueError(f"region has {len(region)} axes, expected {coeffs.dim}")
-    if any(b < a for a, b in region):
-        raise ValueError("region bounds must satisfy lo <= hi")
+    if not all(a <= b and math.isfinite(b - a) for a, b in region):
+        raise ValueError(f"region bounds must be finite with lo <= hi, got {list(region)}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
@@ -116,32 +117,26 @@ def generate_dataset(coeffs: DualCoefficients, region, size: int, seed: int = 0)
     return Dataset(inputs, targets, coeffs.fingerprint())
 
 
-def _mse(net_params, inputs, targets):
-    out_w, in_w, biases = net_params
-    pred = expit(inputs @ in_w.T + biases) @ out_w
-    err = pred - targets
-    return float(err @ err) / err.size
-
-
 def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     """Mini-batch Adam on mean squared error over the dataset.
 
     The network has `config.hidden` nodes and the dataset's input
-    dimension.  Initial weights are uniform on [-1, 1); shuffling and
-    initialization both derive from the seed, so training is reproducible.
-    The loss trace records the full-dataset MSE after each epoch.
+    dimension.  Its weights are one flat vector read through its
+    `network.param_views`; the gradient fills the same views of one buffer,
+    and each step is one Adam update of the whole vector.  Initial weights
+    are uniform on [-1, 1); shuffling and initialization both derive from
+    the seed, so training is reproducible.  The loss trace records the
+    full-dataset MSE after each epoch, through `network.forward`.
     """
     hidden, dim = config.hidden, data.dim
     rng = np.random.default_rng(config.seed)
-    out_w = rng.uniform(-1.0, 1.0, hidden)
-    in_w = rng.uniform(-1.0, 1.0, (hidden, dim))
-    biases = rng.uniform(-1.0, 1.0, hidden)
-
-    params = [out_w, in_w, biases]
-    first = [np.zeros_like(p) for p in params]
-    second = [np.zeros_like(p) for p in params]
+    theta = rng.uniform(-1.0, 1.0, hidden * (dim + 2))
+    out_w, in_w, biases = param_views(theta, hidden, dim)
+    grad = np.empty_like(theta)
+    d_out, d_in, d_bias = param_views(grad, hidden, dim)
+    first, second = np.zeros_like(theta), np.zeros_like(theta)
     adam_step = 0
-    trace = np.empty(config.epochs)
+    trace = np.full(config.epochs, np.nan)
     # divergence surfaces through the per-epoch finite-loss check, so the
     # intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
@@ -155,19 +150,23 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
                 err = hidden_act @ out_w - y
                 scale = 2.0 / batch.size
                 d_hidden = (scale * err)[:, None] * out_w[None, :] * hidden_act * (1.0 - hidden_act)
-                grads = [hidden_act.T @ (scale * err), d_hidden.T @ x, d_hidden.sum(axis=0)]
+                d_out[:] = hidden_act.T @ (scale * err)
+                d_in[:] = d_hidden.T @ x
+                d_bias[:] = d_hidden.sum(axis=0)
                 adam_step += 1
                 correct1 = 1.0 - _BETA1**adam_step
                 correct2 = 1.0 - _BETA2**adam_step
-                for p, m, v, g in zip(params, first, second, grads):
-                    m += (1.0 - _BETA1) * (g - m)
-                    v += (1.0 - _BETA2) * (g * g - v)
-                    p -= config.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + _EPS)
-            loss = _mse(params, data.inputs, data.targets)
-            if not np.isfinite(loss):
+                first += (1.0 - _BETA1) * (grad - first)
+                second += (1.0 - _BETA2) * (grad * grad - second)
+                theta -= config.learning_rate * (first / correct1) / (np.sqrt(second / correct2) + _EPS)
+            if np.all(np.isfinite(theta)):  # else the loss stays NaN: SigmoidNet rejects the weights
+                err = forward(unflatten_params(theta, hidden, dim), data.inputs)
+                err -= data.targets
+                trace[epoch] = float(err @ err) / err.size
+                del err  # not held while the next epoch's batches run
+            if not np.isfinite(trace[epoch]):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            trace[epoch] = loss
-    return TrainResult(SigmoidNet(out_w, in_w, biases), trace, config)
+    return TrainResult(unflatten_params(theta, hidden, dim), trace, config)
 
 
 def dataset_csv_text(data: Dataset) -> str:

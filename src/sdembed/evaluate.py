@@ -36,8 +36,10 @@ def analytic_ou_moment(gamma: float, sigma: float, x0, t: float, power: int):
 
     x0 may be a scalar or an array; the result matches its shape.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be > 0 and finite, got {gamma}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     x0 = np.asarray(x0, dtype=float)
@@ -93,6 +95,8 @@ def grid_eval(predictor, box, resolution) -> np.ndarray:
         raise ValueError(f"box has {len(box)} axes but resolution has {len(resolution)}")
     if min(resolution) < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    if not np.all(np.isfinite(box)):
+        raise ValueError("box bounds must be finite")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, resolution)]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     values = np.asarray(predictor(points), dtype=float).reshape(points.shape[0])
@@ -113,8 +117,8 @@ def radial_error_profile(
     n_r, n_theta = mesh
     if n_r < 2 or n_theta < 2:
         raise ValueError("mesh must have at least 2 points per coordinate")
-    if r_max <= 0:
-        raise ValueError(f"r_max must be > 0, got {r_max}")
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"r_max must be > 0 and finite, got {r_max}")
     radii = (np.arange(n_r) + 0.5) * (r_max / n_r)
     angles = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     rr, tt = np.meshgrid(radii, angles, indexing="ij")

@@ -116,9 +116,10 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
         r = target_values - network_taylor(net, config.order)
         return r, float(r @ r)
 
-    def gradient_norm(theta, r):
+    def jacobian_and_gradient(theta, r):  # J, J^T r (computed once) and its max norm
         jac = -taylor_jacobian(unflatten_params(theta, hidden, dim), config.order)
-        return jac, float(np.max(np.abs(jac.T @ r)))
+        gradient = jac.T @ r
+        return jac, gradient, float(np.max(np.abs(gradient)))
 
     theta = theta0
     r, cost = cost_and_residual(theta)
@@ -128,11 +129,10 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
     converged = False
     iterations = 0
     while iterations < config.max_iterations:
-        jac, gnorm = gradient_norm(theta, r)
+        jac, gradient, gnorm = jacobian_and_gradient(theta, r)
         if gnorm <= _GRADIENT_TOL:
             converged = True
             break
-        gradient = jac.T @ r
         hess = jac.T @ jac
         # identity damping (classic Levenberg): resists motion along flat
         # directions of the cost, which keeps fitted weights in the basin
@@ -157,8 +157,7 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
         theta, r, cost = theta + step, r_new, cost_new
         damping = max(damping * _DAMPING_DOWN, _DAMPING_FLOOR)
         if drop <= _COST_TOL * max(cost, _DAMPING_FLOOR):
-            _, gnorm = gradient_norm(theta, r)
-            converged = gnorm <= _GRADIENT_TOL
+            converged = jacobian_and_gradient(theta, r)[2] <= _GRADIENT_TOL
             break
     return theta, cost, iterations, converged
 

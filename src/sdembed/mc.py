@@ -90,6 +90,8 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (model.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({model.dim},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     dim, steps = model.dim, config.steps
     sqrt_dt = math.sqrt(config.dt)
     # compiled once: a coefficient column per a_i, then per nonzero B_ij (row-major),

@@ -14,9 +14,9 @@ fit optimizes over.  The sigmoid derivatives at zero are computed in exact
 rational arithmetic via the polynomial-in-sigmoid recurrence, so no float
 error enters the tables.
 
-Parameter flattening order (used by the Jacobian columns and the
-optimizer) is: output weights (n), then input weights row-major
-(node-major, axis-minor; n*D), then biases (n).
+Parameter flattening order (used by the Jacobian columns, the fit and the
+backprop baseline) is: output weights (n), then input weights row-major
+(node-major, axis-minor; n*D), then biases (n); `param_views` writes it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "forward",
     "network_taylor",
     "taylor_jacobian",
+    "param_views",
     "unflatten_params",
     "net_to_dict",
     "dict_to_net",
@@ -143,12 +144,19 @@ def _taylor_tables(dim: int, order: int):
     return exps, factors
 
 
-def _power_tables(net: SigmoidNet, order: int):
-    """Per-axis tables w_in[:, d]^p and bias^j, with the 0**0 = 1 convention."""
-    powers = np.arange(order + 1)[:, None]
-    bias_pow = net.biases[None, :] ** powers  # (order+1, hidden)
-    axis_pow = [net.in_weights[:, d][None, :] ** powers for d in range(net.dim)]
-    return bias_pow, axis_pow
+def _expansion(net: SigmoidNet, order: int):
+    """What `network_taylor` and `taylor_jacobian` share: the tables of
+    `_taylor_tables`; one power table, powers[0, p] = biases^p and
+    powers[1 + d, p] = w_in[:, d]^p (0**0 = 1); the per-axis powers gathered
+    at every index (each (L, hidden)); their product; the bias sums.
+    """
+    exps, factors = _taylor_tables(net.dim, order)
+    base = np.concatenate([net.biases[None], net.in_weights.T])[:, None, :]  # (dim+1, 1, hidden)
+    # C order keeps each (order+1, hidden) block contiguous for the BLAS products
+    powers = np.power(base, np.arange(order + 1)[:, None], order="C")
+    gathered = [powers[d + 1][exps[:, d]] for d in range(net.dim)]
+    weight_pow = reduce(np.multiply, gathered)  # from axis 0 upwards
+    return exps, factors, powers, gathered, weight_pow, factors @ powers[0]
 
 
 def network_taylor(net: SigmoidNet, order: int) -> np.ndarray:
@@ -157,43 +165,29 @@ def network_taylor(net: SigmoidNet, order: int) -> np.ndarray:
     Returns an (L,) float array, one coefficient per row of
     `multi_index_set(net.dim, order, "total-degree")`, in that order.
     """
-    exps, factors = _taylor_tables(net.dim, order)
-    bias_pow, axis_pow = _power_tables(net, order)
-    bias_sum = factors @ bias_pow  # (L, hidden)
-    weight_pow = axis_pow[0][exps[:, 0], :]
-    for d in range(1, net.dim):
-        weight_pow = weight_pow * axis_pow[d][exps[:, d], :]
+    *_, weight_pow, bias_sum = _expansion(net, order)
     return (weight_pow * bias_sum) @ net.out_weights
 
 
 def taylor_jacobian(net: SigmoidNet, order: int) -> np.ndarray:
-    """Partial derivatives of every Taylor coefficient w.r.t. every weight.
+    """Partial derivatives of every Taylor coefficient w.r.t. every weight,
+    from the same expansion `network_taylor` sums.
 
-    Shape (L, hidden * (dim + 2)); columns follow the documented flattening
-    (out_weights, then in_weights row-major, then biases).
+    Shape (L, hidden * (dim + 2)); columns follow `param_views`.
     """
-    exps, factors = _taylor_tables(net.dim, order)
+    exps, factors, powers, gathered, weight_pow, bias_sum = _expansion(net, order)
     n, dim = net.hidden, net.dim
-    bias_pow, axis_pow = _power_tables(net, order)
-    bias_sum = factors @ bias_pow  # (L, n)
-
-    gathered = [axis_pow[d][exps[:, d], :] for d in range(dim)]  # each (L, n)
-    weight_pow = gathered[0]
-    for d in range(1, dim):
-        weight_pow = weight_pow * gathered[d]
 
     d_out = weight_pow * bias_sum  # d/d out_weights
 
     # d/d biases: differentiate the bias power series term-wise
     dbias_factors = factors[:, 1:] * np.arange(1, order + 1)[None, :]
-    dbias_sum = dbias_factors @ bias_pow[:order]
-    d_bias = (weight_pow * dbias_sum) * net.out_weights[None, :]
+    d_bias = (weight_pow * (dbias_factors @ powers[0, :order])) * net.out_weights[None, :]
 
     # d/d in_weights[:, d]: lower the exponent on axis d, keep the others
     d_in = np.empty((len(exps), n * dim))
     for d in range(dim):
-        lowered = axis_pow[d][np.maximum(exps[:, d] - 1, 0), :]
-        dpow = exps[:, d][:, None] * lowered
+        dpow = exps[:, d][:, None] * powers[d + 1][np.maximum(exps[:, d] - 1, 0)]
         for other in range(dim):
             if other != d:
                 dpow = dpow * gathered[other]
@@ -202,14 +196,18 @@ def taylor_jacobian(net: SigmoidNet, order: int) -> np.ndarray:
     return np.hstack([d_out, d_in, d_bias])
 
 
+def param_views(theta: np.ndarray, hidden: int, dim: int):
+    """(out_weights, in_weights (hidden, dim), biases) as views of a flat
+    parameter vector: the one place the flattening order is written."""
+    split = hidden * (dim + 1)
+    return theta[:hidden], theta[hidden:split].reshape(hidden, dim), theta[split:]
+
+
 def unflatten_params(theta: np.ndarray, hidden: int, dim: int) -> SigmoidNet:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (hidden * (dim + 2),):
         raise ValueError(f"parameter vector has {theta.size} entries, expected {hidden * (dim + 2)}")
-    out_w = theta[:hidden]
-    in_w = theta[hidden : hidden + hidden * dim].reshape(hidden, dim)
-    biases = theta[hidden + hidden * dim :]
-    return SigmoidNet(out_w, in_w, biases)
+    return SigmoidNet(*param_views(theta, hidden, dim))
 
 
 # -- serialization -----------------------------------------------------------

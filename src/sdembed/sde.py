@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -75,6 +76,9 @@ class SdeModel:
             for p in row:
                 if p.dim != self.dim:
                     raise ValueError("diffusion polynomial dimension mismatch")
+        polys = [*self.drift, *(p for row in self.diffusion for p in row)]
+        if not all(math.isfinite(c) for p in polys for c in p.terms.values()):
+            raise ValueError("drift and diffusion coefficients must be finite")
 
     @cached_property
     def fingerprint(self) -> str:
@@ -159,8 +163,13 @@ def shift_model_origin(model: SdeModel, offset) -> SdeModel:
     offset = tuple(float(c) for c in offset)
     if len(offset) != model.dim:
         raise ValueError(f"offset length {len(offset)} != model dimension {model.dim}")
-    drift = tuple(p.shift(offset) for p in model.drift)
-    diffusion = tuple(tuple(p.shift(offset) for p in row) for row in model.diffusion)
+    if not all(map(math.isfinite, offset)):
+        raise ValueError(f"origin must be finite, got {list(offset)}")
+    try:
+        drift = tuple(p.shift(offset) for p in model.drift)
+        diffusion = tuple(tuple(p.shift(offset) for p in row) for row in model.diffusion)
+    except OverflowError:  # a power of the offset exceeds the float range
+        raise ValueError(f"origin {list(offset)} overflows the shifted model's coefficients") from None
     return SdeModel(model.dim, drift, diffusion, name=model.name)
 
 

@@ -4,8 +4,8 @@ Finite differences are built from Fornberg interpolation weights, so the
 derivative estimates here never touch the exact-rational or closed-form
 code they are used to check.  The polynomial, generator, network and fit
 references below (`adjoint_apply`, `multinomial`, `flatten_params`,
-`residuals`, ...) are what the tests compare the library against; no
-library code calls them.
+`residuals`, `reference_train_backprop`, ...) are what the tests compare
+the library against; no library code calls them.
 """
 
 import itertools
@@ -13,8 +13,11 @@ import math
 
 import numpy as np
 
+from scipy.special import expit
+
+from sdembed.baseline import _BETA1, _BETA2, _EPS
 from sdembed.fit import _target_vector
-from sdembed.network import network_taylor
+from sdembed.network import SigmoidNet, network_taylor
 from sdembed.polynomial import Polynomial, index_positions, multi_index_set
 from sdembed.sde import diffusion_product
 
@@ -252,3 +255,41 @@ def taylor_terms(net, order):
 def value_at(coeffs, index):
     """The solved coefficient P(index, t) of a `DualCoefficients`."""
     return float(coeffs.values[index_positions(coeffs.index_set, index)])
+
+
+def reference_train_backprop(data, config):
+    """Mini-batch Adam by the earlier formulation of `train_backprop`: q, R
+    and s drawn as three arrays, each with its own Adam moments, updated one
+    after another, and the epoch loss computed inline.  Returns the trained
+    `SigmoidNet` and the loss trace."""
+    hidden, dim = config.hidden, data.dim
+    rng = np.random.default_rng(config.seed)
+    out_w = rng.uniform(-1.0, 1.0, hidden)
+    in_w = rng.uniform(-1.0, 1.0, (hidden, dim))
+    biases = rng.uniform(-1.0, 1.0, hidden)
+    params = [out_w, in_w, biases]
+    first = [np.zeros_like(p) for p in params]
+    second = [np.zeros_like(p) for p in params]
+    adam_step = 0
+    trace = np.empty(config.epochs)
+    for epoch in range(config.epochs):
+        order = rng.permutation(data.size)
+        for lo_idx in range(0, data.size, config.batch_size):
+            batch = order[lo_idx : lo_idx + config.batch_size]
+            x = data.inputs[batch]
+            y = data.targets[batch]
+            hidden_act = expit(x @ in_w.T + biases)
+            err = hidden_act @ out_w - y
+            scale = 2.0 / batch.size
+            d_hidden = (scale * err)[:, None] * out_w[None, :] * hidden_act * (1.0 - hidden_act)
+            grads = [hidden_act.T @ (scale * err), d_hidden.T @ x, d_hidden.sum(axis=0)]
+            adam_step += 1
+            correct1 = 1.0 - _BETA1**adam_step
+            correct2 = 1.0 - _BETA2**adam_step
+            for p, m, v, g in zip(params, first, second, grads):
+                m += (1.0 - _BETA1) * (g - m)
+                v += (1.0 - _BETA2) * (g * g - v)
+                p -= config.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + _EPS)
+        err = expit(data.inputs @ in_w.T + biases) @ out_w - data.targets
+        trace[epoch] = float(err @ err) / err.size
+    return SigmoidNet(out_w, in_w, biases), trace

@@ -15,6 +15,8 @@ from sdembed.evaluate import analytic_ou_moment
 from sdembed.network import SigmoidNet, forward
 from sdembed.sde import builtin_model
 
+from helpers import reference_train_backprop
+
 
 @pytest.fixture(scope="module")
 def ou_coeffs():
@@ -99,6 +101,21 @@ class TestTrainBackprop:
         data = Dataset(inputs, np.full(64, 1e200), "huge")
         with pytest.raises(TrainingError, match="epoch"):
             train_backprop(data, TrainConfig(hidden=2, epochs=3, batch_size=16, seed=0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_flat_adam_matches_three_array_reference(self, dim, seed):
+        # 203 examples in batches of 32 leave a last batch of 11
+        rng = np.random.default_rng([dim, seed])
+        inputs = rng.uniform(-2, 2, (203, dim))
+        data = Dataset(inputs, np.sin(inputs).sum(axis=1), "reference")
+        config = TrainConfig(hidden=3 + dim, epochs=4, batch_size=32, learning_rate=0.05, seed=seed)
+        result = train_backprop(data, config)
+        net, trace = reference_train_backprop(data, config)
+        assert np.array_equal(result.net.out_weights, net.out_weights)
+        assert np.array_equal(result.net.in_weights, net.in_weights)
+        assert np.array_equal(result.net.biases, net.biases)
+        assert np.array_equal(result.loss_trace, trace)
 
     @pytest.mark.parametrize(
         "settings",

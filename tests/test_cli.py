@@ -309,6 +309,76 @@ def test_non_finite_horizon_or_step_is_usage_error(argv, message, tmp_path, caps
     assert not out.exists()
 
 
+_NAN_MODEL_JSON = '{"dim": 1, "drift": [[{"coef": NaN, "powers": [1]}]], "diffusion": [[[{"coef": 1.0, "powers": [0]}]]]}'
+_MC_OU = ["--t", 0.1, "--dt", 0.01, "--paths", 10, "--m", 1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dual", "ou", "--gamma", "nan", "--order", 1, "--N", 4, "--t", 1], "coefficients must be finite"),
+        (["dual", "vdp", "--epsilon", "inf", "--order", 1, "--N", 4, "--t", 0.1], "coefficients must be finite"),
+        (["dual", "{json}", "--order", 1, "--N", 4, "--t", 1], "coefficients must be finite"),
+        (["mc", "ou", "--gamma", "inf", "--x0", 1, *_MC_OU], "coefficients must be finite"),
+        (["mc", "{json}", "--x0", 1, *_MC_OU], "coefficients must be finite"),
+        (["dual", "ou", "--origin", "nan", "--order", 1, "--N", 4, "--t", 1], "origin must be finite"),
+        (
+            ["dual", "vdp", "--origin", 1e200, 1, "--axis", 2, "--order", 2, "--N", 4, "--t", 0.1],
+            "origin [1e+200, 1.0] overflows",
+        ),
+    ],
+    ids=["dual-gamma-nan", "dual-epsilon-inf", "dual-json-nan", "mc-gamma-inf", "mc-json-nan",
+         "dual-origin-nan", "dual-origin-overflow"],
+)
+def test_non_finite_model_is_usage_error_before_any_work(argv, message, tmp_path, capsys, monkeypatch):
+    # json.loads accepts NaN and Infinity, so a model file can carry them
+    model = tmp_path / "nan.json"
+    model.write_text(_NAN_MODEL_JSON)
+    forbid_work(monkeypatch, "sdembed.cli.solve_moment", "sdembed.cli.simulate")
+    out = tmp_path / "out.csv"
+    code = run([str(a).replace("{json}", str(model)) for a in argv] + ["--out", out])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mc", "ou", "--x0", "nan", *_MC_OU], "x0 must be finite"),
+        (["mc", "ou", "--x0", "inf", *_MC_OU], "x0 must be finite"),
+        (
+            ["train-baseline", "--dual", "{ou}", "--size", 10, "--box", "nan", 1, "--hidden", 2],
+            "region bounds must be finite",
+        ),
+        (
+            ["train-baseline", "--dual", "{ou}", "--size", 10, "--box", -1, 1, "--hidden", 2, "--lr", "nan"],
+            "learning rate must be > 0 and finite",
+        ),
+        (
+            ["train-baseline", "--dual", "{ou}", "--size", 10, "--box", -1, 1, "--hidden", 2, "--lr", "inf"],
+            "learning rate must be > 0 and finite",
+        ),
+        (["eval", "--pred", "dual:{ou}", "--line", "nan", 1, 3], "box bounds must be finite"),
+        (["eval", "--pred", "dual:{vdp}", "--ref", "dual:{vdp}", "--polar", "nan", 3, 3], "r_max must be > 0 and finite"),
+        (["eval", "--pred", "dual:{vdp}", "--ref", "dual:{vdp}", "--polar", "inf", 3, 3], "r_max must be > 0 and finite"),
+        (["eval", "--pred", "ou:t=1,m=1,gamma=nan", "--line", -1, 1, 3], "gamma must be > 0 and finite"),
+        (["eval", "--pred", "ou:t=1,m=2,sigma=inf", "--line", -1, 1, 3], "sigma must be finite"),
+    ],
+    ids=["mc-x0-nan", "mc-x0-inf", "train-baseline-box-nan", "train-baseline-lr-nan", "train-baseline-lr-inf",
+         "eval-line-nan", "eval-polar-nan", "eval-polar-inf", "eval-ou-gamma-nan", "eval-ou-sigma-inf"],
+)
+def test_non_finite_setting_is_usage_error(argv, message, ou_dual_csv, vdp_dual_csv, tmp_path, capsys, monkeypatch):
+    # `simulate` checks x0 itself, so its step kernel is what must not run
+    forbid_work(monkeypatch, "sdembed.mc.monomials", "sdembed.cli.train_backprop")
+    out = tmp_path / "out.csv"
+    argv = [str(a).replace("{ou}", str(ou_dual_csv)).replace("{vdp}", str(vdp_dual_csv)) for a in argv]
+    code = run([*argv, "--out", out])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

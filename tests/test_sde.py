@@ -185,6 +185,32 @@ class TestShiftOrigin:
             shift_model_origin(ou, [1.0, 2.0])
 
 
+_NAN_DRIFT_DOC = '{"dim": 1, "drift": [[{"coef": NaN, "powers": [1]}]], "diffusion": [[[]]]}'
+_VDP_PARAMS = dict.fromkeys(("epsilon", "nu11", "nu22"), 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: builtin_model("ou", {"gamma": math.nan, "sigma": 1.0}), "coefficients must be finite"),
+        (lambda: builtin_model("vdp", {**_VDP_PARAMS, "epsilon": math.inf}), "coefficients must be finite"),
+        (
+            lambda: SdeModel(1, (Polynomial.zero(1),), ((Polynomial.constant(1, -math.inf),),)),
+            "coefficients must be finite",
+        ),
+        (lambda: parse_model(json.loads(_NAN_DRIFT_DOC)), "coefficients must be finite"),
+        (lambda: shift_model_origin(builtin_model("ou", {"gamma": 1.0, "sigma": 1.0}), [math.nan]), "origin must be finite"),
+        (lambda: shift_model_origin(builtin_model("vdp", _VDP_PARAMS), [1e200, 1.0]), r"origin \[1e\+200, 1.0\] overflows"),
+    ],
+    ids=["builtin-nan", "builtin-inf", "diffusion-inf", "json-nan", "origin-nan", "origin-overflow"],
+)
+def test_non_finite_model_coefficients_are_rejected(build, message):
+    # a finite coefficient that overflows in assembly stays a SolverError
+    # (test_dual.py::test_overflowing_generator_raises)
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestSerialization:
     def test_round_trip_builtins(self, ou, vdp):
         for model in (ou, vdp):
