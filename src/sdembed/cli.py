@@ -86,11 +86,12 @@ def _atomic_write_text(path: Path, text: str) -> None:
 class _Run:
     """One command's manifest: everything needed to reproduce its outputs.
 
-    Collects the resolved configuration, seeds, input hashes and outputs
-    while the command runs; `finish` writes `<anchor>.manifest.json`.
+    `main` creates one per invocation and passes it to the command, which
+    records input hashes and outputs through it; `main` then calls
+    `finish`, which writes `<anchor>.manifest.json`.
     """
 
-    def __init__(self, command: str, args: argparse.Namespace, seed_keys: tuple[str, ...]):
+    def __init__(self, args: argparse.Namespace):
         # an output path that is a directory fails the final rename: reject it before any work
         out = getattr(args, "out", None)
         targets = {"--out": out, "--dataset-out": getattr(args, "dataset_out", None)}
@@ -103,10 +104,10 @@ class _Run:
                 raise ValueError(f"{what} names a directory: {path}")
         self.started = time.perf_counter()
         self.manifest = {
-            "command": command,
+            "command": args.command,
             "version": __version__,
             "config": {k: v for k, v in vars(args).items() if k != "func"},
-            "seeds": {k: getattr(args, k) for k in seed_keys if hasattr(args, k)},
+            "seeds": {k: getattr(args, k) for k in ("seed", "data_seed") if hasattr(args, k)},
             "input_hashes": {},
             "outputs": [],
         }
@@ -155,21 +156,17 @@ def _param_flags(args) -> dict[str, float]:
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_dual(args) -> int:
-    run = _Run("dual", args, ())
+def _cmd_dual(args, run: _Run) -> str:
     model = run.model(args.model, _param_flags(args), args.origin)
     coeffs = solve_moment(model, axis=args.axis, power=args.order, t=args.t, max_degree=args.N)
     run.write_output(args.out, coefficients_csv_text(coeffs))
-    run.finish(args.out)
-    print(
+    return (
         f"wrote {args.out}: {len(coeffs.index_set)} coefficients at t={coeffs.t}, "
         f"boundary spill mass {coeffs.spill_mass():.3e}"
     )
-    return 0
 
 
-def _cmd_fit(args) -> int:
-    run = _Run("fit", args, ("seed",))
+def _cmd_fit(args, run: _Run) -> str:
     config = FitConfig(
         hidden=args.hidden,
         order=args.N,
@@ -180,13 +177,10 @@ def _cmd_fit(args) -> int:
     coeffs = read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
     result = fit_network(coeffs, config)
     run.write_output(args.out, json.dumps(fit_result_to_dict(result), indent=2) + "\n")
-    run.finish(args.out)
-    print(f"final cost: {result.cost:.6e} (best of {config.restarts} restarts, converged={result.converged})")
-    return 0
+    return f"final cost: {result.cost:.6e} (best of {config.restarts} restarts, converged={result.converged})"
 
 
-def _cmd_mc(args) -> int:
-    run = _Run("mc", args, ("seed",))
+def _cmd_mc(args, run: _Run) -> str:
     model = run.model(args.model, _param_flags(args))
     check_moment(model.dim, args.axis, args.m)
     config = SimConfig(dt=args.dt, horizon=args.t, paths=args.paths, seed=args.seed)
@@ -194,13 +188,10 @@ def _cmd_mc(args) -> int:
     estimate, std_error = mc_moment(ensemble, args.axis, args.m)
     if args.out:
         run.write_output(args.out, final_states_csv_text(ensemble))
-        run.finish(args.out)
-    print(f"estimate: {estimate!r}  std_error: {std_error!r}  excluded_paths: {ensemble.n_excluded}")
-    return 0
+    return f"estimate: {estimate!r}  std_error: {std_error!r}  excluded_paths: {ensemble.n_excluded}"
 
 
-def _cmd_train_baseline(args) -> int:
-    run = _Run("train-baseline", args, ("seed", "data_seed"))
+def _cmd_train_baseline(args, run: _Run) -> str:
     config = TrainConfig(
         hidden=args.hidden,
         epochs=args.epochs,
@@ -223,9 +214,7 @@ def _cmd_train_baseline(args) -> int:
     run.write_output(args.out, json.dumps(doc, indent=2) + "\n")
     if args.dataset_out:
         run.write_output(args.dataset_out, dataset_csv_text(dataset))
-    run.finish(args.out)
-    print(f"final training MSE: {result.loss_trace[-1]:.6e} over {dataset.size} examples")
-    return 0
+    return f"final training MSE: {result.loss_trace[-1]:.6e} over {dataset.size} examples"
 
 
 # -- eval predictors ---------------------------------------------------------
@@ -331,8 +320,7 @@ def _count(value: float, name: str) -> int:
     return int(value)
 
 
-def _cmd_eval(args) -> int:
-    run = _Run("eval", args, ())
+def _cmd_eval(args, run: _Run) -> str:
     modes = [name for name in ("polar", "grid", "line") if getattr(args, name) is not None]
     if len(modes) != 1:
         raise ValueError("exactly one of --polar, --grid, --line is required")
@@ -366,9 +354,7 @@ def _cmd_eval(args) -> int:
     if args.gnuplot:
         script = _GNUPLOT[mode].format(csv=Path(args.out).name)
         run.write_output(str(args.out) + ".gp", script)
-    run.finish(args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return f"wrote {args.out}"
 
 
 # -- parser ------------------------------------------------------------------
@@ -459,13 +445,17 @@ def main(argv=None) -> int:
     try:
         # building the parser reads SDEMBED_SEED, so a malformed value exits 2 here
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        run = _Run(args)
+        summary = args.func(args, run)
+        run.finish(args.out)
     except (ValueError, FileNotFoundError) as exc:  # ModelParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # SolverError, FitError, EstimationError, TrainingError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

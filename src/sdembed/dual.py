@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,11 +132,11 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     coefficients).  The columns are built together by index arithmetic on
     the (K, dim) exponent array: a drift term c x^e on axis i maps x^n to
     c n_i x^(n - e_i + e), and a [BB^T]_ij term c x^e maps x^n to
-    (c / 2) n_i (n_j - delta_ij) x^(n - e_i - e_j + e).  Each entry is
-    summed in the order of the operator's terms (drift axes, then (i, j)
-    row-major), so the matrix is bit-for-bit the one built column by column
-    from the reference action on one monomial, `adjoint_apply` in
-    `tests/helpers.py`.
+    (c / 2) n_i (n_j - delta_ij) x^(n - e_i - e_j + e).  Each entry is the
+    running sum of one exponent move (shift + e), added in the order of the
+    operator's terms (drift axes, then (i, j) row-major), so the matrix is
+    bit-for-bit the one built column by column from the reference action on
+    one monomial, `adjoint_apply` in `tests/helpers.py`.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -151,31 +152,22 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
         for i in range(dim)
         for j in range(dim)
     ]
-    targets, cols, vals = [np.empty((0, dim), np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    # one running sum per exponent move shift + e, which sends each column to one target
+    sums: defaultdict[tuple[int, ...], np.ndarray] = defaultdict(lambda: np.zeros(size))
     # a 1e308 coefficient must still reach the matrix as inf (SolverError later)
     with np.errstate(over="ignore", invalid="ignore"):
         for poly, scale, shift, multiplier in slots:
             live = np.flatnonzero(multiplier)
             factor = multiplier[live].astype(float)
             for e, c in poly.terms.items():
-                moved = exps[live] + (shift + np.asarray(e, dtype=np.int64))
-                inside = np.all(moved <= max_degree, axis=1)
-                targets.append(moved[inside])
-                cols.append(live[inside])
-                vals.append((c * scale) * factor[inside])
-        rows = index_positions(exps, np.concatenate(targets))
-        # one target per column and term, so each += below hits a key once;
-        # the running sums therefore add in the operator's term order
-        entries, where = np.unique(rows * size + np.concatenate(cols), return_inverse=True)
-        data = np.zeros(entries.size)
-        start = 0
-        for v in vals:
-            data[where[start : start + v.size]] += v
-            start += v.size
-    kept = data != 0.0
-    entries, data = entries[kept], data[kept]
-    indptr = np.searchsorted(entries // size, np.arange(size + 1))
-    matrix = sparse.csr_array((data, entries % size, indptr), shape=(size, size))
+                sums[tuple((shift + e).tolist())][live] += (c * scale) * factor
+    entries = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    for move, total in sums.items():
+        moved = exps + move
+        keep = np.flatnonzero((total != 0.0) & np.all(moved <= max_degree, axis=1))
+        entries.append((index_positions(exps, moved[keep]), keep, total[keep]))
+    rows, cols, data = map(np.concatenate, zip(*entries))
+    matrix = sparse.csr_array((data, (rows, cols)), shape=(size, size))
     return GeneratorMatrix(exps, matrix, model.fingerprint)
 
 
@@ -265,7 +257,8 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     """Moment estimate sum_n P(n, t) x^n at one point (dim,) or a batch (..., dim).
 
     Points are evaluated in blocks of about `_EVAL_BLOCK_BYTES` of
-    monomials, so memory stays bounded by the block plus the output.
+    monomials or of power table, whichever is larger per point, so memory
+    stays bounded by twice the block plus the output.
     """
     x = np.asarray(x, dtype=float)
     dim = coeffs.dim
@@ -274,7 +267,8 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     exps = coeffs.index_set
     flat = x.reshape(-1, dim)
     out = np.empty(flat.shape[0])
-    block = max(1, _EVAL_BLOCK_BYTES // (8 * exps.shape[0]))
+    # per point: K monomials and the (top + 1) x dim power table `monomials` builds
+    block = max(1, _EVAL_BLOCK_BYTES // (8 * max(exps.shape[0], (coeffs.max_degree + 1) * dim)))
     # one buffer for all blocks: a fresh 16 MiB array each made malloc unmap and re-fault it
     work = np.empty((exps.shape[0], min(block, flat.shape[0])))
     for start in range(0, flat.shape[0], block):

@@ -32,7 +32,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dual import DualCoefficients
-from .network import SigmoidNet, net_to_dict, network_taylor, taylor_jacobian, unflatten_params
+from .network import (
+    MAX_SIGMOID_ORDER,
+    SigmoidNet,
+    net_to_dict,
+    network_taylor,
+    taylor_jacobian,
+    unflatten_params,
+)
 from .polynomial import index_positions, multi_index_set
 
 __all__ = [
@@ -78,8 +85,9 @@ class FitConfig:
     def __post_init__(self):
         if self.hidden < 1:
             raise ValueError("hidden node count must be >= 1")
-        if self.order is not None and self.order < 0:
-            raise ValueError("Taylor order must be >= 0")
+        # capped here, before any index set is built: a huge order would size one first
+        if self.order is not None and not 0 <= self.order <= MAX_SIGMOID_ORDER:
+            raise ValueError(f"Taylor order must be >= 0 and <= {MAX_SIGMOID_ORDER}, got {self.order}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
@@ -169,7 +177,8 @@ def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
     independent per-restart stream of the configured seed, so restart k is
     reproducible regardless of how many restarts run.  The lowest-cost
     restart is returned (ties break toward the earlier restart).  An unset
-    `config.order` matches up to the target's truncation, `max_degree`.
+    `config.order` matches up to the target's truncation, `max_degree`,
+    which `FitConfig` then checks like a given order.
     """
     if config.order is None:
         config = replace(config, order=target.max_degree)

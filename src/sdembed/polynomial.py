@@ -68,16 +68,19 @@ def index_positions(index_set: np.ndarray, indices) -> np.ndarray:
     """Rows of the index set (K, dim) holding the multi-indices (..., dim).
 
     This is the package's one lookup of multi-indices, through a dense
-    (max + 1)**dim table over the set; an index outside the set raises
-    KeyError carrying the first such index as a tuple.
+    (top + 1)**dim table, top the smaller of the set's and the queries'
+    largest exponent: set rows off the table match no query, and queries
+    off it are missing.  An index outside the set raises KeyError carrying
+    the first such index as a tuple.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.shape[-1:] != index_set.shape[1:]:
         raise ValueError(f"indices of shape {indices.shape} need {index_set.shape[1]} exponents each")
-    grid = (int(index_set.max()) + 1,) * index_set.shape[1]
-    table = np.zeros(math.prod(grid), dtype=np.int64)
-    table[np.ravel_multi_index(index_set.T, grid)] = np.arange(len(index_set))
     flat = indices.reshape(-1, index_set.shape[1])
+    grid = (int(min(index_set.max(), flat.max(initial=0))) + 1,) * index_set.shape[1]
+    on_table = np.flatnonzero(np.all(index_set < grid[0], axis=1))
+    table = np.zeros(math.prod(grid), dtype=np.int64)
+    table[np.ravel_multi_index(index_set[on_table].T, grid)] = on_table
     # "clip" maps an index off the table to some row, which the comparison rejects
     rows = table[np.ravel_multi_index(flat.T, grid, mode="clip")]
     missing = np.flatnonzero(np.any(index_set[rows] != flat, axis=1))

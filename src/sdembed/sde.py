@@ -191,9 +191,10 @@ def _terms_from_list(doc, dim: int, where: str) -> Polynomial:
         powers = term["powers"]
         if not isinstance(powers, list) or len(powers) != dim:
             raise ModelParseError(f"{loc}.powers: expected {dim} entries")
-        if any(not isinstance(e, int) or e < 0 for e in powers):
+        # JSON true/false load as bool, an int subclass: they are not numbers here
+        if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in powers):
             raise ModelParseError(f"{loc}.powers: exponents must be non-negative integers")
-        if not isinstance(term["coef"], (int, float)):
+        if not isinstance(term["coef"], (int, float)) or isinstance(term["coef"], bool):
             raise ModelParseError(f"{loc}.coef: expected a number")
         key = tuple(powers)
         acc[key] = acc.get(key, 0.0) + float(term["coef"])
@@ -218,9 +219,9 @@ def parse_model(doc: dict) -> SdeModel:
     """
     if not isinstance(doc, dict):
         raise ModelParseError("top level: expected an object")
-    if "dim" not in doc or not isinstance(doc["dim"], int) or doc["dim"] < 1:
+    dim = doc.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ModelParseError("dim: expected a positive integer")
-    dim = doc["dim"]
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ModelParseError("name: expected a string")

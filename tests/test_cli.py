@@ -467,6 +467,61 @@ def test_bad_coefficient_rows_are_usage_errors(text, argv, message, tmp_path, ca
     assert not out.exists()
 
 
+def test_taylor_order_above_cap_is_usage_error_before_reading(vdp_dual_csv, tmp_path, capsys, monkeypatch):
+    # an order of a million would size a total-degree index set of terabytes
+    forbid_work(monkeypatch, "sdembed.cli.read_coefficients_csv")
+    out = tmp_path / "net.json"
+    code = run(["fit", "--dual", vdp_dual_csv, "--hidden", 2, "--N", 1000000, "--out", out])
+    assert code == 2
+    assert "Taylor order must be >= 0 and <= 20, got 1000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_truncation_above_cap_is_usage_error_without_order(tmp_path, capsys):
+    # without --N the order is the file's largest exponent, checked before any index set
+    csv = tmp_path / "wide.csv"
+    csv.write_text("n_1,n_2,value\n0,0,1.0\n1000000,0,2.0\n")
+    out = tmp_path / "net.json"
+    code = run(["fit", "--dual", csv, "--hidden", 2, "--out", out])
+    assert code == 2
+    assert "got 1000000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [csv]
+
+
+def test_large_exponent_row_does_not_size_the_lookup(tmp_path):
+    # the fit queries exponents up to 1; the 1e9 row must not size a table of (1e9 + 1)**2
+    csv = tmp_path / "wide.csv"
+    csv.write_text("n_1,n_2,value\n0,0,1.0\n1,0,0.5\n0,1,0.25\n1000000000,0,2.0\n")
+    out = tmp_path / "net.json"
+    code = run(["fit", "--dual", csv, "--hidden", 2, "--N", 1, "--restarts", 1, "--out", out])
+    assert code == 0
+    assert json.loads(out.read_text())["network"]["hidden"] == 2
+
+
+_TERM = {"coef": 1.0, "powers": [1]}
+
+
+@pytest.mark.parametrize(
+    "doc, location",
+    [
+        ({"dim": True, "drift": [[_TERM]], "diffusion": [[[]]]}, "dim"),
+        ({"dim": 1, "drift": [[{"coef": True, "powers": [1]}]], "diffusion": [[[]]]}, "drift[0][0].coef"),
+        ({"dim": 1, "drift": [[{"coef": 1.0, "powers": [True]}]], "diffusion": [[[]]]}, "drift[0][0].powers"),
+    ],
+    ids=["dim", "coef", "powers"],
+)
+def test_boolean_in_model_json_is_usage_error(doc, location, tmp_path, capsys, monkeypatch):
+    # json.loads gives true as a bool, which Python counts as the int 1
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    forbid_work(monkeypatch, "sdembed.cli.solve_moment")
+    out = tmp_path / "out.csv"
+    code = run(["dual", model, "--order", 1, "--N", 4, "--t", 1, "--out", out])
+    assert code == 2
+    assert f"error: {location}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestMcCommand:
     def test_estimate_printed(self, capsys):
         code = run(["mc", "ou", "--x0", 1.0, "--t", 0.1, "--dt", 0.01, "--paths", 500, "--m", 1, "--seed", 3])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -177,6 +178,23 @@ class TestGeneratorMatchesReferenceAction:
         assert_same_csr(build_generator(model, 8).matrix, generator_by_columns(model, 8))
 
 
+@pytest.mark.parametrize(
+    "model, max_degree, digest",
+    [
+        ("vdp", 60, "6ebd7ad9a0af978301a338ac81a681e733d95f4eaf15bcdbfbc6eb82ef885426"),
+        ("lorenz", 12, "62b0bfe2a9fa853d4b9824dd9e48089c67c6c44194d03c6321734805a61d5c34"),
+    ],
+)
+def test_generator_bits_at_benchmark_scale(model, max_degree, digest, vdp):
+    # the dual-scale workload's sizes; assembly uses no BLAS, so the bits are machine-independent
+    model = vdp if model == "vdp" else lorenz_model()
+    matrix = build_generator(model, max_degree).matrix
+    h = hashlib.sha256()
+    for part in (matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data):
+        h.update(part.tobytes())
+    assert h.hexdigest() == digest
+
+
 class TestInitialCoefficients:
     def test_first_moment_unit_vector(self):
         index_set = multi_index_set(1, 12, "max-degree")
@@ -339,6 +357,20 @@ class TestEvalMoment:
             tracemalloc.stop()
         assert out.shape == (250_000,)
         assert peak < 64 * 2**20
+
+    def test_power_table_memory_is_bounded(self):
+        # one coefficient but a 101-row power table per point: blocks are sized by the table
+        coeffs = DualCoefficients([[100, 0]], [1.0], t=0.0)
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (60_000, 2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = eval_moment(coeffs, pts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(out, pts[:, 0] ** 100, rtol=1e-12, atol=0.0)
+        assert peak < 2 * dual._EVAL_BLOCK_BYTES + out.nbytes
 
     def test_blocks_agree_with_single_points(self, vdp):
         coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=60)

@@ -76,6 +76,20 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError):
             FitConfig(hidden=2, order=4, restarts=0)
 
+    def test_order_above_sigmoid_cap(self):
+        FitConfig(hidden=2, order=20)
+        with pytest.raises(ValueError, match="Taylor order must be >= 0 and <= 20, got 21"):
+            FitConfig(hidden=2, order=21)
+
+    def test_target_truncation_above_cap_rejected_before_matching(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the target vector was built")
+
+        monkeypatch.setattr(fit, "_target_vector", no_work)
+        target = DualCoefficients([[0, 0], [1000000, 0]], np.ones(2), t=0.0)
+        with pytest.raises(ValueError, match="got 1000000"):
+            fit_network(target, FitConfig(hidden=2))
+
 
 
 class TestFitNetwork:

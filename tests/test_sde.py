@@ -257,6 +257,20 @@ class TestSerialization:
         with pytest.raises(ModelParseError, match=r"drift\[1\]\[0\]\.coef"):
             parse_model(doc)
 
+    @pytest.mark.parametrize(
+        "dim, term, location",
+        [
+            (True, {"coef": 1.0, "powers": [1]}, "dim"),
+            (1, {"coef": False, "powers": [1]}, r"drift\[0\]\[0\]\.coef"),
+            (1, {"coef": 1.0, "powers": [True]}, r"drift\[0\]\[0\]\.powers"),
+        ],
+        ids=["dim", "coef", "powers"],
+    )
+    def test_booleans_are_not_numbers(self, dim, term, location):
+        doc = {"dim": dim, "drift": [[term]], "diffusion": [[[]]]}
+        with pytest.raises(ModelParseError, match=rf"^{location}:"):
+            parse_model(doc)
+
     def test_invalid_json_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
