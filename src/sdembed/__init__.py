@@ -31,7 +31,7 @@ from .network import (
     sigmoid_derivatives,
     taylor_jacobian,
 )
-from .polynomial import MultiIndex, Polynomial, monomials, multi_index_set
+from .polynomial import Polynomial, monomials, multi_index_set
 from .sde import (
     ModelParseError,
     SdeModel,
@@ -44,7 +44,6 @@ from .sde import (
 
 __all__ = [
     "__version__",
-    "MultiIndex",
     "Polynomial",
     "multi_index_set",
     "monomials",

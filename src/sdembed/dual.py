@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .polynomial import grlex_order, index_positions, monomials, multi_index_set
+from .polynomial import index_order, index_positions, monomials, multi_index_set
 from .sde import SdeModel, check_moment, diffusion_product
 
 __all__ = [
@@ -51,7 +51,8 @@ _ATOL = 1e-12
 
 
 class SolverError(RuntimeError):
-    """ODE integration failure, carrying the integrator diagnostics."""
+    """ODE integration failure, carrying the integrator diagnostics, or a
+    moment that float arithmetic cannot evaluate at a point."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -83,13 +84,7 @@ class DualCoefficients:
         if index_set.ndim != 2 or 0 in index_set.shape or index_set.dtype.kind not in "iu":
             shape = f"{index_set.dtype} array of shape {index_set.shape}"
             raise ValueError(f"index set must be a non-empty (K, dim) integer array, got {shape}")
-        negative = np.any(index_set < 0, axis=1)
-        if negative.any():
-            raise ValueError(f"negative exponent in index {tuple(index_set[negative][0].tolist())}")
-        ordered = index_set[grlex_order(index_set)]
-        repeated = np.flatnonzero(np.all(ordered[1:] == ordered[:-1], axis=1))
-        if repeated.size:
-            raise ValueError(f"index {tuple(ordered[repeated[0]].tolist())} appears more than once")
+        index_order(index_set)
         values = np.array(self.values, dtype=float)
         if values.shape != (len(index_set),):
             raise ValueError(f"values shape {values.shape} != index count {len(index_set)}")
@@ -145,10 +140,11 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     size = len(exps)
     unit = np.eye(dim, dtype=np.int64)
     product = diffusion_product(model)
-    # (polynomial, coefficient scale, exponent shift, integer multiplier per column)
-    slots = [(model.drift[i], 1.0, -unit[i], exps[:, i]) for i in range(dim)]
+    # (term exponents, coefficient column, scale, exponent shift, integer multiplier per column)
+    slots = [(model.terms.exps, model.drift[:, i], 1.0, -unit[i], exps[:, i]) for i in range(dim)]
     slots += [
-        (product[i][j], 0.5, -unit[i] - unit[j], exps[:, i] * (exps[:, j] - (i == j)))
+        (product.exps, product.coefs[:, i * dim + j], 0.5, -unit[i] - unit[j],
+         exps[:, i] * (exps[:, j] - (i == j)))
         for i in range(dim)
         for j in range(dim)
     ]
@@ -156,11 +152,12 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     sums: defaultdict[tuple[int, ...], np.ndarray] = defaultdict(lambda: np.zeros(size))
     # a 1e308 coefficient must still reach the matrix as inf (SolverError later)
     with np.errstate(over="ignore", invalid="ignore"):
-        for poly, scale, shift, multiplier in slots:
+        for terms, column, scale, shift, multiplier in slots:
             live = np.flatnonzero(multiplier)
             factor = multiplier[live].astype(float)
-            for e, c in poly.terms.items():
-                sums[tuple((shift + e).tolist())][live] += (c * scale) * factor
+            for e, c in zip(terms.tolist(), column.tolist()):
+                if c != 0.0:
+                    sums[tuple((shift + e).tolist())][live] += (c * scale) * factor
     entries = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     for move, total in sums.items():
         moved = exps + move
@@ -258,7 +255,9 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
 
     Points are evaluated in blocks of about `_EVAL_BLOCK_BYTES` of
     monomials or of power table, whichever is larger per point, so memory
-    stays bounded by twice the block plus the output.
+    stays bounded by twice the block plus the output.  A power table of one
+    point above the block is a ValueError, raised before any work, and a
+    non-finite moment (a power of x overflows) a SolverError.
     """
     x = np.asarray(x, dtype=float)
     dim = coeffs.dim
@@ -268,13 +267,23 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     flat = x.reshape(-1, dim)
     out = np.empty(flat.shape[0])
     # per point: K monomials and the (top + 1) x dim power table `monomials` builds
-    block = max(1, _EVAL_BLOCK_BYTES // (8 * max(exps.shape[0], (coeffs.max_degree + 1) * dim)))
+    table = 8 * (coeffs.max_degree + 1) * dim
+    if table > _EVAL_BLOCK_BYTES:
+        raise ValueError(
+            f"exponent {coeffs.max_degree} needs a {table}-byte power table per point, "
+            f"above the {_EVAL_BLOCK_BYTES}-byte evaluation block"
+        )
+    block = max(1, _EVAL_BLOCK_BYTES // max(8 * exps.shape[0], table))
     # one buffer for all blocks: a fresh 16 MiB array each made malloc unmap and re-fault it
     work = np.empty((exps.shape[0], min(block, flat.shape[0])))
-    for start in range(0, flat.shape[0], block):
-        points = flat[start : start + block]
-        terms = monomials(points, exps, out=work[:, : points.shape[0]].T)
-        out[start : start + block] = terms @ coeffs.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.shape[0], block):
+            points = flat[start : start + block]
+            terms = monomials(points, exps, out=work[:, : points.shape[0]].T)
+            out[start : start + block] = terms @ coeffs.values
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise SolverError(f"moment at x = {flat[bad[0]].tolist()} is not finite in float arithmetic")
     out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 

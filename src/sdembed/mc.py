@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import grlex_order, monomials
+from .polynomial import Polynomial
 from .sde import SdeModel, check_moment
 
 __all__ = [
@@ -94,14 +94,10 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     dim, steps = model.dim, config.steps
     sqrt_dt = math.sqrt(config.dt)
-    # compiled once: a coefficient column per a_i, then per nonzero B_ij (row-major),
-    # over the union of their exponents, so a step is one kernel call and one product
-    pairs = [(i, j) for i in range(dim) for j in range(dim) if not model.diffusion[i][j].is_zero()]
-    polys = [*model.drift, *(model.diffusion[i][j] for i, j in pairs)]
-    exps = np.array(list({n for p in polys for n in p.terms}), dtype=np.int64).reshape(-1, dim)
-    exps = exps[grlex_order(exps)]
-    coefs = np.array([[p.coefficient(n) for p in polys] for n in exps.tolist()])
-    coefs = coefs.reshape(-1, len(polys))
+    # one table per call, so a step is one evaluation: a column per a_i, then per nonzero B_ij
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if np.any(model.diffusion[:, i, j])]
+    columns = [model.drift, *(model.diffusion[:, i, j, None] for i, j in pairs)]
+    field = Polynomial(model.terms.exps, np.hstack(columns))
     final = np.tile(x0, (config.paths, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
@@ -110,7 +106,7 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
             for start in range(0, config.paths, _CHUNK_PATHS):
                 states = final[start : start + _CHUNK_PATHS]
                 xi = gen.standard_normal(states.shape)
-                values = monomials(states, exps) @ coefs
+                values = field.evaluate(states)
                 incr = values[:, :dim] * config.dt
                 for col, (i, j) in enumerate(pairs, start=dim):
                     incr[:, i] += values[:, col] * (sqrt_dt * xi[:, j])

@@ -1,36 +1,31 @@
-"""Sparse multivariate polynomials over exponent multi-indices.
+"""Multivariate polynomials as term tables over exponent multi-indices.
 
-A multi-index is a tuple of non-negative integer exponents, one per
-coordinate, naming the monomial x^n = prod_i x_i^{n_i}.  A Polynomial maps
-multi-indices to float coefficients.  Terms whose coefficient is exactly
-0.0 are never stored, and pruning uses an exact-zero test only, so the
-sparsity pattern is never altered by epsilon thresholds.  Instances are
-immutable after construction; every operation returns a new value.
-
-An index set is a read-only (K, dim) int64 array of exponent rows in graded
+A multi-index is a row of non-negative integer exponents, one per
+coordinate, naming the monomial x^n = prod_i x_i^{n_i}.  An index set is a
+read-only (K, dim) int64 array of distinct exponent rows in graded
 lexicographic order (total degree first, then x_1 before x_2 before ...),
 which fixes the vector layout used by the coefficient solver and the
-least-squares residuals.  Tuples remain only as `Polynomial` term keys.
+least-squares residuals; `index_order` is the one check of such rows.
 
-`monomials` is the one evaluator of monomials at points: `Polynomial` compiles
-its terms for it once, and `dual.eval_moment` and `mc.simulate` call it too.
+A `Polynomial` is one such table with a coefficient row per exponent row,
+so a column holds one polynomial and a model's whole drift and diffusion
+share one table.  Only exact zeros are pruned, so the sparsity pattern is
+never altered by epsilon thresholds.  `monomials` is the one evaluator of
+monomials at points: `Polynomial.evaluate`, `dual.eval_moment` and, through
+`evaluate`, `mc.simulate` share it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-MultiIndex = tuple[int, ...]
-
 __all__ = [
-    "MultiIndex",
     "Polynomial",
     "grlex_order",
+    "index_order",
     "index_positions",
     "multi_index_set",
     "monomials",
@@ -41,6 +36,20 @@ def grlex_order(exps: np.ndarray) -> np.ndarray:
     """Permutation sorting exponent rows (K, dim) by degree, then x_1 > x_2 > ..."""
     # lexsort's last key is the primary one
     return np.lexsort(np.vstack([-exps[:, ::-1].T, exps.sum(axis=1)]))
+
+
+def index_order(exps: np.ndarray) -> np.ndarray:
+    """`grlex_order` of exponent rows (K, dim) that must be non-negative and
+    distinct: the one check of a table's index rows."""
+    negative = np.any(exps < 0, axis=1)
+    if negative.any():
+        raise ValueError(f"negative exponent in index {tuple(exps[negative][0].tolist())}")
+    order = grlex_order(exps)
+    ordered = exps[order]
+    repeated = np.flatnonzero(np.all(ordered[1:] == ordered[:-1], axis=1))
+    if repeated.size:
+        raise ValueError(f"index {tuple(ordered[repeated[0]].tolist())} appears more than once")
+    return order
 
 
 def multi_index_set(dim: int, order: int, mode: str = "total-degree") -> np.ndarray:
@@ -118,116 +127,48 @@ def monomials(x: np.ndarray, exps: np.ndarray, out: np.ndarray | None = None) ->
 
 
 class Polynomial:
-    """Immutable sparse polynomial with float coefficients."""
+    """Term table of m polynomials in dim variables: distinct exponent rows
+    `exps` (T, dim) in grlex order and coefficient rows `coefs` (T, m),
+    column c holding polynomial c's coefficients.  Both arrays are
+    read-only, and a row whose coefficients are all exactly 0.0 is not kept.
+    """
 
-    # _exps (K, dim) and _coefs (K,) hold the terms compiled for `monomials`
-    __slots__ = ("_dim", "_terms", "_exps", "_coefs")
+    __slots__ = ("exps", "coefs")
 
-    def __init__(self, dim: int, terms: Mapping[MultiIndex, float] | None = None):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        clean: dict[MultiIndex, float] = {}
-        for index, coef in (terms or {}).items():
-            index = tuple(int(e) for e in index)
-            if len(index) != dim:
-                raise ValueError(f"index {index} has length {len(index)}, expected {dim}")
-            if any(e < 0 for e in index):
-                raise ValueError(f"negative exponent in index {index}")
-            coef = float(coef)
-            if coef != 0.0:
-                clean[index] = coef
-        self._dim = dim
-        exps = np.array(list(clean), dtype=np.int64).reshape(-1, dim)
-        # canonical term order makes evaluation and repr deterministic
-        self._exps = exps[grlex_order(exps)]
-        self._terms = {n: clean[n] for n in map(tuple, self._exps.tolist())}
-        self._coefs = np.array(list(self._terms.values()), dtype=float)
+    def __init__(self, exps, coefs):
+        exps, coefs = np.array(exps, dtype=np.int64), np.array(coefs, dtype=float)
+        if exps.ndim != 2 or exps.shape[1] < 1 or coefs.ndim != 2 or len(coefs) != len(exps):
+            raise ValueError(f"need (T, dim) exponents, (T, m) coefficients, got {exps.shape}, {coefs.shape}")
+        order = index_order(exps)
+        order = order[np.any(coefs[order] != 0.0, axis=1)]
+        # + 0.0 turns a stored -0.0 into 0.0, the value of an absent term
+        self.exps, self.coefs = exps[order], coefs[order] + 0.0
+        self.exps.flags.writeable = self.coefs.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return self._dim
-
-    @property
-    def terms(self) -> Mapping[MultiIndex, float]:
-        return MappingProxyType(self._terms)
-
-    @classmethod
-    def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim, {})
-
-    @classmethod
-    def constant(cls, dim: int, value: float) -> "Polynomial":
-        return cls(dim, {(0,) * dim: value})
-
-    def coefficient(self, index: MultiIndex) -> float:
-        return self._terms.get(tuple(index), 0.0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def _coerce(self, other) -> "Polynomial | None":
-        if isinstance(other, Polynomial):
-            if other._dim != self._dim:
-                raise ValueError(f"dimension mismatch: {self._dim} vs {other._dim}")
-            return other
-        return None
-
-    def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for index, coef in other._terms.items():
-            acc[index] = acc.get(index, 0.0) + coef
-        return Polynomial(self._dim, acc)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc: dict[MultiIndex, list[float]] = {}
-        for na, ca in self._terms.items():
-            for nb, cb in other._terms.items():
-                key = tuple(a + b for a, b in zip(na, nb))
-                acc.setdefault(key, []).append(ca * cb)
-        # fsum is exactly rounded, so the result is independent of term order
-        # and multiplication commutes bit-for-bit
-        return Polynomial(self._dim, {key: math.fsum(vals) for key, vals in acc.items()})
+        return self.exps.shape[1]
 
     def shift(self, offset) -> "Polynomial":
-        """Re-expand around a translated origin: returns q with q(y) = p(y + offset)."""
+        """Re-expand around a translated origin: column c of the result is q_c
+        with q_c(y) = p_c(y + offset).  A power of the offset beyond the float
+        range raises OverflowError; an overflowing coefficient becomes inf or nan."""
         offset = tuple(float(c) for c in offset)
-        if len(offset) != self._dim:
-            raise ValueError(f"offset length {len(offset)} != dimension {self._dim}")
-        acc: dict[MultiIndex, float] = {}
-        for index, coef in self._terms.items():
-            for sub in itertools.product(*(range(e + 1) for e in index)):
-                w = coef
-                for e, j, c in zip(index, sub, offset):
-                    w *= math.comb(e, j) * c ** (e - j)
-                if w != 0.0:
+        if len(offset) != self.dim:
+            raise ValueError(f"offset length {len(offset)} != dimension {self.dim}")
+        acc: dict[tuple[int, ...], np.ndarray] = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for index, coef in zip(self.exps.tolist(), self.coefs):
+                for sub in itertools.product(*(range(e + 1) for e in index)):
+                    w = coef
+                    for e, j, c in zip(index, sub, offset):
+                        w = w * (math.comb(e, j) * c ** (e - j))
                     acc[sub] = acc.get(sub, 0.0) + w
-        return Polynomial(self._dim, acc)
+        exps = np.array(list(acc), dtype=np.int64).reshape(-1, self.dim)
+        return Polynomial(exps, np.array(list(acc.values())).reshape(-1, self.coefs.shape[1]))
 
-    def evaluate(self, x) -> float | np.ndarray:
-        """Evaluate at a point (dim,) or a batch (..., dim) of points."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self._dim:
-            raise ValueError(f"point dimension {x.shape[-1]} != polynomial dimension {self._dim}")
-        out = monomials(x, self._exps) @ self._coefs
-        return float(out) if out.ndim == 0 else out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._dim == other._dim and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return f"Polynomial({self._dim}, 0)"
-        bits = []
-        for index, coef in self._terms.items():
-            mono = "*".join(f"x{d + 1}^{e}" for d, e in enumerate(index) if e > 0)
-            bits.append(f"{coef:g}*{mono}" if mono else f"{coef:g}")
-        return f"Polynomial({self._dim}, {' + '.join(bits)})"
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The m polynomials at float points x (..., dim), as an array (..., m)."""
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"point dimension {x.shape[-1]} != polynomial dimension {self.dim}")
+        return monomials(x, self.exps) @ self.coefs

@@ -1,8 +1,10 @@
 """Polynomial-coefficient SDE models dx = a(x) dt + B(x) dW.
 
-The drift vector a and diffusion matrix B are sparse polynomials, which
-keeps the image of any monomial under the backward-equation generator a
-finite polynomial.  The generator acting on observables is
+The drift vector a and diffusion matrix B are polynomials, which keeps
+the image of any monomial under the backward-equation generator a finite
+polynomial.  A model holds them as one term table (`Polynomial`) whose
+columns are a_1 ... a_d, then B row-major.  The generator acting on
+observables is
 
     L = sum_i a_i(x) d/dx_i + 1/2 sum_{i,j} [B(x) B(x)^T]_{i,j} d2/dx_i dx_j
 
@@ -22,7 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .polynomial import MultiIndex, Polynomial
+import numpy as np
+
+from .polynomial import Polynomial
 
 __all__ = [
     "BUILTIN_PARAMS",
@@ -53,32 +57,32 @@ class ModelParseError(ValueError):
 
 @dataclass(frozen=True)
 class SdeModel:
-    """SDE with polynomial drift vector and polynomial diffusion matrix."""
+    """SDE whose drift vector and diffusion matrix share one term table:
+    columns a_1 ... a_d, then B_11, B_12, ... row-major."""
 
-    dim: int
-    drift: tuple[Polynomial, ...]
-    diffusion: tuple[tuple[Polynomial, ...], ...]
+    terms: Polynomial
     name: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "drift", tuple(self.drift))
-        object.__setattr__(self, "diffusion", tuple(tuple(row) for row in self.diffusion))
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if len(self.drift) != self.dim:
-            raise ValueError(f"drift has {len(self.drift)} entries, expected {self.dim}")
-        if len(self.diffusion) != self.dim or any(len(row) != self.dim for row in self.diffusion):
-            raise ValueError(f"diffusion must be a {self.dim}x{self.dim} matrix")
-        for p in self.drift:
-            if p.dim != self.dim:
-                raise ValueError("drift polynomial dimension mismatch")
-        for row in self.diffusion:
-            for p in row:
-                if p.dim != self.dim:
-                    raise ValueError("diffusion polynomial dimension mismatch")
-        polys = [*self.drift, *(p for row in self.diffusion for p in row)]
-        if not all(math.isfinite(c) for p in polys for c in p.terms.values()):
+        d, columns = self.dim, self.terms.coefs.shape[1]
+        if columns != d * (d + 1):
+            raise ValueError(f"a {d}-D model needs {d * (d + 1)} coefficient columns, got {columns}")
+        if not np.all(np.isfinite(self.terms.coefs)):
             raise ValueError("drift and diffusion coefficients must be finite")
+
+    @property
+    def dim(self) -> int:
+        return self.terms.dim
+
+    @property
+    def drift(self) -> np.ndarray:
+        """Read-only (T, d) view: column i holds a_i over the exponent rows."""
+        return self.terms.coefs[:, : self.dim]
+
+    @property
+    def diffusion(self) -> np.ndarray:
+        """Read-only (T, d, d) view: [:, i, j] holds B_ij over the exponent rows."""
+        return self.terms.coefs[:, self.dim :].reshape(-1, self.dim, self.dim)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -123,35 +127,46 @@ def builtin_model(name: str, params: dict | None = None) -> SdeModel:
         raise ValueError(f"unknown builtin model {name!r}")
     p = _require_params(name, dict(params or {}), BUILTIN_PARAMS[key])
     if key == "ornstein-uhlenbeck":
-        drift = (Polynomial(1, {(1,): -p["gamma"]}),)
-        diffusion = ((Polynomial.constant(1, p["sigma"]),),)
-        return SdeModel(1, drift, diffusion, name=key)
+        return SdeModel(_table(1, [{(1,): -p["gamma"]}, {(0,): p["sigma"]}]), key)
     eps = p["epsilon"]
-    drift = (
-        Polynomial(2, {(0, 1): 1.0}),
-        Polynomial(2, {(0, 1): eps, (2, 1): -eps, (1, 0): -1.0}),
-    )
-    diffusion = (
-        (Polynomial.constant(2, p["nu11"]), Polynomial.zero(2)),
-        (Polynomial.zero(2), Polynomial.constant(2, p["nu22"])),
-    )
-    return SdeModel(2, drift, diffusion, name=key)
+    columns = [{(0, 1): 1.0}, {(0, 1): eps, (2, 1): -eps, (1, 0): -1.0}]
+    columns += [{(0, 0): p["nu11"]}, {}, {}, {(0, 0): p["nu22"]}]
+    return SdeModel(_table(2, columns), key)
 
 
-def diffusion_product(model: SdeModel) -> tuple[tuple[Polynomial, ...], ...]:
-    """B B^T as exact polynomial products, entry (i, j) at [i][j]; symmetric
-    by construction."""
+def _table(dim: int, columns: list[dict]) -> Polynomial:
+    """One term table from per-column maps {exponent tuple: coefficient}."""
+    rows = list(dict.fromkeys(n for column in columns for n in column))
+    coefs = [[column.get(n, 0.0) for column in columns] for n in rows]
+    exps = np.array(rows, dtype=np.int64).reshape(-1, dim)
+    return Polynomial(exps, np.array(coefs, dtype=float).reshape(-1, len(columns)))
+
+
+def _columns(table: Polynomial) -> list[dict]:
+    """Each column's nonzero terms {exponent tuple: coefficient}, in grlex order."""
+    rows = list(map(tuple, table.exps.tolist()))
+    return [{n: c for n, c in zip(rows, column) if c != 0.0} for column in table.coefs.T.tolist()]
+
+
+def diffusion_product(model: SdeModel) -> Polynomial:
+    """B B^T as exact polynomial products: column i * d + j holds [B B^T]_ij,
+    symmetric by construction.  Each product B_ik B_jk is a math.fsum over
+    its term pairs per exponent, and the products are added over k in order."""
     d = model.dim
-    rows = []
+    entries = _columns(model.terms)[d:]  # B_ik at i * d + k
+    columns = []
     for i in range(d):
-        row = []
         for j in range(d):
-            acc = Polynomial.zero(d)
+            acc: dict[tuple[int, ...], float] = {}
             for k in range(d):
-                acc = acc + model.diffusion[i][k] * model.diffusion[j][k]
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+                pairs: dict[tuple[int, ...], list[float]] = {}
+                for na, ca in entries[i * d + k].items():
+                    for nb, cb in entries[j * d + k].items():
+                        pairs.setdefault(tuple(a + b for a, b in zip(na, nb)), []).append(ca * cb)
+                for n, values in pairs.items():
+                    acc[n] = acc.get(n, 0.0) + math.fsum(values)
+            columns.append(acc)
+    return _table(d, columns)
 
 
 def shift_model_origin(model: SdeModel, offset) -> SdeModel:
@@ -166,24 +181,18 @@ def shift_model_origin(model: SdeModel, offset) -> SdeModel:
     if not all(map(math.isfinite, offset)):
         raise ValueError(f"origin must be finite, got {list(offset)}")
     try:
-        drift = tuple(p.shift(offset) for p in model.drift)
-        diffusion = tuple(tuple(p.shift(offset) for p in row) for row in model.diffusion)
+        return SdeModel(model.terms.shift(offset), model.name)
     except OverflowError:  # a power of the offset exceeds the float range
         raise ValueError(f"origin {list(offset)} overflows the shifted model's coefficients") from None
-    return SdeModel(model.dim, drift, diffusion, name=model.name)
 
 
 # -- serialization -----------------------------------------------------------
 
 
-def _terms_to_list(p: Polynomial) -> list[dict]:
-    return [{"coef": c, "powers": list(n)} for n, c in p.terms.items()]
-
-
-def _terms_from_list(doc, dim: int, where: str) -> Polynomial:
+def _terms_from_list(doc, dim: int, where: str) -> dict:
     if not isinstance(doc, list):
         raise ModelParseError(f"{where}: expected a list of terms")
-    acc: dict[MultiIndex, float] = {}
+    acc: dict[tuple[int, ...], float] = {}
     for t, term in enumerate(doc):
         loc = f"{where}[{t}]"
         if not isinstance(term, dict) or "coef" not in term or "powers" not in term:
@@ -198,15 +207,13 @@ def _terms_from_list(doc, dim: int, where: str) -> Polynomial:
             raise ModelParseError(f"{loc}.coef: expected a number")
         key = tuple(powers)
         acc[key] = acc.get(key, 0.0) + float(term["coef"])
-    return Polynomial(dim, acc)
+    return acc
 
 
 def model_to_dict(model: SdeModel) -> dict:
-    doc = {
-        "dim": model.dim,
-        "drift": [_terms_to_list(p) for p in model.drift],
-        "diffusion": [[_terms_to_list(p) for p in row] for row in model.diffusion],
-    }
+    d = model.dim
+    terms = [[{"coef": c, "powers": list(n)} for n, c in column.items()] for column in _columns(model.terms)]
+    doc = {"dim": d, "drift": terms[:d], "diffusion": [terms[d * (i + 1) : d * (i + 2)] for i in range(d)]}
     if model.name is not None:
         doc["name"] = model.name
     return doc
@@ -231,13 +238,12 @@ def parse_model(doc: dict) -> SdeModel:
     diff_doc = doc.get("diffusion")
     if not isinstance(diff_doc, list) or len(diff_doc) != dim:
         raise ModelParseError(f"diffusion: expected a {dim}x{dim} matrix of term lists")
-    drift = tuple(_terms_from_list(row, dim, f"drift[{i}]") for i, row in enumerate(drift_doc))
-    rows = []
+    columns = [_terms_from_list(row, dim, f"drift[{i}]") for i, row in enumerate(drift_doc)]
     for i, row in enumerate(diff_doc):
         if not isinstance(row, list) or len(row) != dim:
             raise ModelParseError(f"diffusion[{i}]: expected {dim} term lists")
-        rows.append(tuple(_terms_from_list(cell, dim, f"diffusion[{i}][{j}]") for j, cell in enumerate(row)))
-    return SdeModel(dim, drift, tuple(rows), name=name)
+        columns += [_terms_from_list(cell, dim, f"diffusion[{i}][{j}]") for j, cell in enumerate(row)]
+    return SdeModel(_table(dim, columns), name)
 
 
 def read_model(path) -> SdeModel:

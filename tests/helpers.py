@@ -6,6 +6,13 @@ code they are used to check.  The polynomial, generator, network and fit
 references below (`adjoint_apply`, `multinomial`, `flatten_params`,
 `residuals`, `reference_train_backprop`, ...) are what the tests compare
 the library against; no library code calls them.
+
+A polynomial here is a term map {exponent tuple: coefficient} holding no
+exact zeros.  `add` and `mul` are its whole algebra: `add` adds the second
+map's terms to the first's, and `mul` sums each product coefficient with
+`math.fsum`, so it is exactly rounded and commutes bit for bit.  `table`,
+`terms` and `make_model` convert between term maps and the library's term
+tables (`Polynomial`) and models.
 """
 
 import itertools
@@ -19,7 +26,7 @@ from sdembed.baseline import _BETA1, _BETA2, _EPS
 from sdembed.fit import _target_vector
 from sdembed.network import SigmoidNet, network_taylor
 from sdembed.polynomial import Polynomial, index_positions, multi_index_set
-from sdembed.sde import diffusion_product
+from sdembed.sde import diffusion_product, parse_model
 
 
 def fd_weights(order, nodes, center=0.0):
@@ -119,7 +126,7 @@ def term_sum(poly, x):
     coef * np.prod(x ** e), added up in the polynomial's term order."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[:-1])
-    for index, coef in poly.terms.items():
+    for index, coef in poly.items():
         out = out + coef * np.prod(x ** np.asarray(index, dtype=np.int64), axis=-1)
     return out
 
@@ -148,48 +155,93 @@ def cumprod_monomials(x, exps, out=None):
     return np.moveaxis(rows, 0, -1)
 
 
+def table(dim, *columns):
+    """The term table (`Polynomial`) whose column c holds the term map columns[c]."""
+    rows = sorted({n for column in columns for n in column}, key=grlex_key)
+    coefs = np.array([[column.get(n, 0.0) for column in columns] for n in rows], dtype=float)
+    return Polynomial(np.array(rows, dtype=np.int64).reshape(-1, dim), coefs.reshape(-1, len(columns)))
+
+
+def terms(poly, column=0):
+    """One column of a term table as a term map, in the table's row order."""
+    rows = map(tuple, poly.exps.tolist())
+    return {n: c for n, c in zip(rows, poly.coefs[:, column].tolist()) if c != 0.0}
+
+
+def make_model(drift, diffusion, name=None):
+    """The model with drift term maps a_i and diffusion term maps B_ij
+    (nested row lists), built through the JSON model format."""
+    def cell(poly):
+        return [{"coef": c, "powers": list(n)} for n, c in poly.items()]
+
+    doc = {"dim": len(drift), "drift": [cell(p) for p in drift]}
+    doc["diffusion"] = [[cell(p) for p in row] for row in diffusion]
+    return parse_model(doc if name is None else {**doc, "name": name})
+
+
+def drift_terms(model, i):
+    return terms(model.terms, i)
+
+
+def diffusion_terms(model, i, j):
+    return terms(model.terms, model.dim * (i + 1) + j)
+
+
+def add(p, q):
+    """p + q: q's terms added to p's in q's order; exact zeros dropped."""
+    acc = dict(p)
+    for index, coef in q.items():
+        acc[index] = acc.get(index, 0.0) + coef
+    return {n: c for n, c in acc.items() if c != 0.0}
+
+
+def mul(p, q):
+    """p * q, each coefficient a `math.fsum` over its term pairs; exact zeros dropped."""
+    acc = {}
+    for na, ca in p.items():
+        for nb, cb in q.items():
+            acc.setdefault(tuple(a + b for a, b in zip(na, nb, strict=True)), []).append(ca * cb)
+    return {n: c for n, c in ((n, math.fsum(v)) for n, v in acc.items()) if c != 0.0}
+
+
+def scale(poly, factor):
+    """The term map with every coefficient multiplied by a float factor."""
+    return {n: c for n, c in ((n, c * factor) for n, c in poly.items()) if c != 0.0}
+
+
 def total_degree(poly):
     """Largest total degree of a term; the zero polynomial reports 0."""
-    return max((sum(n) for n in poly.terms), default=0)
+    return max((sum(n) for n in poly), default=0)
 
 
 def allclose(p, q, rel_tol=1e-12, abs_tol=0.0):
-    """Coefficient-wise closeness of two polynomials over the union of their terms."""
-    if p.dim != q.dim:
-        return False
-    for index in p.terms.keys() | q.terms.keys():
-        a, b = p.coefficient(index), q.coefficient(index)
+    """Coefficient-wise closeness of two term maps over the union of their terms."""
+    for index in p.keys() | q.keys():
+        a, b = p.get(index, 0.0), q.get(index, 0.0)
         if abs(a - b) > max(abs_tol, rel_tol * max(abs(a), abs(b))):
             return False
     return True
 
 
 def derivative(poly, axis):
-    """Partial derivative of a polynomial with respect to x_axis (0-based)."""
-    if not 0 <= axis < poly.dim:
-        raise ValueError(f"axis {axis} out of range for dimension {poly.dim}")
+    """Partial derivative of a term map with respect to x_axis (0-based)."""
     acc = {}
-    for index, coef in poly.terms.items():
+    for index, coef in poly.items():
         e = index[axis]
         if e == 0:
             continue
         lowered = tuple(v - 1 if d == axis else v for d, v in enumerate(index))
         acc[lowered] = acc.get(lowered, 0.0) + coef * e
-    return Polynomial(poly.dim, acc)
-
-
-def scale(poly, factor):
-    """The polynomial with every coefficient multiplied by a float factor."""
-    return Polynomial(poly.dim, {n: c * factor for n, c in poly.terms.items()})
+    return {n: c for n, c in acc.items() if c != 0.0}
 
 
 def adjoint_apply(model, index, product=None):
     """Image of the monomial x^index under the backward-equation generator.
 
     Returns sum_i a_i(x) d(x^n)/dx_i + 1/2 sum_{i,j} [BB^T]_{i,j}(x)
-    d2(x^n)/dx_i dx_j as an exact polynomial, adding the terms in that
-    order (drift axes, then (i, j) row-major).  Pass a precomputed
-    `product` (`sde.diffusion_product`) to reuse BB^T across many monomials.
+    d2(x^n)/dx_i dx_j as an exact term map, adding the terms in that order
+    (drift axes, then (i, j) row-major).  BB^T is `sde.diffusion_product`;
+    pass it as `product` to reuse it across many monomials.
     """
     d = model.dim
     index = tuple(int(e) for e in index)
@@ -197,20 +249,17 @@ def adjoint_apply(model, index, product=None):
         raise ValueError(f"index length {len(index)} != model dimension {d}")
     if product is None:
         product = diffusion_product(model)
-    mono = Polynomial(d, {index: 1.0})
-    out = Polynomial.zero(d)
-    firsts = [derivative(mono, i) for i in range(d)]
+    out = {}
+    firsts = [derivative({index: 1.0}, i) for i in range(d)]
     for i in range(d):
-        if not firsts[i].is_zero():
-            out = out + model.drift[i] * firsts[i]
+        if firsts[i]:
+            out = add(out, mul(drift_terms(model, i), firsts[i]))
     for i in range(d):
         for j in range(d):
-            entry = product[i][j]
-            if entry.is_zero():
-                continue
+            entry = terms(product, i * d + j)
             second = derivative(firsts[i], j)
-            if not second.is_zero():
-                out = out + scale(entry, 0.5) * second
+            if entry and second:
+                out = add(out, mul(scale(entry, 0.5), second))
     return out
 
 

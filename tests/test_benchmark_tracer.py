@@ -1,4 +1,5 @@
-"""The benchmark's traced runs still see every layer of the paper-compare pipeline.
+"""The benchmark's traced runs still see every layer of the paper-compare and
+mc-validate pipelines.
 
 `perfbench/spans.py` rebinds library functions by name, from outside.  A
 library change that removes or bypasses a traced name leaves its per-layer
@@ -70,4 +71,23 @@ def test_traced_fit_and_baseline_record_every_layer(spans, tmp_path):
 
     after = _bindings()
     assert after.keys() == before.keys()
+    assert [key for key, obj in before.items() if after[key] is not obj] == []
+
+
+def test_traced_monte_carlo_records_its_step_evaluation(spans, tmp_path):
+    before = _bindings()
+    tracer = spans.Tracer("test")
+    saved = spans.install(tracer)
+    try:
+        argv = f"mc vdp --x0 1 1 --t 0.002 --dt 0.001 --paths 10 --axis 2 --m 2 --out {tmp_path / 's.csv'}"
+        assert main(argv.split()) == 0
+    finally:
+        spans.uninstall(saved)
+
+    names = [name for name, *_ in tracer.spans]
+    assert "mc.simulate" in names
+    # one evaluation of the drift and diffusion per step and block of paths
+    assert names.count("polynomial.evaluate") == 2
+
+    after = _bindings()
     assert [key for key, obj in before.items() if after[key] is not obj] == []

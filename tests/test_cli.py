@@ -369,8 +369,8 @@ def test_non_finite_model_is_usage_error_before_any_work(argv, message, tmp_path
          "eval-line-nan", "eval-polar-nan", "eval-polar-inf", "eval-ou-gamma-nan", "eval-ou-sigma-inf"],
 )
 def test_non_finite_setting_is_usage_error(argv, message, ou_dual_csv, vdp_dual_csv, tmp_path, capsys, monkeypatch):
-    # `simulate` checks x0 itself, so its step kernel is what must not run
-    forbid_work(monkeypatch, "sdembed.mc.monomials", "sdembed.cli.train_backprop")
+    # `simulate` checks x0 itself, so its step evaluation is what must not run
+    forbid_work(monkeypatch, "sdembed.polynomial.Polynomial.evaluate", "sdembed.cli.train_backprop")
     out = tmp_path / "out.csv"
     argv = [str(a).replace("{ou}", str(ou_dual_csv)).replace("{vdp}", str(vdp_dual_csv)) for a in argv]
     code = run([*argv, "--out", out])
@@ -519,6 +519,51 @@ def test_boolean_in_model_json_is_usage_error(doc, location, tmp_path, capsys, m
     code = run(["dual", model, "--order", 1, "--N", 4, "--t", 1, "--out", out])
     assert code == 2
     assert f"error: {location}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# 0.5 + 0.25 x^2 with a zero x^400 term: x^400 overflows to inf for |x| >= 6, and 0 * inf is nan
+_OVERFLOWING_CSV = "n_1,value\n0,0.5\n2,0.25\n400,0.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--pred", "dual:{csv}", "--line", -10, 10, 3],
+        ["train-baseline", "--dual", "{csv}", "--size", 20, "--box", -10, 10, "--hidden", 2, "--epochs", 1],
+    ],
+    ids=["eval", "train-baseline"],
+)
+def test_overflowing_moment_is_an_error_not_a_value(argv, tmp_path, capsys):
+    csv = tmp_path / "ou400.csv"
+    csv.write_text(_OVERFLOWING_CSV)
+    out = tmp_path / "out.csv"
+    code = run([str(a).replace("{csv}", str(csv)) for a in argv] + ["--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.search(r"error: moment at x = \[-?\d[\d.e+-]*\] is not finite", err)
+    assert "training loss" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--pred", "dual:{csv}", "--grid", -1, 1, -1, 1, 2, 2],
+        ["train-baseline", "--dual", "{csv}", "--size", 4, "--box", -1, 1, "--hidden", 2, "--epochs", 1],
+    ],
+    ids=["eval", "train-baseline"],
+)
+def test_power_table_above_eval_block_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # one point's table of x_1^0 ... x_1^100 (and x_2's) is 1616 bytes, above a 1 KiB block
+    monkeypatch.setattr("sdembed.dual._EVAL_BLOCK_BYTES", 1024)
+    forbid_work(monkeypatch, "sdembed.dual.monomials")
+    csv = tmp_path / "wide.csv"
+    csv.write_text("n_1,n_2,value\n0,0,1.0\n100,0,2.0\n")
+    out = tmp_path / "out.csv"
+    code = run([str(a).replace("{csv}", str(csv)) for a in argv] + ["--out", out])
+    assert code == 2
+    assert "error: exponent 100 needs a 1616-byte power table per point" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import adjoint_apply, value_at
+from helpers import adjoint_apply, make_model, value_at
 from sdembed import dual
 from sdembed.dual import (
     DualCoefficients,
@@ -20,13 +20,8 @@ from sdembed.dual import (
     solve_moment,
 )
 from sdembed.mc import SimConfig, mc_moment, simulate
-from sdembed.polynomial import Polynomial, multi_index_set
-from sdembed.sde import (
-    SdeModel,
-    builtin_model,
-    diffusion_product,
-    shift_model_origin,
-)
+from sdembed.polynomial import multi_index_set
+from sdembed.sde import builtin_model, diffusion_product, shift_model_origin
 
 
 def ou_generator_oracle(gamma, sigma, max_degree):
@@ -71,7 +66,7 @@ def generator_by_columns(model, max_degree):
     product = diffusion_product(model)
     rows, cols, vals = [], [], []
     for col, source in enumerate(basis):
-        for target, coef in adjoint_apply(model, source, product=product).terms.items():
+        for target, coef in adjoint_apply(model, source, product=product).items():
             row = pos.get(target)
             if row is not None:
                 rows.append(row)
@@ -92,25 +87,22 @@ def random_model(seed):
         for _ in range(int(rng.integers(min_terms, 4))):
             index = tuple(int(e) for e in rng.integers(0, 3, dim))
             terms[index] = float(rng.normal() * 10.0 ** rng.integers(-3, 3))
-        return Polynomial(dim, terms)
+        return terms
 
-    drift = tuple(poly(0) for _ in range(dim))
-    diffusion = tuple(tuple(poly(1) for _ in range(dim)) for _ in range(dim))
-    return SdeModel(dim, drift, diffusion)
+    drift = [poly(0) for _ in range(dim)]
+    diffusion = [[poly(1) for _ in range(dim)] for _ in range(dim)]
+    return make_model(drift, diffusion)
 
 
 def lorenz_model(sigma=10.0, rho=28.0, beta=8.0 / 3.0, noise=1.0):
     """Stochastic Lorenz system with additive noise on every axis."""
-    drift = (
-        Polynomial(3, {(1, 0, 0): -sigma, (0, 1, 0): sigma}),
-        Polynomial(3, {(1, 0, 0): rho, (1, 0, 1): -1.0, (0, 1, 0): -1.0}),
-        Polynomial(3, {(1, 1, 0): 1.0, (0, 0, 1): -beta}),
-    )
-    diffusion = tuple(
-        tuple(Polynomial.constant(3, noise) if i == j else Polynomial.zero(3) for j in range(3))
-        for i in range(3)
-    )
-    return SdeModel(3, drift, diffusion, name="stochastic-lorenz")
+    drift = [
+        {(1, 0, 0): -sigma, (0, 1, 0): sigma},
+        {(1, 0, 0): rho, (1, 0, 1): -1.0, (0, 1, 0): -1.0},
+        {(1, 1, 0): 1.0, (0, 0, 1): -beta},
+    ]
+    diffusion = [[{(0, 0, 0): noise} if i == j else {} for j in range(3)] for i in range(3)]
+    return make_model(drift, diffusion, name="stochastic-lorenz")
 
 
 def assert_same_csr(got, want):
@@ -145,8 +137,7 @@ class TestBuildGenerator:
         assert np.array_equal(gen.matrix.toarray(), vdp_generator_oracle(1.0, 1.0, 1.0, 5))
 
     def test_zero_model_gives_zero_matrix(self):
-        zero = Polynomial.zero(1)
-        model = SdeModel(1, (zero,), ((zero,),))
+        model = make_model([{}], [[{}]])
         gen = build_generator(model, 4)
         assert gen.matrix.nnz == 0
 
@@ -276,7 +267,7 @@ class TestSolveDual:
 
     def test_overflowing_generator_raises(self):
         # drift coefficient large enough that assembly overflows to inf
-        model = SdeModel(1, (Polynomial(1, {(1,): -1e308}),), ((Polynomial.zero(1),),))
+        model = make_model([{(1,): -1e308}], [[{}]])
         gen = build_generator(model, 4)
         start = initial_coefficients(gen.index_set, 1, 2)
         with pytest.raises(SolverError, match="non-finite"):
@@ -371,6 +362,20 @@ class TestEvalMoment:
             tracemalloc.stop()
         assert np.allclose(out, pts[:, 0] ** 100, rtol=1e-12, atol=0.0)
         assert peak < 2 * dual._EVAL_BLOCK_BYTES + out.nbytes
+
+    def test_overflowing_moment_raises_naming_the_point(self):
+        # x^400 overflows at |x| = 10, and the zero coefficient turns inf into nan
+        coeffs = DualCoefficients([[0], [2], [400]], [0.5, 0.25, 0.0], t=0.0)
+        assert eval_moment(coeffs, [2.0]) == 1.5
+        with pytest.raises(SolverError, match=r"^moment at x = \[10.0\] is not finite"):
+            eval_moment(coeffs, [[0.0], [10.0], [-10.0]])
+
+    def test_power_table_above_block_rejected_before_work(self, monkeypatch):
+        monkeypatch.setattr(dual, "_EVAL_BLOCK_BYTES", 1024)
+        monkeypatch.setattr(dual, "monomials", None)  # a call would raise TypeError
+        coeffs = DualCoefficients([[0, 0], [100, 0]], [1.0, 2.0], t=0.0)
+        with pytest.raises(ValueError, match=r"^exponent 100 needs a 1616-byte power table per point, above"):
+            eval_moment(coeffs, np.zeros((3, 2)))
 
     def test_blocks_agree_with_single_points(self, vdp):
         coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=60)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sdembed.mc as mc_module
-from helpers import step_noise, term_sum
+from helpers import diffusion_terms, drift_terms, make_model, step_noise, term_sum
 from sdembed.cli import main
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.mc import (
@@ -16,8 +16,7 @@ from sdembed.mc import (
     mc_moment,
     simulate,
 )
-from sdembed.polynomial import Polynomial
-from sdembed.sde import SdeModel, builtin_model
+from sdembed.sde import builtin_model
 
 
 @pytest.fixture
@@ -138,11 +137,11 @@ def random_model(seed):
             index = tuple(int(e) for e in rng.integers(0, 3, dim))
             if not (state_dependent and not any(index)):
                 terms[index] = float(rng.normal())
-        return Polynomial(dim, terms)
+        return terms
 
-    drift = tuple(poly(3, False) for _ in range(dim))
-    diffusion = tuple(tuple(poly(2, i != j) for j in range(dim)) for i in range(dim))
-    return SdeModel(dim, drift, diffusion)
+    drift = [poly(3, False) for _ in range(dim)]
+    diffusion = [[poly(2, i != j) for j in range(dim)] for i in range(dim)]
+    return make_model(drift, diffusion)
 
 
 def reference_euler(model, x0, config):
@@ -155,9 +154,9 @@ def reference_euler(model, x0, config):
         xi = step_noise(config.seed, k, config.paths, dim)
         incr = np.empty_like(states)
         for i in range(dim):
-            incr[:, i] = term_sum(model.drift[i], states) * config.dt
+            incr[:, i] = term_sum(drift_terms(model, i), states) * config.dt
             for j in range(dim):
-                incr[:, i] += term_sum(model.diffusion[i][j], states) * (sqrt_dt * xi[:, j])
+                incr[:, i] += term_sum(diffusion_terms(model, i, j), states) * (sqrt_dt * xi[:, j])
         states = states + incr
     return states
 

@@ -6,23 +6,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    add,
     allclose,
     cumprod_monomials,
     derivative,
     grlex_key,
+    mul,
     multinomial,
     reference_index_set,
     scale,
+    table,
     term_sum,
+    terms,
     total_degree,
 )
-from sdembed.polynomial import Polynomial, grlex_order, index_positions, monomials, multi_index_set
+from sdembed.polynomial import (
+    Polynomial,
+    grlex_order,
+    index_order,
+    index_positions,
+    monomials,
+    multi_index_set,
+)
 
 
 def poly_strategy(dim, max_terms=5, max_exp=4, coef_range=3.0):
+    """Term maps {exponent tuple: coefficient} without exact zeros."""
     index = st.tuples(*(st.integers(0, max_exp) for _ in range(dim)))
-    coef = st.floats(-coef_range, coef_range, allow_nan=False, allow_infinity=False)
-    return st.dictionaries(index, coef, max_size=max_terms).map(lambda d: Polynomial(dim, d))
+    coef = st.floats(-coef_range, coef_range, allow_nan=False, allow_infinity=False).filter(bool)
+    return st.dictionaries(index, coef, max_size=max_terms)
 
 
 class TestMultiIndexSet:
@@ -109,75 +121,131 @@ class TestIndexPositions:
 
 
 class TestArithmetic:
+    """The term-map algebra of `helpers` (`add`, `mul`) that the reference
+    generator action and the diffusion-product check are built from."""
+
     def test_mul_monomials(self):
-        x1 = Polynomial(1, {(1,): 1.0})
-        assert x1 * x1 == Polynomial(1, {(2,): 1.0})
+        x1 = {(1,): 1.0}
+        assert mul(x1, x1) == {(2,): 1.0}
 
     def test_add_cancels_to_zero(self):
-        x2 = Polynomial(2, {(0, 1): 1.0})
-        assert (x2 + scale(x2, -1.0)).is_zero()
+        x2 = {(0, 1): 1.0}
+        assert add(x2, scale(x2, -1.0)) == {}
 
     def test_van_der_pol_drift_expansion(self):
-        x1 = Polynomial(2, {(1, 0): 1.0})
-        x2 = Polynomial(2, {(0, 1): 1.0})
-        product = (Polynomial.constant(2, 1.0) + scale(x1 * x1, -1.0)) * x2
-        assert product == Polynomial(2, {(0, 1): 1.0, (2, 1): -1.0})
+        x1, x2 = {(1, 0): 1.0}, {(0, 1): 1.0}
+        product = mul(add({(0, 0): 1.0}, scale(mul(x1, x1), -1.0)), x2)
+        assert product == {(0, 1): 1.0, (2, 1): -1.0}
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            Polynomial(1, {(1,): 1.0}) + Polynomial(2, {(1, 0): 1.0})
-        with pytest.raises(ValueError):
-            Polynomial(1, {(1,): 1.0}) * Polynomial(2, {(0, 1): 1.0})
+            mul({(1,): 1.0}, {(0, 1): 1.0})
 
     @given(poly_strategy(2), poly_strategy(2))
     def test_mul_commutes(self, p, q):
-        assert p * q == q * p
+        assert mul(p, q) == mul(q, p)
 
     @given(poly_strategy(2), poly_strategy(2), poly_strategy(2))
     def test_add_associative_commutative(self, p, q, r):
         # commutativity is bit-exact; associativity only up to one rounding
         # of each coefficient sum, which float addition cannot avoid
-        assert p + q == q + p
-        assert allclose((p + q) + r, p + (q + r), rel_tol=1e-12, abs_tol=1e-9)
+        assert add(p, q) == add(q, p)
+        assert allclose(add(add(p, q), r), add(p, add(q, r)), rel_tol=1e-12, abs_tol=1e-9)
 
     def test_derivative(self):
-        p = Polynomial(2, {(2, 1): 4.0, (0, 1): 1.0})
-        assert derivative(p, 0) == Polynomial(2, {(1, 1): 8.0})
-        assert derivative(p, 1) == Polynomial(2, {(2, 0): 4.0, (0, 0): 1.0})
+        p = {(2, 1): 4.0, (0, 1): 1.0}
+        assert derivative(p, 0) == {(1, 1): 8.0}
+        assert derivative(p, 1) == {(2, 0): 4.0, (0, 0): 1.0}
 
     def test_zero_pruning_is_exact(self):
-        # a tiny coefficient must survive; only exact zeros are dropped
-        p = Polynomial(1, {(1,): 1e-300})
-        assert (1,) in p.terms
-        assert Polynomial(1, {(1,): 0.0}).is_zero()
+        # a tiny coefficient must survive; only rows of exact zeros are dropped
+        p = table(1, {(1,): 1e-300, (0,): 0.0})
+        assert p.exps.tolist() == [[1]] and p.coefs.tolist() == [[1e-300]]
+        assert table(1, {(1,): 0.0}).exps.shape == (0, 1)
+
+
+class TestTermTable:
+    def test_rows_sorted_grlex_and_read_only(self):
+        p = Polynomial([[0, 2], [1, 0], [0, 0]], [[1.0, 0.0], [2.0, 3.0], [0.0, 4.0]])
+        assert p.exps.tolist() == [[0, 0], [1, 0], [0, 2]]
+        assert p.coefs.tolist() == [[0.0, 4.0], [2.0, 3.0], [1.0, 0.0]]
+        assert p.dim == 2
+        assert not p.exps.flags.writeable and not p.coefs.flags.writeable
+
+    def test_keeps_its_own_copy(self):
+        exps, coefs = np.array([[1], [0]]), np.array([[1.0], [2.0]])
+        p = Polynomial(exps, coefs)
+        exps[0, 0], coefs[0, 0] = 5, 9.0
+        assert p.exps.tolist() == [[0], [1]] and p.coefs.tolist() == [[2.0], [1.0]]
+
+    def test_negative_zero_reads_as_zero(self):
+        p = Polynomial([[1], [0]], [[-0.0, 1.0], [2.0, -0.0]])
+        assert not np.any(np.signbit(p.coefs))
+
+    @pytest.mark.parametrize(
+        "exps, coefs, match",
+        [
+            ([[0, 0], [-1, 0], [1, 0]], [[1.0], [2.0], [3.0]], r"negative exponent in index \(-1, 0\)"),
+            ([[0], [1], [1]], [[1.0], [2.0], [5.0]], r"index \(1,\) appears more than once"),
+            ([0, 1], [[1.0], [2.0]], r"need \(T, dim\) exponents"),
+            ([[0], [1]], [[1.0]], r"need \(T, dim\) exponents"),
+            ([[0], [1]], [1.0, 2.0], r"need \(T, dim\) exponents"),
+        ],
+        ids=["negative", "repeated", "flat", "count", "flat-coefs"],
+    )
+    def test_bad_rows_rejected(self, exps, coefs, match):
+        with pytest.raises(ValueError, match=match):
+            Polynomial(exps, coefs)
+
+    def test_index_order_is_grlex_order(self):
+        exps = np.array([[2, 0], [0, 0], [1, 1], [0, 1]])
+        assert np.array_equal(index_order(exps), grlex_order(exps))
 
 
 class TestShift:
     def test_square_binomial(self):
-        p = Polynomial(1, {(2,): 1.0})
-        assert p.shift([1.0]) == Polynomial(1, {(2,): 1.0, (1,): 2.0, (0,): 1.0})
+        p = table(1, {(2,): 1.0})
+        assert terms(p.shift([1.0])) == {(0,): 1.0, (1,): 2.0, (2,): 1.0}
 
     def test_zero_offset_identity(self):
-        p = Polynomial(2, {(2, 1): -0.5, (0, 0): 3.0})
-        assert p.shift([0.0, 0.0]) == p
+        p = table(2, {(2, 1): -0.5, (0, 0): 3.0}, {(1, 0): 2.0})
+        shifted = p.shift([0.0, 0.0])
+        assert np.array_equal(shifted.exps, p.exps) and np.array_equal(shifted.coefs, p.coefs)
 
     def test_linear_drift_substitution(self):
         # p = -gamma x shifted by c is -gamma y - gamma c (direct substitution)
         gamma, c = 1.5, 0.7
-        p = Polynomial(1, {(1,): -gamma})
+        p = table(1, {(1,): -gamma})
         shifted = p.shift([c])
-        assert shifted == Polynomial(1, {(1,): -gamma, (0,): -gamma * c})
+        assert terms(shifted) == {(0,): -gamma * c, (1,): -gamma}
         for y in (-2.0, 0.3, 1.1):
-            assert shifted.evaluate([y]) == pytest.approx(p.evaluate([y + c]), rel=1e-14)
+            assert shifted.evaluate(np.array([y])) == pytest.approx(p.evaluate(np.array([y + c])), rel=1e-14)
 
     @given(poly_strategy(2, max_exp=3), st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
     def test_round_trip(self, p, offset):
-        back = p.shift(offset).shift([-c for c in offset])
-        assert allclose(back, p, rel_tol=1e-12, abs_tol=1e-12)
+        back = table(2, p).shift(offset).shift([-c for c in offset])
+        assert allclose(terms(back), p, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_degree_preserved(self):
-        p = Polynomial(2, {(3, 2): 1.0, (1, 0): -2.0})
-        assert total_degree(p.shift([0.5, -1.5])) == total_degree(p)
+        p = {(3, 2): 1.0, (1, 0): -2.0}
+        assert total_degree(terms(table(2, p).shift([0.5, -1.5]))) == total_degree(p)
+
+    @given(poly_strategy(2, max_exp=3), poly_strategy(2, max_exp=3),
+           st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
+    def test_columns_shift_independently(self, p, q, offset):
+        both = table(2, p, q).shift(offset)
+        assert terms(both, 0) == terms(table(2, p).shift(offset))
+        assert terms(both, 1) == terms(table(2, q).shift(offset))
+
+    def test_power_overflow_raises_without_warning(self):
+        # pytest turns a RuntimeWarning into an error, so a warning would fail here too
+        with pytest.raises(OverflowError):
+            table(1, {(2,): 1.0}).shift([1e200])
+
+    def test_coefficient_overflow_is_not_finite(self):
+        # 1e154^2 is finite, times 1e154 is not: the caller's finiteness check sees it
+        shifted = table(2, {(2, 1): -1.0}, {(0, 0): 1.0}).shift([1e154, 1e154])
+        assert not np.all(np.isfinite(shifted.coefs))
 
 
 class TestMultinomial:
@@ -310,17 +378,23 @@ class TestMatchesCumprodReference:
 
 class TestEvaluate:
     def test_matches_term_sum(self):
-        p = Polynomial(2, {(2, 0): 1.5, (0, 1): -2.0, (0, 0): 0.25})
-        x = [0.5, -1.0]
-        assert p.evaluate(x) == pytest.approx(1.5 * 0.25 + 2.0 + 0.25, rel=1e-14)
+        p = table(2, {(2, 0): 1.5, (0, 1): -2.0, (0, 0): 0.25})
+        x = np.array([0.5, -1.0])
+        assert p.evaluate(x) == pytest.approx([1.5 * 0.25 + 2.0 + 0.25], rel=1e-14)
 
     def test_batch_shape(self):
-        p = Polynomial(1, {(3,): 1.0})
+        p = table(1, {(3,): 1.0}, {(1,): 2.0})
         pts = np.linspace(-1, 1, 7)[:, None]
-        assert np.allclose(p.evaluate(pts), pts[:, 0] ** 3)
+        assert p.evaluate(pts).shape == (7, 2)
+        assert np.allclose(p.evaluate(pts), np.hstack([pts**3, 2.0 * pts]))
+
+    def test_point_dimension_checked(self):
+        # the kernel reads only the axes the exponents name, so a 3-D point would pass silently
+        with pytest.raises(ValueError, match="point dimension 3 != polynomial dimension 2"):
+            table(2, {(1, 0): 1.0}).evaluate(np.ones((4, 3)))
 
     def test_zero_polynomial_batch(self):
-        assert np.array_equal(Polynomial.zero(2).evaluate(np.ones((4, 2))), np.zeros(4))
+        assert np.array_equal(table(2, {}).evaluate(np.ones((4, 2))), np.zeros((4, 1)))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_per_term_reference(self, seed):
@@ -328,27 +402,31 @@ class TestEvaluate:
         # error is bounded by when its terms cancel
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
-        terms = {}
-        for _ in range(int(rng.integers(0, 8))):
-            index = tuple(int(e) for e in rng.integers(0, 6, dim))
-            terms[index] = float(rng.normal() * 10.0 ** rng.integers(-3, 3))
-        p = Polynomial(dim, terms)
+        columns = []
+        for _ in range(int(rng.integers(1, 4))):
+            column = {}
+            for _ in range(int(rng.integers(0, 8))):
+                index = tuple(int(e) for e in rng.integers(0, 6, dim))
+                column[index] = float(rng.normal() * 10.0 ** rng.integers(-3, 3))
+            columns.append(column)
+        p = table(dim, *columns)
         x = rng.uniform(-2.0, 2.0, (40, dim))
-        scale = term_sum(Polynomial(dim, {n: abs(c) for n, c in terms.items()}), np.abs(x))
-        assert np.all(np.abs(p.evaluate(x) - term_sum(p, x)) <= 1e-14 * scale)
-        assert abs(p.evaluate(x[0]) - term_sum(p, x[0])) <= 1e-14 * scale[0]
+        got = p.evaluate(x)
+        for c, column in enumerate(columns):
+            scale = term_sum({n: abs(v) for n, v in column.items()}, np.abs(x))
+            assert np.all(np.abs(got[:, c] - term_sum(column, x)) <= 1e-14 * scale)
+            assert abs(p.evaluate(x[0])[c] - term_sum(column, x[0])) <= 1e-14 * scale[0]
 
     def test_zero_polynomial_matches_reference(self):
         for dim in (1, 2, 3):
-            zero = Polynomial.zero(dim)
             x = np.full((3, 4, dim), 2.0)
-            assert np.array_equal(zero.evaluate(x), term_sum(zero, x))
-            assert zero.evaluate(x[0, 0]) == 0.0
+            assert np.array_equal(table(dim, {}).evaluate(x)[..., 0], term_sum({}, x))
+            assert table(dim, {}, {}).evaluate(x[0, 0]).tolist() == [0.0, 0.0]
 
     def test_huge_coefficient_still_overflows(self):
-        p = Polynomial(1, {(2,): 1e308, (0,): 1.0})
+        column = {(2,): 1e308, (0,): 1.0}
         x = np.array([[10.0], [0.5], [-20.0]])
         with np.errstate(over="ignore"):
-            got, want = p.evaluate(x), term_sum(p, x)
+            got, want = table(1, column).evaluate(x)[:, 0], term_sum(column, x)
         assert np.array_equal(got, want)
         assert np.array_equal(np.isinf(got), [True, False, True])
