@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .polynomial import index_order, index_positions, monomials, multi_index_set
+from .polynomial import index_order, index_positions, multi_index_set, power_table
 from .sde import SdeModel, check_moment, diffusion_product
 
 __all__ = [
@@ -246,18 +246,22 @@ def solve_moment(
     return solve_dual(generator, start, t, observable=(axis, power))
 
 
-# monomial bytes per eval_moment block: peak memory is O(block + points), not O(points * K)
+# bytes per eval_moment block: peak memory is O(block + points), not O(points * K)
 _EVAL_BLOCK_BYTES = 16 << 20
 
 
 def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     """Moment estimate sum_n P(n, t) x^n at one point (dim,) or a batch (..., dim).
 
-    Points are evaluated in blocks of about `_EVAL_BLOCK_BYTES` of
-    monomials or of power table, whichever is larger per point, so memory
-    stays bounded by twice the block plus the output.  A power table of one
-    point above the block is a ValueError, raised before any work, and a
-    non-finite moment (a power of x overflows) a SolverError.
+    The sum is factorised over a dense box of coefficients, one axis per
+    coordinate up to its largest exponent, 0.0 off the index set: the last
+    axis is one matrix product with its `power_table` rows, and each other
+    axis, last to first, a multiply and sum.  Points go in blocks of about
+    `_EVAL_BLOCK_BYTES` of power table, coefficients or partial sums,
+    whichever is largest per point, so memory stays bounded by twice the
+    block plus the output.  A power table of one point or a box above the
+    block is a ValueError, raised before any work, and a non-finite moment
+    (a power of x overflows) a SolverError.
     """
     x = np.asarray(x, dtype=float)
     dim = coeffs.dim
@@ -266,21 +270,34 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     exps = coeffs.index_set
     flat = x.reshape(-1, dim)
     out = np.empty(flat.shape[0])
-    # per point: K monomials and the (top + 1) x dim power table `monomials` builds
+    # per point: the (top + 1) x dim power table `power_table` builds
     table = 8 * (coeffs.max_degree + 1) * dim
     if table > _EVAL_BLOCK_BYTES:
         raise ValueError(
             f"exponent {coeffs.max_degree} needs a {table}-byte power table per point, "
             f"above the {_EVAL_BLOCK_BYTES}-byte evaluation block"
         )
-    block = max(1, _EVAL_BLOCK_BYTES // max(8 * exps.shape[0], table))
-    # one buffer for all blocks: a fresh 16 MiB array each made malloc unmap and re-fault it
-    work = np.empty((exps.shape[0], min(block, flat.shape[0])))
+    tops = exps.max(axis=0).tolist()
+    shape = tuple(top + 1 for top in tops)
+    if 8 * math.prod(shape) > _EVAL_BLOCK_BYTES:
+        raise ValueError(f"index set needs a {shape} coefficient box of {8 * math.prod(shape)} bytes, "
+                         f"above the {_EVAL_BLOCK_BYTES}-byte evaluation block")
+    box = np.zeros(shape)
+    box[tuple(exps.T)] = coeffs.values
+    # (rest, last) -> (last, rest): the matrix the last axis's powers multiply
+    last = box.reshape(-1, shape[-1]).T
+    block = max(1, _EVAL_BLOCK_BYTES // max(8 * exps.shape[0], table, 8 * last.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, flat.shape[0], block):
             points = flat[start : start + block]
-            terms = monomials(points, exps, out=work[:, : points.shape[0]].T)
-            out[start : start + block] = terms @ coeffs.values
+            powers = power_table(points, tops)
+            partial = powers[: shape[-1], :, -1].T @ last
+            for d in range(dim - 2, -1, -1):
+                partial = partial.reshape(len(points), -1, shape[d])
+                partial *= powers[: shape[d], :, d].T[:, None, :]
+                partial = partial.sum(axis=-1)
+            out[start : start + block] = partial[:, 0]
+            del powers  # so two blocks' power tables are never alive at once
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise SolverError(f"moment at x = {flat[bad[0]].tolist()} is not finite in float arithmetic")

@@ -135,9 +135,9 @@ def grid_csv_text(table: np.ndarray) -> str:
     """A `grid_eval` table as CSV: header x,value in 1-D, else x1,...,xD,value."""
     dim = table.shape[1] - 1
     names = ["x"] if dim == 1 else [f"x{d + 1}" for d in range(dim)]
-    lines = [",".join([*names, "value"])]
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
+    # one template for every row; %r of a Python float is its shortest round-tripping repr
+    row = "\n" + ",".join(["%r"] * (dim + 1))
+    return ",".join([*names, "value"]) + row * len(table) % tuple(table.ravel().tolist()) + "\n"
 
 
 def profile_csv_text(profile: RadialErrorProfile) -> str:

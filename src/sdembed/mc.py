@@ -129,8 +129,9 @@ def mc_moment(ensemble: TrajectoryEnsemble, axis: int, power: int) -> tuple[floa
 
 
 def final_states_csv_text(ensemble: TrajectoryEnsemble) -> str:
-    dim = ensemble.final.shape[1]
-    lines = [",".join(["path"] + [f"x_{d + 1}" for d in range(dim)])]
-    # repr of a Python float is the shortest round-tripping text
-    lines += [",".join([str(p), *map(repr, row)]) for p, row in enumerate(ensemble.final.tolist())]
-    return "\n".join(lines) + "\n"
+    paths, dim = ensemble.final.shape
+    header = ",".join(["path"] + [f"x_{d + 1}" for d in range(dim)])
+    # one template for every row; %r of a Python float is its shortest round-tripping repr
+    row = "\n" + ",".join(["%d"] + ["%r"] * dim)
+    cells = np.column_stack([np.arange(paths), ensemble.final]).ravel().tolist()
+    return header + row * paths % tuple(cells) + "\n"

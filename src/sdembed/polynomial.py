@@ -10,9 +10,12 @@ least-squares residuals; `index_order` is the one check of such rows.
 A `Polynomial` is one such table with a coefficient row per exponent row,
 so a column holds one polynomial and a model's whole drift and diffusion
 share one table.  Only exact zeros are pruned, so the sparsity pattern is
-never altered by epsilon thresholds.  `monomials` is the one evaluator of
-monomials at points: `Polynomial.evaluate`, `dual.eval_moment` and, through
-`evaluate`, `mc.simulate` share it.
+never altered by epsilon thresholds.  One `power_table` of points feeds
+two reductions: `monomials` gathers its rows per exponent, the kernel of
+sparse term tables (`Polynomial.evaluate` and, through it, `mc.simulate`),
+and `dual.eval_moment` contracts a dense coefficient box with it axis by
+axis.  `simulate` through the contraction was slower: 1.5 s or more
+against 1.0 s for 100k vdp paths (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "index_positions",
     "multi_index_set",
     "monomials",
+    "power_table",
 ]
 
 
@@ -98,27 +102,29 @@ def index_positions(index_set: np.ndarray, indices) -> np.ndarray:
     return rows.reshape(indices.shape[:-1])
 
 
-def monomials(x: np.ndarray, exps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Monomials x^n of float points x (..., dim) for the int exponent rows
-    of exps (K, dim), as an array (..., K); `out`, of that shape, receives
-    them if given, so a caller working in blocks can reuse one buffer.
-
-    This is the package's one monomial evaluator.  One power table
-    (top + 1, ..., dim), built by repeated multiplication (x^0 = 1, 0
-    included), holds every axis's powers up to that axis's largest exponent;
-    the product of the gathered powers then runs from axis 0 upwards.
-    """
-    # column by column: a reduction over axis 0 of a (K, dim) array is ten times slower
-    tops = [int(exps[:, d].max(initial=0)) for d in range(exps.shape[1])]
+def power_table(x: np.ndarray, tops) -> np.ndarray:
+    """Powers x_d^k of float points x (..., dim) for k up to axis d's largest
+    exponent tops[d], as a table (max(tops) + 1, ..., dim) built by repeated
+    multiplication (x^0 = 1, 0 included); an entry above its axis's top is
+    left unset, so a power no exponent needs cannot overflow."""
     table = np.empty((max(tops) + 1,) + x.shape)
     table[0], table[1:2] = 1.0, x
     for k, (prev, cur) in enumerate(zip(table[1:], table[2:]), start=2):
         if k <= min(tops):
             np.multiply(prev, x, out=cur)
-        else:  # only the axes that use x_d^k: a power no row needs must not overflow
+        else:  # only the axes that use x_d^k
             for d in [d for d, top in enumerate(tops) if top >= k]:
                 np.multiply(prev[..., d], x[..., d], out=cur[..., d])
-    rows = np.empty((len(exps),) + x.shape[:-1]) if out is None else np.moveaxis(out, -1, 0)
+    return table
+
+
+def monomials(x: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Monomials x^n of float points x (..., dim) for the int exponent rows
+    of exps (K, dim), as an array (..., K): the product of the `power_table`
+    rows gathered per exponent, from axis 0 upwards."""
+    # column by column: a reduction over axis 0 of a (K, dim) array is ten times slower
+    table = power_table(x, [int(exps[:, d].max(initial=0)) for d in range(exps.shape[1])])
+    rows = np.empty((len(exps),) + x.shape[:-1])
     # "clip" is a no-op (exponents fit the table) that spares take's buffered copy
     np.take(table[..., 0], exps[:, 0], axis=0, out=rows, mode="clip")
     for d in range(1, exps.shape[1]):

@@ -25,7 +25,7 @@ from scipy.special import expit
 from sdembed.baseline import _BETA1, _BETA2, _EPS
 from sdembed.fit import _target_vector
 from sdembed.network import SigmoidNet, network_taylor
-from sdembed.polynomial import Polynomial, index_positions, multi_index_set
+from sdembed.polynomial import Polynomial, index_positions, monomials, multi_index_set
 from sdembed.sde import diffusion_product, parse_model
 
 
@@ -139,7 +139,7 @@ def step_noise(seed, step, paths, dim):
     return np.random.Generator(np.random.Philox(seq)).standard_normal((paths, dim))
 
 
-def cumprod_monomials(x, exps, out=None):
+def cumprod_monomials(x, exps):
     """Monomials (..., K) by the earlier formulation of `monomials`: one
     power table per axis, up to that axis's largest exponent, built with
     `np.cumprod`; the gathered powers are multiplied from axis 0 upwards."""
@@ -148,11 +148,41 @@ def cumprod_monomials(x, exps, out=None):
         table = np.empty((top + 1,) + x.shape[:-1])
         table[0], table[1:] = 1.0, x[..., d]
         tables.append(np.cumprod(table, axis=0, out=table))
-    rows = np.empty((len(exps),) + x.shape[:-1]) if out is None else np.moveaxis(out, -1, 0)
+    rows = np.empty((len(exps),) + x.shape[:-1])
     np.take(tables[0], exps[:, 0], axis=0, out=rows)
     for d in range(1, len(tables)):
         rows *= tables[d][exps[:, d]]
     return np.moveaxis(rows, 0, -1)
+
+
+def reference_eval_moment(coeffs, x, block=4096):
+    """sum_n P(n, t) x^n at points x (..., dim) by the earlier formulation
+    of `dual.eval_moment`: the (points, K) monomial matrix, `monomials(x,
+    exps) @ values`, formed `block` points at a time."""
+    flat = np.asarray(x, dtype=float).reshape(-1, coeffs.dim)
+    out = np.empty(len(flat))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(flat), block):
+            out[start : start + block] = monomials(flat[start : start + block], coeffs.index_set) @ coeffs.values
+    return out.reshape(np.shape(x)[:-1])
+
+
+def reference_states_csv_text(final):
+    """The states CSV of final states (paths, dim) as the writer before
+    `mc.final_states_csv_text` wrote it: one join per row."""
+    lines = [",".join(["path"] + [f"x_{d + 1}" for d in range(final.shape[1])])]
+    lines += [",".join([str(p), *map(repr, row)]) for p, row in enumerate(final.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def reference_grid_csv_text(table):
+    """A grid table (rows, dim + 1) as CSV as the writer before
+    `evaluate.grid_csv_text` wrote it: one join per row."""
+    dim = table.shape[1] - 1
+    names = ["x"] if dim == 1 else [f"x{d + 1}" for d in range(dim)]
+    lines = [",".join([*names, "value"])]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def table(dim, *columns):

@@ -557,13 +557,34 @@ def test_overflowing_moment_is_an_error_not_a_value(argv, tmp_path, capsys):
 def test_power_table_above_eval_block_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     # one point's table of x_1^0 ... x_1^100 (and x_2's) is 1616 bytes, above a 1 KiB block
     monkeypatch.setattr("sdembed.dual._EVAL_BLOCK_BYTES", 1024)
-    forbid_work(monkeypatch, "sdembed.dual.monomials")
+    forbid_work(monkeypatch, "sdembed.dual.power_table")
     csv = tmp_path / "wide.csv"
     csv.write_text("n_1,n_2,value\n0,0,1.0\n100,0,2.0\n")
     out = tmp_path / "out.csv"
     code = run([str(a).replace("{csv}", str(csv)) for a in argv] + ["--out", out])
     assert code == 2
     assert "error: exponent 100 needs a 1616-byte power table per point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--pred", "dual:{csv}", "--grid", -1, 1, -1, 1, 2, 2],
+        ["train-baseline", "--dual", "{csv}", "--size", 4, "--box", -1, 1, "--hidden", 2, "--epochs", 1],
+    ],
+    ids=["eval", "train-baseline"],
+)
+def test_coefficient_box_above_eval_block_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # a 656-byte power table per point fits a 1 KiB block, but the 41 x 41 box is 13448 bytes
+    monkeypatch.setattr("sdembed.dual._EVAL_BLOCK_BYTES", 1024)
+    forbid_work(monkeypatch, "sdembed.dual.power_table")
+    csv = tmp_path / "corners.csv"
+    csv.write_text("n_1,n_2,value\n0,0,1.0\n40,0,2.0\n0,40,3.0\n")
+    out = tmp_path / "out.csv"
+    code = run([str(a).replace("{csv}", str(csv)) for a in argv] + ["--out", out])
+    assert code == 2
+    assert "error: index set needs a (41, 41) coefficient box of 13448 bytes" in capsys.readouterr().err
     assert not out.exists()
 
 

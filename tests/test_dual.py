@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import adjoint_apply, make_model, value_at
+from helpers import adjoint_apply, make_model, reference_eval_moment, value_at
 from sdembed import dual
 from sdembed.dual import (
     DualCoefficients,
@@ -20,7 +21,7 @@ from sdembed.dual import (
     solve_moment,
 )
 from sdembed.mc import SimConfig, mc_moment, simulate
-from sdembed.polynomial import multi_index_set
+from sdembed.polynomial import multi_index_set, power_table
 from sdembed.sde import builtin_model, diffusion_product, shift_model_origin
 
 
@@ -363,6 +364,20 @@ class TestEvalMoment:
         assert np.allclose(out, pts[:, 0] ** 100, rtol=1e-12, atol=0.0)
         assert peak < 2 * dual._EVAL_BLOCK_BYTES + out.nbytes
 
+    def test_partial_sums_memory_is_bounded(self):
+        # four coefficients but 41 x 41 partial sums per point after the last axis: blocks are sized by those
+        coeffs = DualCoefficients([[0, 0, 0], [40, 0, 0], [0, 40, 0], [0, 0, 40]], [1.0, 2.0, 3.0, 4.0], t=0.0)
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (60_000, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = eval_moment(coeffs, pts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(out, 1.0 + 2.0 * pts[:, 0] ** 40 + 3.0 * pts[:, 1] ** 40 + 4.0 * pts[:, 2] ** 40)
+        assert peak < 2 * dual._EVAL_BLOCK_BYTES + out.nbytes
+
     def test_overflowing_moment_raises_naming_the_point(self):
         # x^400 overflows at |x| = 10, and the zero coefficient turns inf into nan
         coeffs = DualCoefficients([[0], [2], [400]], [0.5, 0.25, 0.0], t=0.0)
@@ -372,20 +387,37 @@ class TestEvalMoment:
 
     def test_power_table_above_block_rejected_before_work(self, monkeypatch):
         monkeypatch.setattr(dual, "_EVAL_BLOCK_BYTES", 1024)
-        monkeypatch.setattr(dual, "monomials", None)  # a call would raise TypeError
+        monkeypatch.setattr(dual, "power_table", None)  # a call would raise TypeError
         coeffs = DualCoefficients([[0, 0], [100, 0]], [1.0, 2.0], t=0.0)
         with pytest.raises(ValueError, match=r"^exponent 100 needs a 1616-byte power table per point, above"):
             eval_moment(coeffs, np.zeros((3, 2)))
 
-    def test_blocks_agree_with_single_points(self, vdp):
+    def test_box_above_block_rejected_before_work(self, monkeypatch):
+        # each axis's power table is small, but the dense box is 100001^2 cells, 80 GB
+        monkeypatch.setattr(dual, "power_table", None)  # a call would raise TypeError
+        coeffs = DualCoefficients([[0, 0], [100_000, 0], [0, 100_000]], [1.0, 2.0, 3.0], t=0.0)
+        with pytest.raises(ValueError, match=r"^index set needs a \(100001, 100001\) coefficient box of 80001600008 bytes, above"):
+            eval_moment(coeffs, np.zeros((3, 2)))
+
+    def test_blocks_agree_with_single_points(self, vdp, monkeypatch):
         coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=60)
-        block = dual._EVAL_BLOCK_BYTES // (8 * len(coeffs.index_set))
-        count = 2 * block + 3
+        # a block of about 64 points, so that the points span at least three blocks
+        monkeypatch.setattr(dual, "_EVAL_BLOCK_BYTES", 64 * 8 * len(coeffs.index_set))
+        sizes = []
+
+        def spy(points, tops):
+            sizes.append(len(points))
+            return power_table(points, tops)
+
+        monkeypatch.setattr(dual, "power_table", spy)
+        count = 2 * 64 + 3
         pts = np.random.default_rng(1).uniform(-2.0, 2.0, (count, 2))
         batched = eval_moment(coeffs, pts)
+        assert len(sizes) >= 3 and sum(sizes) == count
         # every block edge, the short last block, and a spread of interior points
-        edges = [0, block - 1, block, block + 1, 2 * block - 1, 2 * block, count - 1]
-        picks = sorted(set(edges) | set(range(0, count, 37)))
+        starts = np.cumsum(sizes)[:-1].tolist()
+        edges = {0, count - 1} | {s + k for s in starts for k in (-1, 0, 1)}
+        picks = sorted(edges | set(range(0, count, 7)))
         single = np.array([eval_moment(coeffs, pts[i]) for i in picks])
         assert np.allclose(batched[picks], single, rtol=1e-13, atol=0.0)
 
@@ -396,6 +428,52 @@ class TestEvalMoment:
         out = eval_moment(coeffs, pts)
         assert out.shape == (3, 4)
         assert np.array_equal(out[1], eval_moment(coeffs, pts[1]))
+
+
+def sparse_coefficients(rows, seed):
+    rows = np.array(rows, dtype=np.int64)
+    return DualCoefficients(rows, np.random.default_rng(seed).standard_normal(len(rows)), t=0.0)
+
+
+def random_coefficients(dim, order, mode, seed):
+    return sparse_coefficients(multi_index_set(dim, order, mode), seed)
+
+
+class TestEvalMomentAgainstMonomialMatrix:
+    """The sum-factorised kernel against the (points, K) monomial matrix it
+    replaced, within 1e-14 of sum_n |P(n) x^n| at every point."""
+
+    @staticmethod
+    def assert_matches(coeffs, pts):
+        absolute = DualCoefficients(coeffs.index_set, np.abs(coeffs.values), t=0.0)
+        bound = 1e-14 * reference_eval_moment(absolute, np.abs(pts))
+        assert np.all(np.abs(eval_moment(coeffs, pts) - reference_eval_moment(coeffs, pts)) <= bound)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_coefficients(1, 25, "max-degree", 1),
+            lambda: sparse_coefficients([[0], [3], [17]], 2),
+            lambda: random_coefficients(2, 17, "max-degree", 3),
+            lambda: random_coefficients(2, 20, "total-degree", 4),
+            lambda: sparse_coefficients([[0, 0], [5, 0], [0, 7], [3, 4], [12, 1]], 5),
+            lambda: random_coefficients(3, 6, "max-degree", 6),
+            lambda: random_coefficients(3, 9, "total-degree", 7),
+            lambda: sparse_coefficients([[0, 0, 0], [4, 0, 1], [0, 6, 0], [1, 2, 3], [0, 0, 8]], 8),
+        ],
+        ids=["1d-max", "1d-sparse", "2d-max", "2d-total", "2d-sparse", "3d-max", "3d-total", "3d-sparse"],
+    )
+    def test_matches_monomial_matrix(self, make):
+        coeffs = make()
+        corners = np.array(list(itertools.product((-4.0, 4.0), repeat=coeffs.dim)))
+        pts = np.vstack([corners, np.random.default_rng(coeffs.dim).uniform(-4.0, 4.0, (3000, coeffs.dim))])
+        self.assert_matches(coeffs, pts)
+
+    def test_matches_on_the_scale_up_grid(self, vdp):
+        # the dual-scale benchmark's table: vdp N=60 on a 101 x 101 grid over [-2, 2]^2
+        coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=60)
+        axis = np.linspace(-2.0, 2.0, 101)
+        self.assert_matches(coeffs, np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2))
 
 
 class TestSpillDiagnostic:

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from helpers import reference_grid_csv_text
 from sdembed.evaluate import (
     RadialErrorProfile,
     analytic_ou_moment,
@@ -183,6 +185,18 @@ class TestCsvFormats:
             "x1,x2,value\n0.0,-1.0,0.3333333333333333\n0.0,0.0,0.0\n0.0,1.0,-0.3333333333333333\n"
             "1.0,-1.0,1.3333333333333333\n1.0,0.0,1.0\n1.0,1.0,0.6666666666666667\n"
         )
+
+    def test_grid_text_bytes_of_the_per_row_writer(self):
+        # the one-template writer gives the sha256 of the join-per-row writer it replaced
+        tables = [
+            grid_eval(lambda p: np.exp(p[:, 0]) * np.sin(3 * p[:, 1]), ((-2, 2), (-2, 2)), (101, 101)),
+            grid_eval(lambda p: 1 / p[:, 0], [(-1.0, 1.0)], [4]),
+            grid_eval(lambda p: p.sum(axis=1) * 1e300, ((0, 1), (0, 1), (-1, 1)), (3, 4, 5)),
+            np.array([[-0.0, math.nan], [5e-324, -math.inf]]),
+        ]
+        for table in tables:
+            got, want = grid_csv_text(table), reference_grid_csv_text(table)
+            assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
     def test_profile_csv(self):
         profile = RadialErrorProfile(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.125]))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import sdembed.mc as mc_module
-from helpers import diffusion_terms, drift_terms, make_model, step_noise, term_sum
+from helpers import diffusion_terms, drift_terms, make_model, reference_states_csv_text, step_noise, term_sum
 from sdembed.cli import main
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.mc import (
@@ -240,6 +241,15 @@ class TestCsvExport:
         assert final_states_csv_text(ens) == (
             "path,x_1,x_2\n0,inf,nan\n1,-0.0,5e-324\n2,-inf,2.5e-310\n3,0.1,-1e+300\n"
         )
+
+    def test_text_bytes_of_the_per_row_writer(self, vdp):
+        # the one-template writer gives the sha256 of the join-per-row writer it replaced
+        ens = simulate(vdp, [1.0, 1.0], SimConfig(dt=0.01, horizon=0.1, paths=3000, seed=4))
+        special = np.array([[math.inf, math.nan], [-0.0, 5e-324], [-math.inf, 2.5e-310], [0.1, -1e300]])
+        for final in (ens.final, special, ens.final[:0], ens.final[:, :1]):
+            got = final_states_csv_text(TrajectoryEnsemble(final, np.zeros(len(final), bool), ens.config))
+            want = reference_states_csv_text(final)
+            assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
     def test_text_matches_file(self, vdp, tmp_path):
         # the states file `sdembed mc --out` writes is this text

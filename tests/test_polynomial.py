@@ -301,16 +301,6 @@ class TestMonomialEval:
             for where in np.ndindex(3, 4):
                 assert np.array_equal(out[where], monomials(pts[where], exps))
 
-    def test_out_buffer(self):
-        exps = np.array(multi_index_set(2, 5, "max-degree"))
-        pts = np.random.default_rng(1).uniform(-2.0, 2.0, (7, 2))
-        want = monomials(pts, exps)
-        work = np.empty((len(exps), 10))
-        for buffer in (np.empty_like(want), work[:, :7].T):
-            got = monomials(pts, exps, out=buffer)
-            assert np.shares_memory(got, buffer)
-            assert np.array_equal(got, want)
-
     def test_empty_exponent_set(self):
         assert monomials(np.ones((5, 2)), np.empty((0, 2), dtype=np.int64)).shape == (5, 0)
 
@@ -365,15 +355,6 @@ class TestMatchesCumprodReference:
         with np.errstate(over="ignore", invalid="ignore"):
             got, want = monomials(x, exps), cumprod_monomials(x, exps)
         assert np.array_equal(got, want, equal_nan=True)
-
-    def test_out_buffer(self):
-        rng = np.random.default_rng(7)
-        exps = self.random_exps(rng)
-        x = rng.normal(size=(9, exps.shape[1]))
-        work = np.empty((len(exps), 12))
-        got = monomials(x, exps, out=work[:, :9].T)
-        assert np.shares_memory(got, work)
-        assert np.array_equal(got, cumprod_monomials(x, exps))
 
 
 class TestEvaluate:
