@@ -18,6 +18,7 @@ from scipy.special import expit
 
 from .dual import DualCoefficients, eval_moment
 from .network import SigmoidNet, forward, param_views, unflatten_params
+from .polynomial import _csv_text, _freeze
 
 __all__ = [
     "Dataset",
@@ -43,16 +44,11 @@ class Dataset:
     generator_fingerprint: str
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
-        if inputs.ndim != 2 or targets.shape != (inputs.shape[0],):
+        _freeze(self, inputs=float, targets=float)
+        if self.inputs.ndim != 2 or self.targets.shape != (self.inputs.shape[0],):
             raise ValueError("inputs must be (size, dim) with one target per row")
-        if inputs.shape[0] < 1:
+        if self.inputs.shape[0] < 1:
             raise ValueError("dataset must be non-empty")
-        inputs.flags.writeable = False
-        targets.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
 
     @property
     def size(self) -> int:
@@ -86,6 +82,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be > 0 and finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,7 @@ class TrainResult:
     config: TrainConfig
 
     def __post_init__(self):
-        trace = np.asarray(self.loss_trace, dtype=float).copy()
-        trace.flags.writeable = False
-        object.__setattr__(self, "loss_trace", trace)
+        _freeze(self, loss_trace=float)
 
 
 def generate_dataset(coeffs: DualCoefficients, region, size: int, seed: int = 0) -> Dataset:
@@ -109,6 +105,8 @@ def generate_dataset(coeffs: DualCoefficients, region, size: int, seed: int = 0)
         raise ValueError(f"region bounds must be finite with lo <= hi, got {list(region)}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     lo = np.array([a for a, _ in region])
     hi = np.array([b for _, b in region])
@@ -170,7 +168,4 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
 
 
 def dataset_csv_text(data: Dataset) -> str:
-    lines = [",".join([f"x_{d + 1}" for d in range(data.dim)] + ["target"])]
-    for row, target in zip(data.inputs, data.targets):
-        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(target))]))
-    return "\n".join(lines) + "\n"
+    return _csv_text([*(f"x_{d + 1}" for d in range(data.dim)), "target"], data.inputs, data.targets)

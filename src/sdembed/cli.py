@@ -160,9 +160,10 @@ def _cmd_dual(args, run: _Run) -> str:
     model = run.model(args.model, _param_flags(args), args.origin)
     coeffs = solve_moment(model, axis=args.axis, power=args.order, t=args.t, max_degree=args.N)
     run.write_output(args.out, coefficients_csv_text(coeffs))
+    closure = "closed: truncation exact" if coeffs.closed else "not closed: truncation error not estimated"
     return (
         f"wrote {args.out}: {len(coeffs.index_set)} coefficients at t={coeffs.t}, "
-        f"boundary spill mass {coeffs.spill_mass():.3e}"
+        f"boundary spill mass {coeffs.spill_mass():.3e}, {closure}"
     )
 
 
@@ -227,8 +228,10 @@ def _parse_kv(body: str, where: str) -> dict[str, str]:
     for chunk in body.split(","):
         if "=" not in chunk:
             raise ValueError(f"{where}: expected key=value, got {chunk!r}")
-        key, value = chunk.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in chunk.split("=", 1))
+        if key in out:
+            raise ValueError(f"{where}: key {key!r} given more than once")
+        out[key] = value
     return out
 
 

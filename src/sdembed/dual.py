@@ -9,9 +9,11 @@ the moment E[x_i^m] at horizon t for any start point x0 as
 sum_n P(n, t) x0^n — no sampling involved.
 
 The delta initial condition P(n, 0) = 1 at n = m e_i selects which moment
-is propagated.  For systems that do not close under truncation the
-boundary mass sum |P(n, t)| over indices touching the cutoff
-(`spill_mass`) flags horizons where the truncation is unreliable.
+is propagated.  A system closes under truncation when no nonzero generator
+entry leaves the set (`closed`); then the truncated solution is exact up
+to the integrator.  For systems that do not close, the boundary mass
+sum |P(n, t)| over indices touching the cutoff (`spill_mass`) flags
+horizons where the truncation is unreliable, but it does not bound the error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .polynomial import index_order, index_positions, multi_index_set, power_table
+from .polynomial import _csv_text, _freeze, index_order, index_positions, multi_index_set, power_table
 from .sde import SdeModel, check_moment, diffusion_product
 
 __all__ = [
@@ -61,11 +63,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Sparse truncated generator A with A[k, n] = coeff of x^k in L x^n."""
+    """Sparse truncated generator A with A[k, n] = coeff of x^k in L x^n;
+    `closed` tells whether every nonzero entry of L x^n landed in the set."""
 
     index_set: np.ndarray  # (K, dim) int64, read-only, grlex order
     matrix: sparse.csr_array
     model_fingerprint: str = ""
+    closed: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -78,20 +82,17 @@ class DualCoefficients:
     t: float
     observable: tuple[int, int] | None = None  # (axis, power), axis 1-based
     model_fingerprint: str = ""
+    closed: bool | None = None  # the generator's closure; None when unknown (read from a file)
 
     def __post_init__(self):
-        index_set = np.array(self.index_set)
+        index_set = np.asarray(self.index_set)
         if index_set.ndim != 2 or 0 in index_set.shape or index_set.dtype.kind not in "iu":
             shape = f"{index_set.dtype} array of shape {index_set.shape}"
             raise ValueError(f"index set must be a non-empty (K, dim) integer array, got {shape}")
         index_order(index_set)
-        values = np.array(self.values, dtype=float)
-        if values.shape != (len(index_set),):
-            raise ValueError(f"values shape {values.shape} != index count {len(index_set)}")
-        index_set = index_set.astype(np.int64, copy=False)
-        values.flags.writeable = index_set.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index_set", index_set)
+        _freeze(self, index_set=np.int64, values=float)
+        if self.values.shape != (len(index_set),):
+            raise ValueError(f"values shape {self.values.shape} != index count {len(index_set)}")
 
     @property
     def dim(self) -> int:
@@ -131,7 +132,8 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     running sum of one exponent move (shift + e), added in the order of the
     operator's terms (drift axes, then (i, j) row-major), so the matrix is
     bit-for-bit the one built column by column from the reference action on
-    one monomial, `adjoint_apply` in `tests/helpers.py`.
+    one monomial, `adjoint_apply` in `tests/helpers.py`.  The generator is
+    `closed` when no nonzero entry was dropped for leaving the set.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -159,13 +161,16 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
                 if c != 0.0:
                     sums[tuple((shift + e).tolist())][live] += (c * scale) * factor
     entries = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    closed = True
     for move, total in sums.items():
         moved = exps + move
-        keep = np.flatnonzero((total != 0.0) & np.all(moved <= max_degree, axis=1))
+        nonzero, inside = total != 0.0, np.all(moved <= max_degree, axis=1)
+        closed = closed and not np.any(nonzero & ~inside)
+        keep = np.flatnonzero(nonzero & inside)
         entries.append((index_positions(exps, moved[keep]), keep, total[keep]))
     rows, cols, data = map(np.concatenate, zip(*entries))
     matrix = sparse.csr_array((data, (rows, cols)), shape=(size, size))
-    return GeneratorMatrix(exps, matrix, model.fingerprint)
+    return GeneratorMatrix(exps, matrix, model.fingerprint, closed)
 
 
 def initial_coefficients(index_set: np.ndarray, axis: int, power: int) -> np.ndarray:
@@ -228,7 +233,7 @@ def solve_dual(
     if not np.all(np.isfinite(values)):
         raise SolverError("coefficient integration produced non-finite values", {"t": t})
     return DualCoefficients(
-        generator.index_set, values, float(t), observable, generator.model_fingerprint
+        generator.index_set, values, float(t), observable, generator.model_fingerprint, generator.closed
     )
 
 
@@ -309,11 +314,7 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
 
 
 def coefficients_csv_text(coeffs: DualCoefficients) -> str:
-    dim = coeffs.dim
-    lines = [",".join([f"n_{d + 1}" for d in range(dim)] + ["value"])]
-    for index, value in zip(coeffs.index_set.tolist(), coeffs.values):
-        lines.append(",".join([str(e) for e in index] + [repr(float(value))]))
-    return "\n".join(lines) + "\n"
+    return _csv_text([*(f"n_{d + 1}" for d in range(coeffs.dim)), "value"], coeffs.index_set, coeffs.values)
 
 
 def read_coefficients_csv(path) -> DualCoefficients:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polynomial import _csv_text, _freeze
+
 __all__ = [
     "RadialErrorProfile",
     "analytic_ou_moment",
@@ -62,18 +64,13 @@ class RadialErrorProfile:
     mse: np.ndarray  # (rings,)
 
     def __post_init__(self):
-        edges = np.asarray(self.band_edges, dtype=float).copy()
-        mse = np.asarray(self.mse, dtype=float).copy()
-        if edges.shape != (mse.shape[0] + 1,):
+        _freeze(self, band_edges=float, mse=float)
+        if self.band_edges.shape != (self.mse.shape[0] + 1,):
             raise ValueError("band_edges must have one more entry than mse")
-        if np.any(np.diff(edges) <= 0):
+        if np.any(np.diff(self.band_edges) <= 0):
             raise ValueError("band_edges must be strictly increasing")
-        if np.any(mse < 0):
+        if np.any(self.mse < 0):
             raise ValueError("band MSE must be non-negative")
-        edges.flags.writeable = False
-        mse.flags.writeable = False
-        object.__setattr__(self, "band_edges", edges)
-        object.__setattr__(self, "mse", mse)
 
     def band_mean(self, r_lo: float, r_hi: float) -> float:
         """Average MSE over the rings whose centers fall in [r_lo, r_hi]."""
@@ -133,15 +130,9 @@ def radial_error_profile(
 
 def grid_csv_text(table: np.ndarray) -> str:
     """A `grid_eval` table as CSV: header x,value in 1-D, else x1,...,xD,value."""
-    dim = table.shape[1] - 1
-    names = ["x"] if dim == 1 else [f"x{d + 1}" for d in range(dim)]
-    # one template for every row; %r of a Python float is its shortest round-tripping repr
-    row = "\n" + ",".join(["%r"] * (dim + 1))
-    return ",".join([*names, "value"]) + row * len(table) % tuple(table.ravel().tolist()) + "\n"
+    names = ["x"] if table.shape[1] == 2 else [f"x{d}" for d in range(1, table.shape[1])]
+    return _csv_text([*names, "value"], table)
 
 
 def profile_csv_text(profile: RadialErrorProfile) -> str:
-    lines = ["r_lo,r_hi,mse"]
-    for lo, hi, mse in zip(profile.band_edges[:-1], profile.band_edges[1:], profile.mse):
-        lines.append(f"{float(lo)!r},{float(hi)!r},{float(mse)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(["r_lo", "r_hi", "mse"], profile.band_edges[:-1], profile.band_edges[1:], profile.mse)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _csv_text, _freeze
 from .sde import SdeModel, check_moment
 
 __all__ = [
@@ -73,12 +73,7 @@ class TrajectoryEnsemble:
     config: SimConfig
 
     def __post_init__(self):
-        final = np.asarray(self.final, dtype=float)
-        blown = np.asarray(self.blown, dtype=bool)
-        final.flags.writeable = False
-        blown.flags.writeable = False
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "blown", blown)
+        _freeze(self, final=float, blown=bool)
 
     @property
     def n_excluded(self) -> int:
@@ -130,8 +125,4 @@ def mc_moment(ensemble: TrajectoryEnsemble, axis: int, power: int) -> tuple[floa
 
 def final_states_csv_text(ensemble: TrajectoryEnsemble) -> str:
     paths, dim = ensemble.final.shape
-    header = ",".join(["path"] + [f"x_{d + 1}" for d in range(dim)])
-    # one template for every row; %r of a Python float is its shortest round-tripping repr
-    row = "\n" + ",".join(["%d"] + ["%r"] * dim)
-    cells = np.column_stack([np.arange(paths), ensemble.final]).ravel().tolist()
-    return header + row * paths % tuple(cells) + "\n"
+    return _csv_text(["path", *(f"x_{d + 1}" for d in range(dim))], np.arange(paths), ensemble.final)

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .polynomial import multi_index_set
+from .polynomial import _freeze, multi_index_set
 
 __all__ = [
     "MAX_SIGMOID_ORDER",
@@ -88,21 +88,14 @@ class SigmoidNet:
     biases: np.ndarray  # (hidden,)
 
     def __post_init__(self):
-        out_w = np.array(self.out_weights, dtype=float)
-        in_w = np.array(self.in_weights, dtype=float)
-        b = np.array(self.biases, dtype=float)
-        if in_w.ndim != 2:
+        _freeze(self, out_weights=float, in_weights=float, biases=float)
+        if self.in_weights.ndim != 2:
             raise ValueError("in_weights must be a (hidden, dim) matrix")
-        n = in_w.shape[0]
-        if out_w.shape != (n,) or b.shape != (n,):
+        n = self.in_weights.shape[0]
+        if self.out_weights.shape != (n,) or self.biases.shape != (n,):
             raise ValueError("out_weights and biases must have one entry per hidden node")
-        for arr in (out_w, in_w, b):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("network weights must be finite")
-            arr.flags.writeable = False
-        object.__setattr__(self, "out_weights", out_w)
-        object.__setattr__(self, "in_weights", in_w)
-        object.__setattr__(self, "biases", b)
+        if not all(np.isfinite(arr).all() for arr in (self.out_weights, self.in_weights, self.biases)):
+            raise ValueError("network weights must be finite")
 
     @property
     def hidden(self) -> int:

@@ -16,6 +16,9 @@ sparse term tables (`Polynomial.evaluate` and, through it, `mc.simulate`),
 and `dual.eval_moment` contracts a dense coefficient box with it axis by
 axis.  `simulate` through the contraction was slower: 1.5 s or more
 against 1.0 s for 100k vdp paths (2 vCPUs).
+
+Two private helpers serve the modules above this leaf one: `_freeze`, how
+every result record stores its arrays, and `_csv_text`, the one CSV writer.
 """
 
 from __future__ import annotations
@@ -178,3 +181,29 @@ class Polynomial:
         if x.shape[-1] != self.dim:
             raise ValueError(f"point dimension {x.shape[-1]} != polynomial dimension {self.dim}")
         return monomials(x, self.exps) @ self.coefs
+
+
+def _freeze(record, **dtypes) -> None:
+    """Store each named field of the frozen dataclass `record` as a read-only
+    copy of the given dtype, so the caller's array stays its own."""
+    for name, dtype in dtypes.items():
+        array = np.array(getattr(record, name), dtype=dtype)
+        array.flags.writeable = False
+        object.__setattr__(record, name, array)
+
+
+def _csv_text(names, *columns) -> str:
+    """CSV text: header `names`, then one row per entry of the columns, each
+    1-D or 2-D (a CSV column per array column).  One row template writes
+    integer columns %d and the rest %r (a float's shortest round-trip repr),
+    from each column's own `tolist` cells, so no integer passes through a float."""
+    columns = [column[:, None] if column.ndim == 1 else column for column in map(np.asarray, columns)]
+    formats = ["%d" if column.dtype.kind in "iu" else "%r" for column in columns for _ in column.T]
+    rows, width = len(columns[0]), len(formats)
+    cells = [None] * (rows * width)
+    # one CSV column's list at a time, the list dropped before formatting and
+    # the header in the template: no second copy of the cells or of the text
+    for k, field in enumerate(field for column in columns for field in column.T):
+        cells[k::width] = field.tolist()
+    cells = tuple(cells)
+    return (",".join(names) + ("\n" + ",".join(formats)) * rows + "\n") % cells

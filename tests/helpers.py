@@ -185,6 +185,33 @@ def reference_grid_csv_text(table):
     return "\n".join(lines) + "\n"
 
 
+def reference_coefficients_csv_text(index_set, values):
+    """A coefficient CSV as the writer before `dual.coefficients_csv_text`
+    wrote it: one join per row, str of each exponent, repr of each value."""
+    lines = [",".join([f"n_{d + 1}" for d in range(np.shape(index_set)[1])] + ["value"])]
+    for index, value in zip(np.asarray(index_set).tolist(), values):
+        lines.append(",".join([str(e) for e in index] + [repr(float(value))]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_profile_csv_text(band_edges, mse):
+    """A radial profile CSV as the writer before `evaluate.profile_csv_text`
+    wrote it: one f-string per ring."""
+    lines = ["r_lo,r_hi,mse"]
+    for lo, hi, err in zip(band_edges[:-1], band_edges[1:], mse):
+        lines.append(f"{float(lo)!r},{float(hi)!r},{float(err)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dataset_csv_text(inputs, targets):
+    """A dataset CSV as the writer before `baseline.dataset_csv_text` wrote
+    it: one join per row."""
+    lines = [",".join([f"x_{d + 1}" for d in range(inputs.shape[1])] + ["target"])]
+    for row, target in zip(inputs, targets):
+        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(target))]))
+    return "\n".join(lines) + "\n"
+
+
 def table(dim, *columns):
     """The term table (`Polynomial`) whose column c holds the term map columns[c]."""
     rows = sorted({n for column in columns for n in column}, key=grlex_key)

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from sdembed.evaluate import analytic_ou_moment
 from sdembed.network import SigmoidNet, forward
 from sdembed.sde import builtin_model
 
-from helpers import reference_train_backprop
+from helpers import reference_dataset_csv_text, reference_train_backprop
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,14 @@ class TestGenerateDataset:
     def test_bad_size(self, ou_coeffs):
         with pytest.raises(ValueError):
             generate_dataset(ou_coeffs, [(-1.0, 1.0)], size=0, seed=0)
+
+    def test_negative_seed_rejected_before_labelling(self, ou_coeffs, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("points were labelled")
+
+        monkeypatch.setattr("sdembed.baseline.eval_moment", no_work)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_dataset(ou_coeffs, [(-1.0, 1.0)], size=3, seed=-1)
 
     def test_region_dimension_mismatch(self, ou_coeffs):
         with pytest.raises(ValueError):
@@ -119,8 +130,8 @@ class TestTrainBackprop:
 
     @pytest.mark.parametrize(
         "settings",
-        [{"hidden": 0}, {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}],
-        ids=["hidden", "epochs", "batch", "lr"],
+        [{"hidden": 0}, {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}, {"seed": -1}],
+        ids=["hidden", "epochs", "batch", "lr", "seed"],
     )
     def test_config_rejects_bad_settings(self, settings):
         with pytest.raises(ValueError):
@@ -136,6 +147,18 @@ class TestDatasetCsv:
         first = lines[1].split(",")
         assert float(first[0]) == data.inputs[0, 0]
         assert float(first[1]) == data.targets[0]
+
+    def test_text_bytes_of_the_per_row_writer(self):
+        # the shared writer gives the sha256 of the join-per-row writer it replaced
+        vdp = builtin_model("vdp", {"epsilon": 1.0, "nu11": 1.0, "nu22": 1.0})
+        coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=10)
+        labelled = generate_dataset(coeffs, [(-4.0, 4.0), (-4.0, 4.0)], size=3000, seed=5)
+        special = np.array([[math.inf, math.nan], [-0.0, 5e-324], [-math.inf, 1e300], [0.1, -1e300]])
+        cases = [(labelled.inputs, labelled.targets), (special, special[::-1, 1]), (special[:, :1], special[:, 0])]
+        for inputs, targets in cases:
+            got = dataset_csv_text(Dataset(inputs, targets, ""))
+            want = reference_dataset_csv_text(inputs, targets)
+            assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
     def test_text_matches_file(self, ou_coeffs, tmp_path):
         # the dataset file `sdembed train-baseline --dataset-out` writes is this text

@@ -81,6 +81,20 @@ class TestDualCommand:
         assert run(["dual", "ou", "--order", 1, "--N", 6, "--t", 1.0, "--out", out_builtin]) == 0
         assert out_file.read_bytes() == out_builtin.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, closure",
+        [
+            (["ou", "--order", 2, "--N", 12, "--t", 1.0], "closed: truncation exact"),
+            (["ou", "--order", 2, "--N", 12, "--t", 1.0, "--origin", 1.5], "closed: truncation exact"),
+            (["vdp", "--axis", 2, "--order", 2, "--N", 17, "--t", 0.1], "not closed: truncation error not estimated"),
+        ],
+        ids=["ou", "ou-shifted", "vdp"],
+    )
+    def test_summary_states_closure(self, argv, closure, tmp_path, capsys):
+        assert run(["dual", *argv, "--out", tmp_path / "out.csv"]) == 0
+        summary = capsys.readouterr().out.strip()
+        assert re.search(r"boundary spill mass \S+, " + closure + "$", summary)
+
 
 class TestFitCommand:
     def test_fit_from_dual_csv(self, ou_dual_csv, tmp_path, capsys):
@@ -265,14 +279,16 @@ def forbid_work(monkeypatch, *targets):
         ["fit", "--dual", "{csv}", "--hidden", 0],
         ["fit", "--dual", "{csv}", "--hidden", 2, "--restarts", 0],
         ["fit", "--dual", "{csv}", "--hidden", 2, "--max-iterations", 0],
+        ["fit", "--dual", "{csv}", "--hidden", 2, "--seed", -1],
         *(
             ["train-baseline", "--dual", "{csv}", "--size", 10, "--box", -1, 1, "--hidden", 2, *setting]
-            for setting in (["--hidden", 0], ["--epochs", 0], ["--batch", 0], ["--lr", 0])
+            for setting in (["--hidden", 0], ["--epochs", 0], ["--batch", 0], ["--lr", 0],
+                            ["--seed", -1, "--data-seed", 3])
         ),
     ],
     ids=[
-        "fit-hidden", "fit-restarts", "fit-max-iterations",
-        *(f"train-baseline-dual-{flag}" for flag in ("hidden", "epochs", "batch", "lr")),
+        "fit-hidden", "fit-restarts", "fit-max-iterations", "fit-seed",
+        *(f"train-baseline-dual-{flag}" for flag in ("hidden", "epochs", "batch", "lr", "seed")),
     ],
 )
 def test_bad_setting_is_usage_error_before_any_work(argv, ou_dual_csv, tmp_path, capsys, monkeypatch):
@@ -284,6 +300,29 @@ def test_bad_setting_is_usage_error_before_any_work(argv, ou_dual_csv, tmp_path,
     code = run([str(a).replace("{csv}", str(ou_dual_csv)) for a in argv] + ["--out", out])
     assert code == 2
     assert re.search(r"must be >=? ?[01]", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "env_seed, argv, forbidden, message",
+    [
+        ("-5", ["fit", "--dual", "{csv}", "--hidden", 2], "sdembed.cli.read_coefficients_csv", "got -5"),
+        ("-5", ["train-baseline", "--dual", "{csv}", "--size", 10, "--box", -1, 1, "--hidden", 2],
+         "sdembed.cli.read_coefficients_csv", "got -5"),
+        # a data seed is checked once the coefficients are read, before any point is labelled
+        ("0", ["train-baseline", "--dual", "{csv}", "--size", 10, "--box", -1, 1, "--hidden", 2, "--data-seed", -1],
+         "sdembed.baseline.eval_moment", "got -1"),
+    ],
+    ids=["fit-env", "train-baseline-env", "train-baseline-data-seed"],
+)
+def test_negative_seed_is_usage_error_before_any_work(env_seed, argv, forbidden, message, ou_dual_csv, tmp_path,
+                                                      capsys, monkeypatch):
+    forbid_work(monkeypatch, forbidden)
+    monkeypatch.setenv("SDEMBED_SEED", env_seed)
+    out = tmp_path / "net.json"
+    code = run([str(a).replace("{csv}", str(ou_dual_csv)) for a in argv] + ["--out", out])
+    assert code == 2
+    assert f"seed must be >= 0, {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -747,6 +786,25 @@ class TestEvalCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "missing required key" in err and key in err
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("ou:m=1,t=1,t=2", "'t'"),
+            ("ou:m=1, m=2,t=1", "'m'"),
+            ("mc:model=ou,m=1,t=0.1,m=2", "'m'"),
+            ("mc:model=vdp,epsilon=1,epsilon=2,m=1,t=0.1", "'epsilon'"),
+        ],
+        ids=["ou", "ou-spaced", "mc", "mc-parameter"],
+    )
+    def test_predictor_repeated_key_is_usage_error(self, spec, key, tmp_path, capsys, monkeypatch):
+        forbid_work(monkeypatch, "sdembed.cli.simulate", "sdembed.cli.grid_eval")
+        out = tmp_path / "x.csv"
+        code = run(["eval", "--pred", spec, "--line", -1, 1, 3, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"key {key} given more than once" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "mode",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import adjoint_apply, make_model, reference_eval_moment, value_at
+from helpers import adjoint_apply, make_model, reference_coefficients_csv_text, reference_eval_moment, value_at
 from sdembed import dual
 from sdembed.dual import (
     DualCoefficients,
@@ -476,6 +476,31 @@ class TestEvalMomentAgainstMonomialMatrix:
         self.assert_matches(coeffs, np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2))
 
 
+class TestClosure:
+    @pytest.mark.parametrize(
+        "name, max_degree, closed",
+        [("ou", 12, True), ("ou-shifted", 12, True), ("vdp", 17, False), ("lorenz", 12, False)],
+    )
+    def test_generator_records_dropped_entries(self, name, max_degree, closed, ou, vdp):
+        model = {"ou": ou, "ou-shifted": shift_model_origin(ou, (1.5,)), "vdp": vdp, "lorenz": lorenz_model()}[name]
+        generator = build_generator(model, max_degree)
+        assert generator.closed is closed
+        start = initial_coefficients(generator.index_set, 1, 2)
+        assert solve_dual(generator, start, 0.1).closed is closed
+
+    def test_unknown_when_read_from_a_file(self, ou, tmp_path):
+        coeffs = solve_moment(ou, axis=1, power=2, t=1.0, max_degree=6)
+        path = tmp_path / "ou.csv"
+        path.write_text(coefficients_csv_text(coeffs))
+        assert coeffs.closed is True and read_coefficients_csv(path).closed is None
+
+    def test_fingerprint_ignores_closure(self, ou):
+        coeffs = solve_moment(ou, axis=1, power=2, t=1.0, max_degree=4)
+        unknown = DualCoefficients(coeffs.index_set, coeffs.values, coeffs.t, coeffs.observable,
+                                   coeffs.model_fingerprint)
+        assert unknown.closed is None and unknown.fingerprint() == coeffs.fingerprint()
+
+
 class TestSpillDiagnostic:
     def test_closed_system_has_zero_spill(self, ou):
         coeffs = solve_moment(ou, axis=1, power=2, t=1.0, max_degree=12)
@@ -570,6 +595,25 @@ class TestCsvInterchange:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n_1,value"
         assert len(lines) == 14
+
+    def test_text_bytes_of_the_per_row_writer(self, vdp):
+        # the shared writer gives the sha256 of the join-per-row writer it replaced
+        solved = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=17)
+        special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300]
+        cases = [
+            (solved.index_set, solved.values),
+            (multi_index_set(1, len(special) - 1, "max-degree"), special),
+            ([[0, 0], [2**53 + 1, 0], [3, 2**62]], [1.0, 2.0, 3.0]),
+        ]
+        for index_set, values in cases:
+            got = coefficients_csv_text(DualCoefficients(index_set, values, t=0.0))
+            want = reference_coefficients_csv_text(index_set, values)
+            assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+
+    def test_large_exponent_written_back_exactly(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("n_1,value\n0,1.0\n9007199254740993,2.0\n")
+        assert coefficients_csv_text(read_coefficients_csv(path)) == path.read_text()
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_grid_csv_text
+from helpers import reference_grid_csv_text, reference_profile_csv_text
 from sdembed.evaluate import (
     RadialErrorProfile,
     analytic_ou_moment,
@@ -192,10 +192,24 @@ class TestCsvFormats:
             grid_eval(lambda p: np.exp(p[:, 0]) * np.sin(3 * p[:, 1]), ((-2, 2), (-2, 2)), (101, 101)),
             grid_eval(lambda p: 1 / p[:, 0], [(-1.0, 1.0)], [4]),
             grid_eval(lambda p: p.sum(axis=1) * 1e300, ((0, 1), (0, 1), (-1, 1)), (3, 4, 5)),
-            np.array([[-0.0, math.nan], [5e-324, -math.inf]]),
+            np.array([[-0.0, math.nan], [5e-324, -math.inf], [math.inf, 1e300]]),
+            np.empty((0, 3)),
         ]
         for table in tables:
             got, want = grid_csv_text(table), reference_grid_csv_text(table)
+            assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+
+    def test_profile_text_bytes_of_the_per_row_writer(self):
+        # the shared writer gives the sha256 of the f-string-per-ring writer it replaced
+        wave = radial_error_profile(lambda p: np.sin(3 * p[:, 0]), lambda p: p[:, 1] ** 2, 4.0, (100, 30))
+        profiles = [
+            wave,
+            RadialErrorProfile([-math.inf, -0.0, 5e-324, 1e300, math.inf], [math.nan, -0.0, math.inf, 5e-324]),
+            RadialErrorProfile([0.0], []),
+        ]
+        for profile in profiles:
+            got = profile_csv_text(profile)
+            want = reference_profile_csv_text(profile.band_edges, profile.mse)
             assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
     def test_profile_csv(self):

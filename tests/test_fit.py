@@ -76,6 +76,10 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError):
             FitConfig(hidden=2, order=4, restarts=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            FitConfig(hidden=2, seed=-1)
+
     def test_order_above_sigmoid_cap(self):
         FitConfig(hidden=2, order=20)
         with pytest.raises(ValueError, match="Taylor order must be >= 0 and <= 20, got 21"):

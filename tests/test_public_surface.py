@@ -4,10 +4,16 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sdembed
 from sdembed import cli
+from sdembed.baseline import Dataset, TrainConfig, TrainResult
+from sdembed.dual import DualCoefficients
+from sdembed.evaluate import RadialErrorProfile
+from sdembed.mc import SimConfig, TrajectoryEnsemble
+from sdembed.network import SigmoidNet
 
 MODULES = ["sdembed", *(f"sdembed.{info.name}" for info in pkgutil.iter_modules(sdembed.__path__))]
 SRC = Path(sdembed.__file__).parent
@@ -147,6 +153,73 @@ def test_every_class_member_is_read():
                 if not any(attr == name and not where & ignored for attr, where in reads):
                     unread.append(f"{stem}.{cls.name}.{name}")
     assert unread == []
+
+
+def _placed(predicate) -> set[str]:
+    """`module.function` (methods as `module.Class.method`) of the innermost
+    function around every library node the predicate accepts; docstrings are
+    not searched."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return
+        if predicate(node):
+            found.add(where)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for stem, tree in _library_trees().items():
+        visit(tree, stem)
+    return found
+
+
+def test_records_and_tables_are_each_written_in_one_place():
+    """Only `polynomial._freeze` sets a frozen record's fields, and only
+    `polynomial._csv_text` builds a %r row template or joins rows."""
+
+    def setattr_call(node):
+        return isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"
+
+    def row_format(node):
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, str) and "%r" in node.value
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "'\\n'.join"
+
+    assert _placed(setattr_call) == {"polynomial._freeze"}
+    assert _placed(row_format) == {"polynomial._csv_text"}
+
+
+_NET = {"out_weights": [1.0, 2.0], "in_weights": [[0.5], [-0.5]], "biases": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (Dataset, {"inputs": np.zeros((3, 2)), "targets": np.zeros(3), "generator_fingerprint": ""}),
+        (TrajectoryEnsemble, {"final": np.zeros((3, 2)), "blown": np.zeros(3, bool),
+                              "config": SimConfig(dt=0.1, horizon=0.0, paths=3)}),
+        (TrainResult, {"net": SigmoidNet(**_NET), "loss_trace": np.ones(2), "config": TrainConfig(hidden=2)}),
+        (DualCoefficients, {"index_set": np.array([[0], [1]]), "values": np.ones(2), "t": 0.0}),
+        (RadialErrorProfile, {"band_edges": np.array([0.0, 1.0, 2.0]), "mse": np.ones(2)}),
+        (SigmoidNet, {name: np.array(value) for name, value in _NET.items()}),
+    ],
+    ids=["Dataset", "TrajectoryEnsemble", "TrainResult", "DualCoefficients", "RadialErrorProfile", "SigmoidNet"],
+)
+def test_records_keep_read_only_copies(record, fields):
+    """A record stores each array field as its own read-only copy: the
+    caller's arrays stay writable, and writing them leaves the record as built."""
+    arrays = {name: value.copy() for name, value in fields.items() if isinstance(value, np.ndarray)}
+    built = record(**{**fields, **arrays})
+    for name, array in arrays.items():
+        stored = getattr(built, name)
+        before = stored.copy()
+        assert not stored.flags.writeable and not np.shares_memory(stored, array)
+        assert array.flags.writeable
+        array[...] = 1
+        assert np.array_equal(stored, before)
 
 
 def test_no_except_tuple_lists_a_class_with_its_base():
