@@ -123,8 +123,12 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     `network.param_views`; the gradient fills the same views of one buffer,
     and each step is one Adam update of the whole vector.  Initial weights
     are uniform on [-1, 1); shuffling and initialization both derive from
-    the seed, so training is reproducible.  The loss trace records the
-    full-dataset MSE after each epoch, through `network.forward`.
+    the seed, so training is reproducible.  Each epoch gathers the shuffled
+    dataset once and slices its batches from that copy.  The loss trace
+    records the full-dataset MSE after each epoch, through `network.forward`,
+    summed over row blocks of at most 64 KiB of hidden activations: the
+    trace is the same for any BLAS thread count, and training holds memory
+    O(size * (dim + 1)), never O(size * hidden).
     """
     hidden, dim = config.hidden, data.dim
     rng = np.random.default_rng(config.seed)
@@ -135,18 +139,24 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     first, second = np.zeros_like(theta), np.zeros_like(theta)
     adam_step = 0
     trace = np.full(config.epochs, np.nan)
+    # The epoch loss runs over blocks of at most 8192 hidden activations
+    # (64 KiB): every BLAS call on a block then stays below the sizes at
+    # which OpenBLAS hands work to its thread pool (9216 for a GEMV, 10 000
+    # for a dot product), so no helper thread is woken, and the sum is split
+    # the same way for any thread count.
+    loss_rows = max(1, 8192 // hidden)
     # divergence surfaces through the per-epoch finite-loss check, so the
     # intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(data.size)
+            inputs, targets = data.inputs[order], data.targets[order]
             for lo_idx in range(0, data.size, config.batch_size):
-                batch = order[lo_idx : lo_idx + config.batch_size]
-                x = data.inputs[batch]
-                y = data.targets[batch]
+                x = inputs[lo_idx : lo_idx + config.batch_size]
+                y = targets[lo_idx : lo_idx + config.batch_size]
                 hidden_act = expit(x @ in_w.T + biases)
                 err = hidden_act @ out_w - y
-                scale = 2.0 / batch.size
+                scale = 2.0 / y.size
                 d_hidden = (scale * err)[:, None] * out_w[None, :] * hidden_act * (1.0 - hidden_act)
                 d_out[:] = hidden_act.T @ (scale * err)
                 d_in[:] = d_hidden.T @ x
@@ -157,11 +167,15 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
                 first += (1.0 - _BETA1) * (grad - first)
                 second += (1.0 - _BETA2) * (grad * grad - second)
                 theta -= config.learning_rate * (first / correct1) / (np.sqrt(second / correct2) + _EPS)
+            del inputs, targets, x, y  # the epoch's gathered copy is not held past it
             if np.all(np.isfinite(theta)):  # else the loss stays NaN: SigmoidNet rejects the weights
-                err = forward(unflatten_params(theta, hidden, dim), data.inputs)
-                err -= data.targets
-                trace[epoch] = float(err @ err) / err.size
-                del err  # not held while the next epoch's batches run
+                net = unflatten_params(theta, hidden, dim)
+                total = 0.0
+                for lo_idx in range(0, data.size, loss_rows):
+                    err = forward(net, data.inputs[lo_idx : lo_idx + loss_rows])
+                    err -= data.targets[lo_idx : lo_idx + loss_rows]
+                    total += float(err @ err)
+                trace[epoch] = total / data.size
             if not np.isfinite(trace[epoch]):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
     return TrainResult(unflatten_params(theta, hidden, dim), trace, config)

@@ -109,7 +109,8 @@ def radial_error_profile(
     first ring at half a spacing) and angles uniformly on [0, 2pi); every
     mesh point weighs equally within its ring.  The profile has one band
     per ring; `RadialErrorProfile.band_mean` averages rings into wider
-    bands.
+    bands.  A non-finite predictor or reference value is a ValueError
+    naming the first mesh point that has one.
     """
     n_r, n_theta = mesh
     if n_r < 2 or n_theta < 2:
@@ -120,8 +121,16 @@ def radial_error_profile(
     angles = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     rr, tt = np.meshgrid(radii, angles, indexing="ij")
     points = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
-    diff = np.asarray(predictor(points), dtype=float) - np.asarray(reference(points), dtype=float)
-    ring_mse = (diff.reshape(n_r, n_theta) ** 2).mean(axis=1)
+    pred = np.asarray(predictor(points), dtype=float).reshape(points.shape[0])
+    ref = np.asarray(reference(points), dtype=float).reshape(points.shape[0])
+    bad = np.flatnonzero(~(np.isfinite(pred) & np.isfinite(ref)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"non-finite value at mesh point ({float(points[i, 0])!r}, {float(points[i, 1])!r}): "
+            f"predictor {float(pred[i])!r}, reference {float(ref[i])!r}"
+        )
+    ring_mse = ((pred - ref).reshape(n_r, n_theta) ** 2).mean(axis=1)
     return RadialErrorProfile(np.linspace(0.0, r_max, n_r + 1), ring_mse)
 
 

@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +132,46 @@ class TestTrainBackprop:
         assert np.array_equal(result.net.in_weights, net.in_weights)
         assert np.array_equal(result.net.biases, net.biases)
         assert np.array_equal(result.loss_trace, trace)
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="a second BLAS thread needs a second CPU to run on"
+    )
+    def test_loss_trace_same_for_any_blas_thread_count(self):
+        script = (
+            "import numpy as np\n"
+            "from sdembed.baseline import Dataset, TrainConfig, train_backprop\n"
+            "rng = np.random.default_rng(1)\n"
+            "inputs = rng.uniform(-2, 2, (20_000, 2))\n"
+            "data = Dataset(inputs, np.sin(inputs).sum(axis=1), 'threads')\n"
+            "result = train_backprop(data, TrainConfig(hidden=4, epochs=2, seed=1))\n"
+            "print(' '.join(float(v).hex() for v in result.loss_trace))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        traces = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300
+            )
+            traces.append(run.stdout.split())
+        assert len(traces[0]) == 2
+        assert traces[0] == traces[1]
+
+    def test_epoch_memory_below_one_activation_array(self):
+        rng = np.random.default_rng(2)
+        inputs = rng.uniform(-2, 2, (100_000, 2))
+        data = Dataset(inputs, np.sin(inputs).sum(axis=1), "memory")
+        config = TrainConfig(hidden=8, epochs=1, seed=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_backprop(data, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # one (size, hidden) float64 array, which the full-dataset forward pass formed twice
+        assert peak < data.size * config.hidden * 8
 
     @pytest.mark.parametrize(
         "settings",

@@ -150,6 +150,19 @@ class TestRadialErrorProfile:
         assert profile.band_mean(3.0, 4.0) == 4.0
         assert profile.band_mean(0.0, 4.0) == 2.5
 
+    @pytest.mark.parametrize("side", ["predictor", "reference"])
+    def test_non_finite_value_names_first_mesh_point(self, side):
+        # NaN at ring 2 (radius 2.5), angle 0 of a (4, 4) mesh of radius 4, and at a later point
+        def holed(p):
+            out = p[:, 0] + p[:, 1]
+            out[[2 * 4, 3 * 4 + 1]] = math.nan
+            return out
+
+        f = lambda p: p[:, 0] + p[:, 1]
+        pair = (holed, f) if side == "predictor" else (f, holed)
+        with pytest.raises(ValueError, match=rf"mesh point \(2\.5, 0\.0\): .*{side} nan"):
+            radial_error_profile(*pair, 4.0, (4, 4))
+
     def test_mesh_validation(self):
         f = lambda p: np.zeros(len(p))
         with pytest.raises(ValueError):
