@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dual import DualCoefficients, eval_moment
-from .network import SigmoidNet, forward, param_views, unflatten_params
+from .network import _FORWARD_BLOCK, SigmoidNet, forward, param_views
 from .polynomial import _csv_text, _freeze
 
 __all__ = [
@@ -125,10 +125,10 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     are uniform on [-1, 1); shuffling and initialization both derive from
     the seed, so training is reproducible.  Each epoch gathers the shuffled
     dataset once and slices its batches from that copy.  The loss trace
-    records the full-dataset MSE after each epoch, through `network.forward`,
-    summed over row blocks of at most 64 KiB of hidden activations: the
-    trace is the same for any BLAS thread count, and training holds memory
-    O(size * (dim + 1)), never O(size * hidden).
+    records the full-dataset MSE after each epoch, through `network.forward`
+    of the weight views, summed over its row blocks: the trace is the same
+    for any BLAS thread count, and training holds memory O(size * (dim + 1)),
+    never O(size * hidden).  One `SigmoidNet` is built, for the result.
     """
     hidden, dim = config.hidden, data.dim
     rng = np.random.default_rng(config.seed)
@@ -138,13 +138,8 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     d_out, d_in, d_bias = param_views(grad, hidden, dim)
     first, second = np.zeros_like(theta), np.zeros_like(theta)
     adam_step = 0
-    trace = np.full(config.epochs, np.nan)
-    # The epoch loss runs over blocks of at most 8192 hidden activations
-    # (64 KiB): every BLAS call on a block then stays below the sizes at
-    # which OpenBLAS hands work to its thread pool (9216 for a GEMV, 10 000
-    # for a dot product), so no helper thread is woken, and the sum is split
-    # the same way for any thread count.
-    loss_rows = max(1, 8192 // hidden)
+    trace = np.empty(config.epochs)
+    loss_rows = max(1, _FORWARD_BLOCK // hidden)  # one block of `forward` each
     # divergence surfaces through the per-epoch finite-loss check, so the
     # intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,17 +163,15 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
                 second += (1.0 - _BETA2) * (grad * grad - second)
                 theta -= config.learning_rate * (first / correct1) / (np.sqrt(second / correct2) + _EPS)
             del inputs, targets, x, y  # the epoch's gathered copy is not held past it
-            if np.all(np.isfinite(theta)):  # else the loss stays NaN: SigmoidNet rejects the weights
-                net = unflatten_params(theta, hidden, dim)
-                total = 0.0
-                for lo_idx in range(0, data.size, loss_rows):
-                    err = forward(net, data.inputs[lo_idx : lo_idx + loss_rows])
-                    err -= data.targets[lo_idx : lo_idx + loss_rows]
-                    total += float(err @ err)
-                trace[epoch] = total / data.size
+            total = 0.0
+            for lo_idx in range(0, data.size, loss_rows):
+                err = forward((out_w, in_w, biases), data.inputs[lo_idx : lo_idx + loss_rows])
+                err -= data.targets[lo_idx : lo_idx + loss_rows]
+                total += float(err @ err)
+            trace[epoch] = total / data.size
             if not np.isfinite(trace[epoch]):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-    return TrainResult(unflatten_params(theta, hidden, dim), trace, config)
+    return TrainResult(SigmoidNet(out_w, in_w, biases), trace, config)
 
 
 def dataset_csv_text(data: Dataset) -> str:

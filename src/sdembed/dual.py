@@ -11,9 +11,8 @@ sum_n P(n, t) x0^n — no sampling involved.
 The delta initial condition P(n, 0) = 1 at n = m e_i selects which moment
 is propagated.  A system closes under truncation when no nonzero generator
 entry leaves the set (`closed`); then the truncated solution is exact up
-to the integrator.  For systems that do not close, the boundary mass
-sum |P(n, t)| over indices touching the cutoff (`spill_mass`) flags
-horizons where the truncation is unreliable, but it does not bound the error.
+to the integrator.  For systems that do not close, the truncation error is
+not estimated.
 """
 
 from __future__ import annotations
@@ -50,6 +49,17 @@ _IVP_METHOD = "RK45"
 # adaptive step tolerances, tight enough that truncation is the dominant error
 _RTOL = 1e-10
 _ATOL = 1e-12
+
+
+# bytes per eval_moment block: peak memory is O(block + points), not O(points * K)
+_EVAL_BLOCK_BYTES = 16 << 20
+
+
+def _check_box(shape: tuple[int, ...]) -> None:
+    """Reject a dense coefficient box (`eval_moment`'s) above one evaluation block."""
+    if 8 * math.prod(shape) > _EVAL_BLOCK_BYTES:
+        raise ValueError(f"index set needs a {shape} coefficient box of {8 * math.prod(shape)} bytes, "
+                         f"above the {_EVAL_BLOCK_BYTES}-byte evaluation block")
 
 
 class SolverError(RuntimeError):
@@ -102,15 +112,6 @@ class DualCoefficients:
     def max_degree(self) -> int:
         return int(self.index_set.max())
 
-    def spill_mass(self) -> float:
-        """Sum of |P(n, t)| over indices with any exponent >= max_degree - 1.
-
-        A non-negligible value means coefficient mass reached the cutoff
-        boundary and the truncated solution should not be trusted.
-        """
-        mask = self.index_set.max(axis=1) >= self.max_degree - 1
-        return float(np.sum(np.abs(self.values[mask])))
-
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         # hashed as nested tuples, the form recorded dataset fingerprints were made from
@@ -133,11 +134,13 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     operator's terms (drift axes, then (i, j) row-major), so the matrix is
     bit-for-bit the one built column by column from the reference action on
     one monomial, `adjoint_apply` in `tests/helpers.py`.  The generator is
-    `closed` when no nonzero entry was dropped for leaving the set.
+    `closed` when no nonzero entry was dropped for leaving the set.  A set
+    `eval_moment` could not evaluate is a ValueError, raised before it is built.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     dim = model.dim
+    _check_box((max_degree + 1,) * dim)
     exps = multi_index_set(dim, max_degree, "max-degree")  # (K, dim)
     size = len(exps)
     unit = np.eye(dim, dtype=np.int64)
@@ -251,10 +254,6 @@ def solve_moment(
     return solve_dual(generator, start, t, observable=(axis, power))
 
 
-# bytes per eval_moment block: peak memory is O(block + points), not O(points * K)
-_EVAL_BLOCK_BYTES = 16 << 20
-
-
 def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     """Moment estimate sum_n P(n, t) x^n at one point (dim,) or a batch (..., dim).
 
@@ -284,9 +283,7 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
         )
     tops = exps.max(axis=0).tolist()
     shape = tuple(top + 1 for top in tops)
-    if 8 * math.prod(shape) > _EVAL_BLOCK_BYTES:
-        raise ValueError(f"index set needs a {shape} coefficient box of {8 * math.prod(shape)} bytes, "
-                         f"above the {_EVAL_BLOCK_BYTES}-byte evaluation block")
+    _check_box(shape)
     box = np.zeros(shape)
     box[tuple(exps.T)] = coeffs.values
     # (rest, last) -> (last, rest): the matrix the last axis's powers multiply

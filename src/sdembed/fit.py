@@ -37,8 +37,8 @@ from .network import (
     SigmoidNet,
     net_to_dict,
     network_taylor,
+    param_views,
     taylor_jacobian,
-    unflatten_params,
 )
 from .polynomial import index_positions, multi_index_set
 
@@ -119,15 +119,15 @@ def _target_vector(target: DualCoefficients, dim: int, order: int) -> np.ndarray
 
 
 def _lm_minimize(theta0, target_values, hidden, dim, config):
-    """One damped Gauss-Newton descent; returns (theta, cost, iterations, converged)."""
+    """One damped Gauss-Newton descent on the flat weight vector, read through
+    `param_views`; returns (theta, cost, iterations, converged)."""
 
     def cost_and_residual(theta):
-        net = unflatten_params(theta, hidden, dim)
-        r = target_values - network_taylor(net, config.order)
+        r = target_values - network_taylor(param_views(theta, hidden, dim), config.order)
         return r, float(r @ r)
 
     def jacobian_and_gradient(theta, r):  # J, J^T r (computed once) and its max norm
-        jac = -taylor_jacobian(unflatten_params(theta, hidden, dim), config.order)
+        jac = -taylor_jacobian(param_views(theta, hidden, dim), config.order)
         gradient = jac.T @ r
         return jac, gradient, float(np.max(np.abs(gradient)))
 
@@ -203,7 +203,7 @@ def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
             best = (theta, cost, iterations, converged)
     theta, cost, iterations, converged = best
     return FitResult(
-        net=unflatten_params(theta, config.hidden, dim),
+        net=SigmoidNet(*param_views(theta, config.hidden, dim)),
         cost=cost,
         restart_costs=tuple(costs),
         iterations=iterations,

@@ -16,7 +16,9 @@ error enters the tables.
 
 Parameter flattening order (used by the Jacobian columns, the fit and the
 backprop baseline) is: output weights (n), then input weights row-major
-(node-major, axis-minor; n*D), then biases (n); `param_views` writes it.
+(node-major, axis-minor; n*D), then biases (n); `param_views` writes it and
+returns, as views, the weight triple (q, R, s) that `forward`,
+`network_taylor` and `taylor_jacobian` take.  A `SigmoidNet` unpacks to it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,16 @@ __all__ = [
     "network_taylor",
     "taylor_jacobian",
     "param_views",
-    "unflatten_params",
     "net_to_dict",
     "dict_to_net",
     "read_network",
 ]
 
 MAX_SIGMOID_ORDER = 20
+# `forward` runs in row blocks of at most this many hidden activations (64 KiB),
+# below the sizes at which OpenBLAS threads a GEMV (9216) or a dot (10 000): no
+# helper thread is woken, and the result is the same for any thread count.
+_FORWARD_BLOCK = 8192
 
 
 @lru_cache(maxsize=None)
@@ -97,6 +102,10 @@ class SigmoidNet:
         if not all(np.isfinite(arr).all() for arr in (self.out_weights, self.in_weights, self.biases)):
             raise ValueError("network weights must be finite")
 
+    def __iter__(self):
+        """Unpack to the weight triple (q, R, s) the network functions take."""
+        return iter((self.out_weights, self.in_weights, self.biases))
+
     @property
     def hidden(self) -> int:
         return self.in_weights.shape[0]
@@ -106,13 +115,19 @@ class SigmoidNet:
         return self.in_weights.shape[1]
 
 
-def forward(net: SigmoidNet, x) -> float | np.ndarray:
-    """Network output at a point (dim,) or batch (..., dim) of points."""
+def forward(params, x) -> float | np.ndarray:
+    """Output of the network with weights (q, R, s) at a point (dim,) or a
+    batch (..., dim) of points, `_FORWARD_BLOCK` hidden activations at a time."""
+    out_w, in_w, biases = params
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != net.dim:
-        raise ValueError(f"input dimension {x.shape[-1]} != network dimension {net.dim}")
-    hidden = expit(x @ net.in_weights.T + net.biases)
-    out = hidden @ net.out_weights
+    if x.shape[-1] != in_w.shape[1]:
+        raise ValueError(f"input dimension {x.shape[-1]} != network dimension {in_w.shape[1]}")
+    flat = x.reshape(-1, x.shape[-1])
+    out = np.empty(len(flat))
+    rows = max(1, _FORWARD_BLOCK // len(biases))
+    for lo in range(0, len(flat), rows):
+        out[lo : lo + rows] = expit(flat[lo : lo + rows] @ in_w.T + biases) @ out_w
+    out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -137,45 +152,49 @@ def _taylor_tables(dim: int, order: int):
     return exps, factors
 
 
-def _expansion(net: SigmoidNet, order: int):
+def _expansion(in_w: np.ndarray, biases: np.ndarray, order: int):
     """What `network_taylor` and `taylor_jacobian` share: the tables of
     `_taylor_tables`; one power table, powers[0, p] = biases^p and
     powers[1 + d, p] = w_in[:, d]^p (0**0 = 1); the per-axis powers gathered
     at every index (each (L, hidden)); their product; the bias sums.
     """
-    exps, factors = _taylor_tables(net.dim, order)
-    base = np.concatenate([net.biases[None], net.in_weights.T])[:, None, :]  # (dim+1, 1, hidden)
+    dim = in_w.shape[1]
+    exps, factors = _taylor_tables(dim, order)
+    base = np.concatenate([biases[None], in_w.T])[:, None, :]  # (dim+1, 1, hidden)
     # C order keeps each (order+1, hidden) block contiguous for the BLAS products
     powers = np.power(base, np.arange(order + 1)[:, None], order="C")
-    gathered = [powers[d + 1][exps[:, d]] for d in range(net.dim)]
+    gathered = [powers[d + 1][exps[:, d]] for d in range(dim)]
     weight_pow = reduce(np.multiply, gathered)  # from axis 0 upwards
     return exps, factors, powers, gathered, weight_pow, factors @ powers[0]
 
 
-def network_taylor(net: SigmoidNet, order: int) -> np.ndarray:
-    """Exact order-N Taylor coefficients of the network output at the origin.
+def network_taylor(params, order: int) -> np.ndarray:
+    """Exact order-N Taylor coefficients at the origin of the output of the
+    network with weights (q, R, s).
 
     Returns an (L,) float array, one coefficient per row of
-    `multi_index_set(net.dim, order, "total-degree")`, in that order.
+    `multi_index_set(dim, order, "total-degree")`, in that order.
     """
-    *_, weight_pow, bias_sum = _expansion(net, order)
-    return (weight_pow * bias_sum) @ net.out_weights
+    out_w, in_w, biases = params
+    *_, weight_pow, bias_sum = _expansion(in_w, biases, order)
+    return (weight_pow * bias_sum) @ out_w
 
 
-def taylor_jacobian(net: SigmoidNet, order: int) -> np.ndarray:
-    """Partial derivatives of every Taylor coefficient w.r.t. every weight,
-    from the same expansion `network_taylor` sums.
+def taylor_jacobian(params, order: int) -> np.ndarray:
+    """Partial derivatives of every Taylor coefficient w.r.t. every weight of
+    (q, R, s), from the same expansion `network_taylor` sums.
 
     Shape (L, hidden * (dim + 2)); columns follow `param_views`.
     """
-    exps, factors, powers, gathered, weight_pow, bias_sum = _expansion(net, order)
-    n, dim = net.hidden, net.dim
+    out_w, in_w, biases = params
+    exps, factors, powers, gathered, weight_pow, bias_sum = _expansion(in_w, biases, order)
+    n, dim = in_w.shape
 
     d_out = weight_pow * bias_sum  # d/d out_weights
 
     # d/d biases: differentiate the bias power series term-wise
     dbias_factors = factors[:, 1:] * np.arange(1, order + 1)[None, :]
-    d_bias = (weight_pow * (dbias_factors @ powers[0, :order])) * net.out_weights[None, :]
+    d_bias = (weight_pow * (dbias_factors @ powers[0, :order])) * out_w[None, :]
 
     # d/d in_weights[:, d]: lower the exponent on axis d, keep the others
     d_in = np.empty((len(exps), n * dim))
@@ -184,7 +203,7 @@ def taylor_jacobian(net: SigmoidNet, order: int) -> np.ndarray:
         for other in range(dim):
             if other != d:
                 dpow = dpow * gathered[other]
-        d_in[:, d::dim] = (dpow * bias_sum) * net.out_weights[None, :]
+        d_in[:, d::dim] = (dpow * bias_sum) * out_w[None, :]
 
     return np.hstack([d_out, d_in, d_bias])
 
@@ -194,13 +213,6 @@ def param_views(theta: np.ndarray, hidden: int, dim: int):
     parameter vector: the one place the flattening order is written."""
     split = hidden * (dim + 1)
     return theta[:hidden], theta[hidden:split].reshape(hidden, dim), theta[split:]
-
-
-def unflatten_params(theta: np.ndarray, hidden: int, dim: int) -> SigmoidNet:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (hidden * (dim + 2),):
-        raise ValueError(f"parameter vector has {theta.size} entries, expected {hidden * (dim + 2)}")
-    return SigmoidNet(*param_views(theta, hidden, dim))
 
 
 # -- serialization -----------------------------------------------------------

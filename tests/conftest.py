@@ -1,7 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from sdembed.network import SigmoidNet
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -13,3 +16,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture
+def net_builds(monkeypatch):
+    """A list that gains each `SigmoidNet` as it is constructed during the test."""
+    built = []
+    validate = SigmoidNet.__post_init__
+
+    def counted(net):
+        built.append(net)
+        validate(net)
+
+    monkeypatch.setattr(SigmoidNet, "__post_init__", counted)
+    return built

@@ -339,7 +339,7 @@ def multinomial(k, parts):
 
 def flatten_params(net):
     """Concatenate (out_weights, in_weights row-major, biases): the layout of
-    `network.unflatten_params` and of the Jacobian columns."""
+    `network.param_views` and of the Jacobian columns."""
     return np.concatenate([net.out_weights, net.in_weights.ravel(), net.biases])
 
 

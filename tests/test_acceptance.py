@@ -26,9 +26,9 @@ from sdembed.network import (
     forward,
     net_to_dict,
     network_taylor,
+    param_views,
     sigmoid_derivatives,
     taylor_jacobian,
-    unflatten_params,
 )
 from sdembed.polynomial import multi_index_set
 from sdembed.sde import builtin_model
@@ -253,7 +253,7 @@ def test_criterion_05_taylor_machinery():
             for mult, weight in stencil:
                 bumped = theta.copy()
                 bumped[p] += mult * h
-                acc += weight * network_taylor(unflatten_params(bumped, hidden, dim), order)
+                acc += weight * network_taylor(param_views(bumped, hidden, dim), order)
             fd_jac[:, p] = acc / h
         worst_jac = max(worst_jac, np.abs(fd_jac - jac).max() / max(np.abs(jac).max(), 1e-12))
     elapsed = time.perf_counter() - started

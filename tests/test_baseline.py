@@ -158,6 +158,11 @@ class TestTrainBackprop:
         assert len(traces[0]) == 2
         assert traces[0] == traces[1]
 
+    def test_one_network_built_per_training(self, ou_coeffs, net_builds):
+        data = generate_dataset(ou_coeffs, [(-2.0, 2.0)], size=1_000, seed=6)
+        result = train_backprop(data, TrainConfig(hidden=3, epochs=3, batch_size=64, seed=6))
+        assert len(net_builds) == 1 and net_builds[0] is result.net
+
     def test_epoch_memory_below_one_activation_array(self):
         rng = np.random.default_rng(2)
         inputs = rng.uniform(-2, 2, (100_000, 2))

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +96,16 @@ class TestDualCommand:
     def test_summary_states_closure(self, argv, closure, tmp_path, capsys):
         assert run(["dual", *argv, "--out", tmp_path / "out.csv"]) == 0
         summary = capsys.readouterr().out.strip()
-        assert re.search(r"boundary spill mass \S+, " + closure + "$", summary)
+        assert re.search(r"coefficients at t=\S+, " + closure + "$", summary)
+
+
+    def test_truncation_above_eval_block_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        forbid_work(monkeypatch, "sdembed.dual.multi_index_set")
+        out = tmp_path / "big.csv"
+        assert run(["dual", "vdp", "--order", 2, "--N", 100_000, "--t", 0.1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: index set needs a (100001, 100001) coefficient box of 80001600008 bytes" in err
+        assert not out.exists()
 
 
 class TestFitCommand:
@@ -680,6 +692,27 @@ class TestEvalCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,value"
         assert len(lines) == 22
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="a second BLAS thread needs a second CPU to run on"
+    )
+    def test_network_grid_same_for_any_blas_thread_count(self, tmp_path):
+        rng = np.random.default_rng(0)
+        net = tmp_path / "net.json"
+        weights = {"q": rng.uniform(-20, 20, 8), "R": rng.uniform(-1.5, 1.5, (8, 2)), "s": rng.uniform(-1.5, 1.5, 8)}
+        net.write_text(json.dumps({key: value.tolist() for key, value in weights.items()}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        tables = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"grid_{threads}.csv"
+            argv = ["eval", "--pred", f"net:{net}", "--grid", "-4", "4", "-4", "4", "301", "301", "--out", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "sdembed.cli", *argv], env=env, capture_output=True, check=True, timeout=300
+            )
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
     def test_analytic_predictor_line(self, tmp_path):
         out = tmp_path / "analytic.csv"

@@ -501,18 +501,6 @@ class TestClosure:
         assert unknown.closed is None and unknown.fingerprint() == coeffs.fingerprint()
 
 
-class TestSpillDiagnostic:
-    def test_closed_system_has_zero_spill(self, ou):
-        coeffs = solve_moment(ou, axis=1, power=2, t=1.0, max_degree=12)
-        assert coeffs.spill_mass() == pytest.approx(0.0, abs=1e-14)
-
-    def test_tight_truncation_spills(self, vdp):
-        generous = solve_moment(vdp, axis=2, power=2, t=0.5, max_degree=12)
-        tight = solve_moment(vdp, axis=2, power=2, t=0.5, max_degree=4)
-        assert tight.spill_mass() > generous.spill_mass()
-        assert tight.spill_mass() > 1e-4
-
-
 class TestDualCoefficientsIndexSet:
     def test_fields_are_read_only_int64_arrays(self, vdp):
         gen = build_generator(vdp, 4)

@@ -121,6 +121,10 @@ class TestFitNetwork:
         assert np.array_equal(flatten_params(a.net), flatten_params(b.net))
         assert a.restart_costs == b.restart_costs
 
+    def test_one_network_built_per_fit(self, ou_first_moment, net_builds):
+        result = fit_network(ou_first_moment, FitConfig(hidden=3, order=8, restarts=2, max_iterations=5))
+        assert len(net_builds) == 1 and net_builds[0] is result.net
+
     def test_restart_monotonicity(self, ou_first_moment):
         base = dict(hidden=3, order=8, seed=3, max_iterations=15)
         three = fit_network(ou_first_moment, FitConfig(restarts=3, **base))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from helpers import (
     fd_taylor_coefficients,
@@ -20,10 +21,10 @@ from sdembed.network import (
     forward,
     net_to_dict,
     network_taylor,
+    param_views,
     read_network,
     sigmoid_derivatives,
     taylor_jacobian,
-    unflatten_params,
 )
 
 
@@ -112,6 +113,15 @@ class TestForward:
         net = SigmoidNet([1.0], [[1.0, 2.0]], [0.0])
         with pytest.raises(ValueError):
             forward(net, [1.0])
+
+    def test_batch_over_several_row_blocks_keeps_its_shape(self):
+        rng = np.random.default_rng(1)
+        net = random_net(rng, 4, 2)
+        pts = rng.uniform(-2, 2, (3, 1500, 2))  # 4500 rows: three blocks of 2048 at hidden 4
+        direct = expit(pts @ net.in_weights.T + net.biases) @ net.out_weights
+        batched = forward(net, pts)
+        assert batched.shape == (3, 1500)
+        np.testing.assert_allclose(batched, direct, rtol=1e-14)
 
 
 class TestNetworkTaylor:
@@ -218,7 +228,7 @@ class TestTaylorJacobian:
                 for mult, weight in stencil:
                     bumped = theta.copy()
                     bumped[p] += mult * h
-                    acc += weight * network_taylor(unflatten_params(bumped, hidden, dim), order)
+                    acc += weight * network_taylor(param_views(bumped, hidden, dim), order)
                 fd[:, p] = acc / h
             scale = max(np.abs(jac).max(), 1e-12)
             assert np.abs(fd - jac).max() / scale < 1e-6
@@ -234,14 +244,28 @@ class TestParamsRoundTrip:
     def test_flatten_unflatten(self):
         rng = np.random.default_rng(7)
         net = random_net(rng, 3, 2)
-        again = unflatten_params(flatten_params(net), 3, 2)
+        again = SigmoidNet(*param_views(flatten_params(net), 3, 2))
         assert np.array_equal(again.out_weights, net.out_weights)
         assert np.array_equal(again.in_weights, net.in_weights)
         assert np.array_equal(again.biases, net.biases)
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
-            unflatten_params(np.zeros(7), 2, 2)
+            SigmoidNet(*param_views(np.zeros(7), 2, 2))
+
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda params: forward(params, np.linspace(-2, 2, 10_000).reshape(5_000, 2)),
+            lambda params: network_taylor(params, 5),
+            lambda params: taylor_jacobian(params, 5),
+        ],
+        ids=["forward", "network_taylor", "taylor_jacobian"],
+    )
+    def test_record_and_weight_views_agree_bit_for_bit(self, apply):
+        net = random_net(np.random.default_rng(9), 4, 2)
+        views = param_views(flatten_params(net), 4, 2)
+        assert np.array_equal(apply(net), apply(views))
 
 
 class TestSerialization:
