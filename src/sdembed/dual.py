@@ -293,10 +293,10 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
         for start in range(0, flat.shape[0], block):
             points = flat[start : start + block]
             powers = power_table(points, tops)
-            partial = powers[: shape[-1], :, -1].T @ last
+            partial = powers[: shape[-1], -1].T @ last
             for d in range(dim - 2, -1, -1):
                 partial = partial.reshape(len(points), -1, shape[d])
-                partial *= powers[: shape[d], :, d].T[:, None, :]
+                partial *= powers[: shape[d], d].T[:, None, :]
                 partial = partial.sum(axis=-1)
             out[start : start + block] = partial[:, 0]
             del powers  # so two blocks' power tables are never alive at once

@@ -155,6 +155,32 @@ def cumprod_monomials(x, exps):
     return np.moveaxis(rows, 0, -1)
 
 
+def reference_simulate(model, x0, config, block=8192):
+    """Final states (paths, dim) and blow-up flags (paths,) by `mc.simulate`'s
+    block loop before its one workspace per call: fresh noise, monomials
+    (`cumprod_monomials`), field values and increments at every step and
+    block of `block` paths, on the same Philox stream per step."""
+    dim = model.dim
+    sqrt_dt = math.sqrt(config.dt)
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if np.any(model.diffusion[:, i, j])]
+    columns = [model.drift, *(model.diffusion[:, i, j, None] for i, j in pairs)]
+    field = Polynomial(model.terms.exps, np.hstack(columns))
+    final = np.tile(np.asarray(x0, dtype=float), (config.paths, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.steps):
+            seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))
+            gen = np.random.Generator(np.random.Philox(seq))
+            for start in range(0, config.paths, block):
+                states = final[start : start + block]
+                xi = gen.standard_normal(states.shape)
+                values = cumprod_monomials(states, field.exps) @ field.coefs
+                incr = values[:, :dim] * config.dt
+                for col, (i, j) in enumerate(pairs, start=dim):
+                    incr[:, i] += values[:, col] * (sqrt_dt * xi[:, j])
+                states += incr
+    return final, ~np.all(np.isfinite(final), axis=1)
+
+
 def reference_eval_moment(coeffs, x, block=4096):
     """sum_n P(n, t) x^n at points x (..., dim) by the earlier formulation
     of `dual.eval_moment`: the (points, K) monomial matrix, `monomials(x,

@@ -1,12 +1,24 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sdembed.mc as mc_module
-from helpers import diffusion_terms, drift_terms, make_model, reference_states_csv_text, step_noise, term_sum
+from helpers import (
+    diffusion_terms,
+    drift_terms,
+    make_model,
+    reference_simulate,
+    reference_states_csv_text,
+    step_noise,
+    term_sum,
+)
 from sdembed.cli import main
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.mc import (
@@ -185,6 +197,61 @@ class TestCompiledStepMatchesReference:
         config = SimConfig(dt=1e-3, horizon=0.02, paths=32, seed=5)
         got = simulate(vdp, np.array([1.0, 1.0]), config).final
         assert_paths_close(got, reference_euler(vdp, np.array([1.0, 1.0]), config))
+
+
+class TestWorkspaceMatchesFreshBlocks:
+    """simulate bit for bit (NaN for NaN) against the block loop that
+    allocated fresh arrays at every step and block, `reference_simulate`:
+    one path, a few, exactly one block, and a short last block of one path."""
+
+    @staticmethod
+    def assert_identical(model, x0, config):
+        ens = simulate(model, x0, config)
+        final, blown = reference_simulate(model, x0, config)
+        assert np.array_equal(ens.final, final, equal_nan=True)
+        assert np.array_equal(ens.blown, blown)
+        return ens
+
+    @pytest.mark.parametrize("paths", [1, 5, 8192, 8193, 16385])
+    def test_vdp_and_ou(self, vdp, ou, paths):
+        config = SimConfig(dt=1e-3, horizon=0.01, paths=paths, seed=21)
+        self.assert_identical(vdp, [1.0, 1.0], config)
+        self.assert_identical(ou, [1.0], config)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_models(self, seed):
+        model = random_model(seed)
+        rng = np.random.default_rng(1000 + seed)
+        x0 = rng.uniform(0.5, 1.5, model.dim) * rng.choice([-1.0, 1.0], model.dim)
+        self.assert_identical(model, x0, SimConfig(dt=1e-2, horizon=0.5, paths=8193, seed=seed))
+
+    def test_blow_up(self, vdp):
+        ens = self.assert_identical(vdp, [2.2, 2.2], SimConfig(dt=0.5, horizon=10.0, paths=8193, seed=3))
+        assert 0 < ens.n_excluded < 8193
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc heap behaviour through ru_minflt")
+def test_steps_map_no_fresh_pages():
+    # with the mmap threshold pinned at 128 KiB, every freed block-sized
+    # temporary goes back to the kernel, and the next one faults its pages in
+    # afresh: fresh arrays per step and block made 68 427 faults in this run, the one
+    # workspace per call about 440
+    script = (
+        "import resource\n"
+        "from sdembed.mc import SimConfig, simulate\n"
+        "from sdembed.sde import builtin_model\n"
+        "vdp = builtin_model('vdp', {'epsilon': 1.0, 'nu11': 1.0, 'nu22': 1.0})\n"
+        "config = SimConfig(dt=1e-3, horizon=0.1, paths=16384, seed=3)\n"
+        "simulate(vdp, [1.0, 1.0], config)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "simulate(vdp, [1.0, 1.0], config)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert int(run.stdout) < 2000
 
 
 class TestMcMoment:

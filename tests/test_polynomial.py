@@ -27,6 +27,7 @@ from sdembed.polynomial import (
     index_positions,
     monomials,
     multi_index_set,
+    power_table,
 )
 
 
@@ -321,6 +322,43 @@ class TestMonomialEval:
         assert np.array_equal(monomials(np.array([1e200, 2.0]), exps), [1.0, 1e200, 32.0])
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPowerTable:
+    """`power_table`'s table (top + 1, dim, ...) and its out= buffer."""
+
+    def test_axis_rows_are_contiguous_repeated_products(self):
+        x = np.random.default_rng(0).normal(size=(7, 3)) * 3.0
+        tops = [3, 1, 4]
+        got = power_table(x, tops)
+        assert got.shape == (5, 3, 7)
+        for d, top in enumerate(tops):
+            power = np.ones(7)
+            for k in range(top + 1):
+                assert same_bits(got[k, d], power) and got[k, d].flags.c_contiguous
+                power = power * x[:, d]
+
+    @pytest.mark.parametrize(
+        "shape, tops",
+        [((6, 2), [3, 5]), ((2, 3, 3), [2, 0, 4]), ((2,), [4, 1]), ((3,), [0, 0, 0]), ((5, 1), [0]), ((1,), [6])],
+        ids=["points", "batch", "one-point", "one-point-top-0", "top-0", "one-point-1-d"],
+    )
+    def test_out_buffer_is_filled_and_returned(self, shape, tops):
+        x = np.random.default_rng(1).normal(size=shape) * 3.0
+        fresh = power_table(x, tops)
+        buf = np.full(fresh.shape, np.nan)
+        assert power_table(x, tops, out=buf) is buf
+        # an entry above its axis's top is left unset in both
+        for d, top in enumerate(tops):
+            assert same_bits(buf[: top + 1, d], fresh[: top + 1, d])
+
+    def test_out_buffer_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"out= has shape \(3, 2, 4\), expected \(3, 2, 5\)"):
+            power_table(np.ones((5, 2)), [2, 1], out=np.empty((3, 2, 4)))
+
+
 class TestMatchesCumprodReference:
     """`monomials` bit for bit against the per-axis cumprod tables it replaced."""
 
@@ -403,6 +441,23 @@ class TestEvaluate:
             x = np.full((3, 4, dim), 2.0)
             assert np.array_equal(table(dim, {}).evaluate(x)[..., 0], term_sum({}, x))
             assert table(dim, {}, {}).evaluate(x[0, 0]).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_out_and_work_buffers_give_the_fresh_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        columns = [
+            {tuple(int(e) for e in rng.integers(0, 5, dim)): float(rng.normal()) for _ in range(int(rng.integers(1, 6)))}
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        p = table(dim, *columns)
+        x = rng.normal(size=(40, dim)) * 2.0
+        work = p.workspace(40)
+        # a shorter block, and a single point, reuse the front of the one buffer
+        for points in (x, x[:5], x[:1], x[0]):
+            out = np.empty(points.shape[:-1] + (len(columns),))
+            assert p.evaluate(points, out=out, work=work) is out
+            assert same_bits(out, p.evaluate(points))
 
     def test_huge_coefficient_still_overflows(self):
         column = {(2,): 1e308, (0,): 1.0}
