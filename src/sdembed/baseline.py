@@ -150,10 +150,9 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
                 x = inputs[lo_idx : lo_idx + config.batch_size]
                 y = targets[lo_idx : lo_idx + config.batch_size]
                 hidden_act = expit(x @ in_w.T + biases)
-                err = hidden_act @ out_w - y
-                scale = 2.0 / y.size
-                d_hidden = (scale * err)[:, None] * out_w[None, :] * hidden_act * (1.0 - hidden_act)
-                d_out[:] = hidden_act.T @ (scale * err)
+                scaled = (2.0 / y.size) * (hidden_act @ out_w - y)
+                d_hidden = scaled[:, None] * out_w[None, :] * hidden_act * (1.0 - hidden_act)
+                d_out[:] = hidden_act.T @ scaled
                 d_in[:] = d_hidden.T @ x
                 d_bias[:] = d_hidden.sum(axis=0)
                 adam_step += 1

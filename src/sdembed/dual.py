@@ -53,6 +53,10 @@ _ATOL = 1e-12
 
 # bytes per eval_moment block: peak memory is O(block + points), not O(points * K)
 _EVAL_BLOCK_BYTES = 16 << 20
+# rows x box entries (multiply-adds) per matrix product, in whole 64-row groups where one fits (a
+# row rounds by its place mod 4), below the ~450 000 (one column) and 524 288 (dgemm) at which
+# OpenBLAS threads: no helper thread is woken, and every thread count gives the same bits
+_EVAL_GEMM = 400_000
 
 
 def _check_box(shape: tuple[int, ...]) -> None:
@@ -259,13 +263,13 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
 
     The sum is factorised over a dense box of coefficients, one axis per
     coordinate up to its largest exponent, 0.0 off the index set: the last
-    axis is one matrix product with its `power_table` rows, and each other
-    axis, last to first, a multiply and sum.  Points go in blocks of about
-    `_EVAL_BLOCK_BYTES` of power table, coefficients or partial sums,
-    whichever is largest per point, so memory stays bounded by twice the
-    block plus the output.  A power table of one point or a box above the
-    block is a ValueError, raised before any work, and a non-finite moment
-    (a power of x overflows) a SolverError.
+    axis is a matrix product with its `power_table` rows, `_EVAL_GEMM` at a
+    time, and each other axis, last to first, a multiply and sum.  Points go
+    in blocks of about `_EVAL_BLOCK_BYTES` of power table, coefficients or
+    partial sums, whichever is largest per point, so memory stays bounded by
+    twice the block plus the output.  A power table of one point or a box
+    above the block is a ValueError, raised before any work, and a non-finite
+    moment (a power of x overflows) a SolverError.
     """
     x = np.asarray(x, dtype=float)
     dim = coeffs.dim
@@ -289,11 +293,14 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     # (rest, last) -> (last, rest): the matrix the last axis's powers multiply
     last = box.reshape(-1, shape[-1]).T
     block = max(1, _EVAL_BLOCK_BYTES // max(8 * exps.shape[0], table, 8 * last.shape[1]))
+    rows = max(1, _EVAL_GEMM // last.size // 64 * 64 or _EVAL_GEMM // last.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, flat.shape[0], block):
             points = flat[start : start + block]
             powers = power_table(points, tops)
-            partial = powers[: shape[-1], -1].T @ last
+            partial = np.empty((len(points), last.shape[1]))
+            for lo in range(0, len(points), rows):
+                np.matmul(powers[: shape[-1], -1, lo : lo + rows].T, last, out=partial[lo : lo + rows])
             for d in range(dim - 2, -1, -1):
                 partial = partial.reshape(len(points), -1, shape[d])
                 partial *= powers[: shape[d], d].T[:, None, :]

@@ -4,12 +4,13 @@ The cost is the plain sum of squared differences between the solved
 coefficients P(l, t) and the network Taylor coefficients, taken over the
 total-degree index set {l : sum l_j <= N}.  Minimization uses damped
 Gauss-Newton (Levenberg-Marquardt) steps with the analytic Jacobian from
-the network module, restarted from several random initializations; the
-lowest-cost restart wins.  Everything is deterministic for a fixed seed.
-Each restart draws its initial weights uniformly from [-1, 1] and stops at
-a gradient norm of 1e-10, at a relative cost drop of 1e-15 or on its
-iteration budget; only the budget is a setting, the rest are the module
-constants `_INIT_RANGE`, `_GRADIENT_TOL` and `_COST_TOL`.
+the network module, on the expansion its accepted trial built, restarted from
+several random initializations; the lowest-cost restart wins.  Everything is
+deterministic for a fixed seed.  Each restart draws its initial weights
+uniformly from [-1, 1] and stops at a gradient norm of 1e-10, at a relative
+cost drop of 1e-15 or on its iteration budget; only the budget is a setting,
+the rest are the module constants `_INIT_RANGE`, `_GRADIENT_TOL` and
+`_COST_TOL`.
 
 The default iteration budget (30) is deliberately modest, and it is not
 the one `sdembed fit` uses (200); neither serves both fits below.  On
@@ -136,6 +137,10 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
     if not np.isfinite(cost):
         raise FitError("non-finite residuals at the initial point")
     damping = _DAMPING_INIT
+    # identity damping (classic Levenberg): resists motion along flat
+    # directions of the cost, which keeps fitted weights in the basin
+    # where the truncated expansion also controls off-origin values
+    identity = np.eye(len(theta))
     converged = False
     iterations = 0
     while iterations < config.max_iterations:
@@ -144,10 +149,6 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
             converged = True
             break
         hess = jac.T @ jac
-        # identity damping (classic Levenberg): resists motion along flat
-        # directions of the cost, which keeps fitted weights in the basin
-        # where the truncated expansion also controls off-origin values
-        identity = np.eye(hess.shape[0])
         accepted = False
         while damping <= _DAMPING_CEIL:
             try:

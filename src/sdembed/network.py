@@ -10,9 +10,11 @@ expansion around the origin whose coefficient at the multi-index l is
 
 truncated at order N.  These coefficients, and their closed-form partial
 derivatives with respect to every weight, are what the coefficient-matching
-fit optimizes over.  The sigmoid derivatives at zero are computed in exact
-rational arithmetic via the polynomial-in-sigmoid recurrence, so no float
-error enters the tables.
+fit optimizes over; both come from one expansion, kept for the last weights,
+so the fit's Jacobian at an accepted step reuses the one its trial built.
+The sigmoid derivatives at zero are computed in exact rational arithmetic
+via the polynomial-in-sigmoid recurrence, so no float error enters the
+tables.
 
 Parameter flattening order (used by the Jacobian columns, the fit and the
 backprop baseline) is: output weights (n), then input weights row-major
@@ -27,13 +29,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .polynomial import _freeze, multi_index_set
+from .polynomial import _freeze, multi_index_set, power_table
 
 __all__ = [
     "MAX_SIGMOID_ORDER",
@@ -133,12 +135,12 @@ def forward(params, x) -> float | np.ndarray:
 
 @lru_cache(maxsize=None)
 def _taylor_tables(dim: int, order: int):
-    """Weight-independent tables for the expansion at (dim, order).
-
-    Returns the total-degree index set (L, dim) and the rational factor
-    table c[l, j] = sigmoid_deriv(|l|+j) / (l! * j!) for j <= order - |l|
-    (zero beyond), already combining the multinomial and 1/k! factors of
-    the coefficient formula.
+    """Weight-independent tables for the expansion at (dim, order): the
+    total-degree index set (L, dim); the factors c[l, j] = sigmoid_deriv(|l|+j)
+    / (l! * j!) for j <= order - |l| (zero beyond), which combine the
+    multinomial and 1/k! factors of the coefficient formula; the bias-derivative
+    factors j * c[l, j], j >= 1; per axis d the exponent column (L, 1); and the
+    `_expansion` power rows (dim, L) of w_in[:, d]^l_d and w_in[:, d]^max(l_d - 1, 0).
     """
     table = sigmoid_derivatives(order)
     exps = multi_index_set(dim, order, "total-degree")
@@ -148,24 +150,31 @@ def _taylor_tables(dim: int, order: int):
         deg = sum(l)
         for j in range(order - deg + 1):
             factors[row, j] = float(table[deg + j] / (lfact * math.factorial(j)))
-    factors.flags.writeable = False
-    return exps, factors
+    rows = (dim + 1) * exps.T + np.arange(1, dim + 1)[:, None]
+    tables = (exps, factors, factors[:, 1:] * np.arange(1, order + 1), exps.T[:, :, None], rows,
+              np.maximum(rows - dim - 1, rows % (dim + 1)))
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
 
-def _expansion(in_w: np.ndarray, biases: np.ndarray, order: int):
-    """What `network_taylor` and `taylor_jacobian` share: the tables of
-    `_taylor_tables`; one power table, powers[0, p] = biases^p and
-    powers[1 + d, p] = w_in[:, d]^p (0**0 = 1); the per-axis powers gathered
-    at every index (each (L, hidden)); their product; the bias sums.
-    """
-    dim = in_w.shape[1]
-    exps, factors = _taylor_tables(dim, order)
-    base = np.concatenate([biases[None], in_w.T])[:, None, :]  # (dim+1, 1, hidden)
-    # C order keeps each (order+1, hidden) block contiguous for the BLAS products
-    powers = np.power(base, np.arange(order + 1)[:, None], order="C")
-    gathered = [powers[d + 1][exps[:, d]] for d in range(dim)]
-    weight_pow = reduce(np.multiply, gathered)  # from axis 0 upwards
-    return exps, factors, powers, gathered, weight_pow, factors @ powers[0]
+@lru_cache(maxsize=1)
+def _expansion(in_bytes: bytes, bias_bytes: bytes, dim: int, order: int):
+    """What `network_taylor` and `taylor_jacobian` share, for the float64 w_in
+    and biases of these bytes, all read-only: the `_taylor_tables`; the nodes'
+    `power_table` as rows k * (dim + 1) + a (a = 0: b^k, d + 1: w_in[:, d]^k);
+    its rows gathered at every index (dim, L, hidden); their product; the bias
+    sums; the product times the bias sums.  Kept for the last weights only."""
+    _, factors, _, _, rows, _ = tables = _taylor_tables(dim, order)
+    nodes = np.concatenate([np.frombuffer(bias_bytes)[:, None], np.frombuffer(in_bytes).reshape(-1, dim)], axis=1)
+    powers = power_table(nodes, [order] * (dim + 1)).reshape(-1, len(nodes))
+    gathered = np.take(powers, rows, axis=0)
+    weight_pow = np.multiply.reduce(gathered)  # from axis 0 upwards
+    bias_sum = factors @ powers[:: dim + 1]
+    expansion = (tables, powers, gathered, weight_pow, bias_sum, weight_pow * bias_sum)
+    for array in expansion[1:]:
+        array.setflags(write=False)
+    return expansion
 
 
 def network_taylor(params, order: int) -> np.ndarray:
@@ -175,9 +184,8 @@ def network_taylor(params, order: int) -> np.ndarray:
     Returns an (L,) float array, one coefficient per row of
     `multi_index_set(dim, order, "total-degree")`, in that order.
     """
-    out_w, in_w, biases = params
-    *_, weight_pow, bias_sum = _expansion(in_w, biases, order)
-    return (weight_pow * bias_sum) @ out_w
+    out_w, in_w, biases = (np.asarray(w, dtype=float) for w in params)
+    return _expansion(in_w.tobytes(), biases.tobytes(), in_w.shape[1], order)[-1] @ out_w
 
 
 def taylor_jacobian(params, order: int) -> np.ndarray:
@@ -186,26 +194,25 @@ def taylor_jacobian(params, order: int) -> np.ndarray:
 
     Shape (L, hidden * (dim + 2)); columns follow `param_views`.
     """
-    out_w, in_w, biases = params
-    exps, factors, powers, gathered, weight_pow, bias_sum = _expansion(in_w, biases, order)
+    out_w, in_w, biases = (np.asarray(w, dtype=float) for w in params)
     n, dim = in_w.shape
-
-    d_out = weight_pow * bias_sum  # d/d out_weights
-
-    # d/d biases: differentiate the bias power series term-wise
-    dbias_factors = factors[:, 1:] * np.arange(1, order + 1)[None, :]
-    d_bias = (weight_pow * (dbias_factors @ powers[0, :order])) * out_w[None, :]
+    tables, powers, gathered, weight_pow, bias_sum, d_out = _expansion(in_w.tobytes(), biases.tobytes(), dim, order)
+    exps, _, dbias_factors, columns, _, lowered = tables
+    jac = np.empty((len(exps), n * (dim + 2)))
+    jac[:, :n] = d_out  # d/d out_weights
 
     # d/d in_weights[:, d]: lower the exponent on axis d, keep the others
-    d_in = np.empty((len(exps), n * dim))
     for d in range(dim):
-        dpow = exps[:, d][:, None] * powers[d + 1][np.maximum(exps[:, d] - 1, 0)]
+        dpow = columns[d] * np.take(powers, lowered[d], axis=0)
         for other in range(dim):
             if other != d:
                 dpow = dpow * gathered[other]
-        d_in[:, d::dim] = (dpow * bias_sum) * out_w[None, :]
+        np.multiply(dpow * bias_sum, out_w, out=jac[:, n + d : n * (dim + 1) : dim])
 
-    return np.hstack([d_out, d_in, d_bias])
+    # d/d biases: differentiate the bias power series term-wise
+    bias_pow = powers[: order * (dim + 1) : dim + 1]
+    np.multiply(weight_pow * (dbias_factors @ bias_pow), out_w, out=jac[:, n * (dim + 1) :])
+    return jac
 
 
 def param_views(theta: np.ndarray, hidden: int, dim: int):

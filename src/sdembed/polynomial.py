@@ -119,25 +119,28 @@ def power_table(x: np.ndarray, tops, out: np.ndarray | None = None) -> np.ndarra
     """Powers x_d^k of float points x (..., dim) for k up to axis d's largest
     exponent tops[d], as a table (max(tops) + 1, dim, ...) whose row [k, d]
     holds x_d^k at every point, contiguously.  Powers come by repeated
-    multiplication (x^0 = 1, 0 included), all axes of one power in one call
-    up to min(tops); an entry above its axis's top is left unset, so a power
-    no exponent needs cannot overflow.  The table is written into `out`, of
-    that shape, and returned when given."""
+    multiplication (x^0 = 1, 0 included), up to min(tops) one call per power
+    or, for a narrow table, one accumulate call; an entry above its axis's
+    top is left unset, so a power no exponent needs cannot overflow.  The
+    table is written into `out`, of that shape, and returned when given."""
     shape = (max(tops) + 1, x.shape[-1]) + x.shape[:-1]
     table = np.empty(shape) if out is None else out
     if table.shape != shape:
         raise ValueError(f"power table out= has shape {table.shape}, expected {shape}")
     table[0] = 1.0
-    if shape[0] > 1:
-        table[1] = x.transpose(-1, *range(x.ndim - 1))  # np.moveaxis, at a seventh of the call cost
+    rows = x.transpose(-1, *range(x.ndim - 1))  # np.moveaxis, at a seventh of the call cost
     low = min(tops)
-    for k in range(2, shape[0]):
-        if k <= low:
+    if rows.size < 4 * low:  # narrow: accumulate's C loop runs down each of its columns
+        table[1 : low + 1] = rows
+        np.multiply.accumulate(table[1 : low + 1], axis=0, out=table[1 : low + 1])
+    elif shape[0] > 1:
+        table[1] = rows
+        for k in range(2, low + 1):
             np.multiply(table[k - 1], table[1], out=table[k])
-        else:  # only the axes that use x_d^k
-            # the Ellipsis keeps a single point's entry [k, d] a 0-d array that out= takes, not a scalar
-            for d in [d for d, top in enumerate(tops) if top >= k]:
-                np.multiply(table[k - 1, d, ...], table[1, d, ...], out=table[k, d, ...])
+    for k in range(max(2, low + 1), shape[0]):  # only the axes that use x_d^k
+        # the Ellipsis keeps a single point's entry [k, d] a 0-d array that out= takes, not a scalar
+        for d in [d for d, top in enumerate(tops) if top >= k]:
+            np.multiply(table[k - 1, d, ...], table[1, d, ...], out=table[k, d, ...])
     return table
 
 

@@ -15,6 +15,7 @@ map's terms to the first's, and `mul` sums each product coefficient with
 tables (`Polynomial`) and models.
 """
 
+import functools
 import itertools
 import math
 
@@ -24,7 +25,7 @@ from scipy.special import expit
 
 from sdembed.baseline import _BETA1, _BETA2, _EPS
 from sdembed.fit import _target_vector
-from sdembed.network import SigmoidNet, network_taylor
+from sdembed.network import SigmoidNet, _taylor_tables, network_taylor
 from sdembed.polynomial import Polynomial, index_positions, monomials, multi_index_set
 from sdembed.sde import diffusion_product, parse_model
 
@@ -382,6 +383,34 @@ def taylor_terms(net, order):
     the total-degree order `network_taylor` returns them in."""
     index_set = multi_index_set(net.dim, order, "total-degree")
     return dict(zip(map(tuple, index_set.tolist()), network_taylor(net, order).tolist()))
+
+
+def reference_taylor_expansion(params, order, magnitude=False):
+    """`network_taylor` and `taylor_jacobian` of the weights (q, R, s) by their
+    earlier formulation: the per-axis powers from one `np.power` call, the
+    Jacobian blocks joined by `np.hstack`.  Returns (coefficients (L,),
+    Jacobian (L, hidden * (dim + 2))).  With `magnitude`, every weight and
+    factor enters by its absolute value, so each entry is the sum of the
+    absolute values of the terms that make it up: its scale."""
+    out_w, in_w, biases = (np.abs(w) if magnitude else np.asarray(w, dtype=float) for w in params)
+    n, dim = in_w.shape
+    exps, factors = _taylor_tables(dim, order)[:2]
+    factors = np.abs(factors) if magnitude else factors
+    base = np.concatenate([biases[None], in_w.T])[:, None, :]  # (dim+1, 1, hidden)
+    powers = np.power(base, np.arange(order + 1)[:, None], order="C")
+    gathered = [powers[d + 1][exps[:, d]] for d in range(dim)]
+    weight_pow = functools.reduce(np.multiply, gathered)
+    bias_sum = factors @ powers[0]
+    dbias_factors = factors[:, 1:] * np.arange(1, order + 1)[None, :]
+    d_bias = (weight_pow * (dbias_factors @ powers[0, :order])) * out_w[None, :]
+    d_in = np.empty((len(exps), n * dim))
+    for d in range(dim):
+        dpow = exps[:, d][:, None] * powers[d + 1][np.maximum(exps[:, d] - 1, 0)]
+        for other in range(dim):
+            if other != d:
+                dpow = dpow * gathered[other]
+        d_in[:, d::dim] = (dpow * bias_sum) * out_w[None, :]
+    return (weight_pow * bias_sum) @ out_w, np.hstack([weight_pow * bias_sum, d_in, d_bias])
 
 
 def value_at(coeffs, index):

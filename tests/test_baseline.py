@@ -158,6 +158,31 @@ class TestTrainBackprop:
         assert len(traces[0]) == 2
         assert traces[0] == traces[1]
 
+    @pytest.mark.skipif(
+        sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+        reason="a woken BLAS helper needs a second CPU to spin on, counted here as Linux process CPU time",
+    )
+    def test_labelling_wakes_no_blas_thread(self):
+        # a threaded OpenBLAS call leaves its helper spinning for about 0.135 s of
+        # CPU; with one 6472-point product per block these labels did so
+        script = (
+            "import time\n"
+            "from sdembed.baseline import generate_dataset\n"
+            "from sdembed.dual import solve_moment\n"
+            "from sdembed.sde import builtin_model\n"
+            "vdp = builtin_model('vdp', {'epsilon': 1.0, 'nu11': 1.0, 'nu22': 1.0})\n"
+            "coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=17)\n"
+            "generate_dataset(coeffs, [(-4.0, 4.0), (-4.0, 4.0)], size=250_000, seed=7)\n"
+            "start = time.process_time()\n"
+            "time.sleep(0.3)\n"
+            "print(time.process_time() - start)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300)
+        assert float(run.stdout) < 0.02
+
     def test_one_network_built_per_training(self, ou_coeffs, net_builds):
         data = generate_dataset(ou_coeffs, [(-2.0, 2.0)], size=1_000, seed=6)
         result = train_backprop(data, TrainConfig(hidden=3, epochs=3, batch_size=64, seed=6))

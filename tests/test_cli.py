@@ -714,6 +714,26 @@ class TestEvalCommand:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
 
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="a second BLAS thread needs a second CPU to run on"
+    )
+    def test_dual_grid_same_for_any_blas_thread_count(self, tmp_path):
+        # the benchmark's N=60 grid, whose moment products ran threaded in 1109-point blocks
+        coeffs = tmp_path / "vdp60.csv"
+        assert run(["dual", "vdp", "--axis", 2, "--order", 2, "--N", 60, "--t", 0.1, "--out", coeffs]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        tables = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"grid_{threads}.csv"
+            argv = ["eval", "--pred", f"dual:{coeffs}", "--grid", "-2", "2", "-2", "2", "101", "101", "--out", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "sdembed.cli", *argv], env=env, capture_output=True, check=True, timeout=300
+            )
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_analytic_predictor_line(self, tmp_path):
         out = tmp_path / "analytic.csv"
         assert run(["eval", "--pred", "ou:m=1,t=1,gamma=1,sigma=1", "--line", -1, 1, 9, "--out", out]) == 0

@@ -421,6 +421,27 @@ class TestEvalMoment:
         single = np.array([eval_moment(coeffs, pts[i]) for i in picks])
         assert np.allclose(batched[picks], single, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("dim, order", [(1, 22), (2, 17)])
+    def test_products_split_in_whole_row_groups_keep_every_bit(self, dim, order, monkeypatch):
+        coeffs = random_coefficients(dim, order, "max-degree", 8)
+        pts = np.random.default_rng(3).uniform(-1.2, 1.2, (20_000, dim))
+        whole = eval_moment(coeffs, pts)  # one product per block
+        # 1001 rows per product would put rows off their place mod 4 in the next product
+        monkeypatch.setattr(dual, "_EVAL_GEMM", 1001 * (order + 1) ** dim)
+        rows = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            rows.append(len(a))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        split = eval_moment(coeffs, pts)
+        monkeypatch.undo()
+        # 1001 rounded down to whole 64-row groups; a block's last product may be shorter
+        assert max(rows) == 960 and sum(rows) == len(pts) and len(rows) > len(pts) // 960
+        assert np.array_equal(split, whole)
+
     def test_result_shapes(self, vdp):
         coeffs = solve_moment(vdp, axis=1, power=1, t=0.05, max_degree=6)
         assert isinstance(eval_moment(coeffs, [0.5, -0.5]), float)

@@ -8,7 +8,7 @@ from sdembed import fit
 from sdembed.dual import DualCoefficients, solve_moment
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.fit import FitConfig, FitError, fit_network, fit_result_to_dict
-from sdembed.network import SigmoidNet, forward, taylor_jacobian
+from sdembed.network import SigmoidNet, _expansion, forward, taylor_jacobian
 from sdembed.polynomial import multi_index_set
 from sdembed.sde import builtin_model
 
@@ -124,6 +124,41 @@ class TestFitNetwork:
     def test_one_network_built_per_fit(self, ou_first_moment, net_builds):
         result = fit_network(ou_first_moment, FitConfig(hidden=3, order=8, restarts=2, max_iterations=5))
         assert len(net_builds) == 1 and net_builds[0] is result.net
+
+    @pytest.mark.parametrize("model", ["ou", "vdp"])
+    def test_each_jacobian_reuses_its_trials_expansion(self, model, ou_first_moment, monkeypatch):
+        # every Jacobian is taken at weights a trial has just expanded: it adds
+        # one cache hit and no miss, while every trial expands afresh
+        if model == "ou":
+            target, config = ou_first_moment, FitConfig(hidden=4, restarts=2, max_iterations=40)
+        else:
+            vdp = builtin_model("vdp", {"epsilon": 1.0, "nu11": 1.0, "nu22": 1.0})
+            target = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=9)
+            config = FitConfig(hidden=5, restarts=2, max_iterations=40, seed=2)
+        counts = {"network_taylor": 0, "taylor_jacobian": 0}
+
+        def counted(name):
+            original = getattr(fit, name)
+
+            def call(params, order):
+                before = _expansion.cache_info()
+                result = original(params, order)
+                after = _expansion.cache_info()
+                counts[name] += 1
+                if name == "taylor_jacobian":
+                    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+                return result
+
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(fit, name, counted(name))
+        _expansion.cache_clear()
+        fit_network(target, config)
+        info = _expansion.cache_info()
+        assert counts["taylor_jacobian"] > 0
+        assert info.misses == counts["network_taylor"]
+        assert info.hits == counts["taylor_jacobian"]
 
     def test_restart_monotonicity(self, ou_first_moment):
         base = dict(hidden=3, order=8, seed=3, max_iterations=15)

@@ -11,11 +11,13 @@ from helpers import (
     fd_taylor_coefficients,
     flatten_params,
     multinomial,
+    reference_taylor_expansion,
     scaled_max_error,
     taylor_terms,
 )
 from sdembed.network import (
     MAX_SIGMOID_ORDER,
+    _expansion,
     SigmoidNet,
     dict_to_net,
     forward,
@@ -238,6 +240,53 @@ class TestTaylorJacobian:
         net = random_net(rng, 2, 2)
         jac = taylor_jacobian(net, 3)
         assert jac.shape == (len(network_taylor(net, 3)), 2 * (2 + 2))
+
+
+class TestMatchesPowerReference:
+    """The expansion, built from `power_table`'s repeated products, against the
+    `np.power` formulation it replaced, within 1e-13 of each entry's scale."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_weights(self, seed):
+        rng = np.random.default_rng([11, seed])
+        dim, hidden, order = 1 + seed % 3, int(rng.integers(1, 9)), int(rng.integers(0, MAX_SIGMOID_ORDER + 1))
+        spread = (0.5, 1.5, 3.0)[seed // 3 % 3]  # weights beyond 1 in magnitude for two of three
+        params = (rng.uniform(-spread, spread, hidden), rng.uniform(-spread, spread, (hidden, dim)),
+                  rng.uniform(-spread, spread, hidden))
+        taylor, jac = reference_taylor_expansion(params, order)
+        taylor_scale, jac_scale = reference_taylor_expansion(params, order, magnitude=True)
+        got_taylor, got_jac = network_taylor(params, order), taylor_jacobian(params, order)
+        assert got_jac.shape == jac.shape
+        assert np.all(np.abs(got_taylor - taylor) <= 1e-13 * taylor_scale)
+        assert np.all(np.abs(got_jac - jac) <= 1e-13 * jac_scale)
+
+
+class TestExpansionCache:
+    def test_jacobian_at_the_last_weights_reuses_their_expansion(self):
+        net = random_net(np.random.default_rng(12), 3, 2)
+        _expansion.cache_clear()
+        network_taylor(net, 6)
+        taylor_jacobian(net, 6)
+        info = _expansion.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        moved = SigmoidNet(net.out_weights, net.in_weights, net.biases + 0.25)
+        taylor_jacobian(moved, 6)
+        assert _expansion.cache_info().misses == 2
+
+    def test_output_weights_are_not_part_of_the_key(self):
+        net = random_net(np.random.default_rng(13), 3, 2)
+        doubled = SigmoidNet(2.0 * net.out_weights, net.in_weights, net.biases)
+        _expansion.cache_clear()
+        assert np.array_equal(network_taylor(doubled, 5), network_taylor(net, 5) * 2.0)
+        assert _expansion.cache_info().hits == 1
+
+    def test_cached_arrays_are_read_only(self):
+        net = random_net(np.random.default_rng(14), 2, 3)
+        expansion = _expansion(net.in_weights.tobytes(), net.biases.tobytes(), 3, 4)
+        for array in (*expansion[0], *expansion[1:]):
+            assert not array.flags.writeable
+        # what the callers return is their own
+        assert network_taylor(net, 4).flags.writeable and taylor_jacobian(net, 4).flags.writeable
 
 
 class TestParamsRoundTrip:

@@ -341,6 +341,23 @@ class TestPowerTable:
                 power = power * x[:, d]
 
     @pytest.mark.parametrize(
+        "points, tops",
+        [(300, [17, 17]), (8, [17, 17, 17]), (4, [12, 20]), (1, [17, 5]), (3, [0, 9])],
+        ids=["wide", "narrow", "narrow-unequal-tops", "narrow-one-point", "narrow-top-0"],
+    )
+    def test_narrow_and_wide_tables_are_the_same_repeated_products(self, points, tops):
+        # a narrow table (fewer entries a power than 4 * min(tops)) takes one
+        # accumulate call, a wide one a multiply per power
+        x = np.random.default_rng(0).normal(size=(points, len(tops))) * 3.0
+        got = power_table(x, tops)
+        assert got.shape == (max(tops) + 1, len(tops), points)
+        for d, top in enumerate(tops):
+            power = np.ones(points)
+            for k in range(top + 1):
+                assert same_bits(got[k, d], power) and got[k, d].flags.c_contiguous
+                power = power * x[:, d]
+
+    @pytest.mark.parametrize(
         "shape, tops",
         [((6, 2), [3, 5]), ((2, 3, 3), [2, 0, 4]), ((2,), [4, 1]), ((3,), [0, 0, 0]), ((5, 1), [0]), ((1,), [6])],
         ids=["points", "batch", "one-point", "one-point-top-0", "top-0", "one-point-1-d"],
