@@ -8,9 +8,9 @@ reproduced bit-for-bit from its manifest.  Outputs are written atomically
 (temp file + rename).
 
 Exit codes: 0 success, 1 runtime or solver failure, 2 usage or parse error.
-The SDEMBED_SEED environment variable overrides the default seed of all
-commands; explicit --seed flags win over it.  A value that is not an
-integer is a usage error.
+A setting the library has takes its default from there: the seeds, budgets
+and training settings from `FitConfig`, `SimConfig` and `TrainConfig`, the
+builtin model parameters (1.0) from `sde.builtin_params`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .sde import (
     BUILTIN_PARAMS,
     SdeModel,
     builtin_model,
+    builtin_params,
     check_moment,
     read_model,
     shift_model_origin,
@@ -59,14 +60,6 @@ __all__ = ["main"]
 
 # the parameter names of every builtin, each once
 _PARAM_NAMES = tuple(dict.fromkeys(name for names in BUILTIN_PARAMS.values() for name in names))
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("SDEMBED_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SDEMBED_SEED must be an integer, got {raw!r}") from None
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -134,10 +127,9 @@ class _Run:
         _atomic_write_text(Path(str(anchor) + ".manifest.json"), text)
 
     def model(self, ref: str, params: dict[str, float], origin=None) -> SdeModel:
-        """A builtin (unset parameters 1.0) or a model JSON, whose hash is recorded."""
-        key = BUILTIN_ALIASES.get(ref.lower(), ref.lower())
-        if key in BUILTIN_PARAMS:
-            model = builtin_model(key, {**dict.fromkeys(BUILTIN_PARAMS[key], 1.0), **params})
+        """A builtin or a model JSON, whose hash is recorded."""
+        if ref.lower() in (*BUILTIN_PARAMS, *BUILTIN_ALIASES):
+            model = builtin_model(ref, params)
         else:
             if params:
                 raise ValueError("builtin parameter flags do not apply to model files")
@@ -151,6 +143,11 @@ class _Run:
 
 def _param_flags(args) -> dict[str, float]:
     return {name: getattr(args, name) for name in _PARAM_NAMES if getattr(args, name) is not None}
+
+
+def _param_keys(kv: dict[str, str]) -> dict[str, float]:
+    """Remove and convert the builtin parameter keys of a predictor spec."""
+    return {name: float(kv.pop(name)) for name in _PARAM_NAMES if name in kv}
 
 
 # -- commands ----------------------------------------------------------------
@@ -201,6 +198,7 @@ def _cmd_train_baseline(args, run: _Run) -> str:
     lo, hi = args.box
     region = tuple((lo, hi) for _ in range(coeffs.dim))
     data_seed = args.data_seed if args.data_seed is not None else args.seed
+    run.manifest["seeds"]["data_seed"] = data_seed
     dataset = generate_dataset(coeffs, region, args.size, data_seed)
     result = train_backprop(dataset, config)
     doc = {
@@ -261,26 +259,24 @@ def _build_predictor(spec: str, run: _Run) -> _Predictor:
     if kind == "ou":
         where = "ou predictor"
         kv = _parse_kv(body, where)
-        gamma = _pop(kv, "gamma", where, float, 1.0)
-        sigma = _pop(kv, "sigma", where, float, 1.0)
+        p = builtin_params("ou", _param_keys(kv))[1]
         t = _pop(kv, "t", where, float)
         power = _pop(kv, "m", where, int)
         if kv:
             raise ValueError(f"{where}: unknown keys {sorted(kv)}")
-        fn = lambda pts: analytic_ou_moment(gamma, sigma, np.asarray(pts)[:, 0], t, power)
+        fn = lambda pts: analytic_ou_moment(p["gamma"], p["sigma"], np.asarray(pts)[:, 0], t, power)
         return _Predictor(fn, 1)
     # kind == "mc": Monte Carlo estimate at every requested point (slow)
     where = "mc predictor"
     kv = _parse_kv(body, where)
     ref = _pop(kv, "model", where, str)
-    params = {name: float(kv.pop(name)) for name in _PARAM_NAMES if name in kv}
-    model = run.model(ref, params)
+    model = run.model(ref, _param_keys(kv))
     axis = _pop(kv, "axis", where, int, 1)
     power = _pop(kv, "m", where, int)
     t = _pop(kv, "t", where, float)
-    dt = _pop(kv, "dt", where, float, 1e-3)
-    paths = _pop(kv, "paths", where, int, 10000)
-    seed = _pop(kv, "seed", where, int, _default_seed())
+    dt = _pop(kv, "dt", where, float)
+    paths = _pop(kv, "paths", where, int)
+    seed = _pop(kv, "seed", where, int, SimConfig.seed)
     if kv:
         raise ValueError(f"{where}: unknown keys {sorted(kv)}")
     check_moment(model.dim, axis, power)
@@ -392,11 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--N", type=int, help="Taylor order (default: the file's truncation)")
     fit.add_argument("--hidden", type=int, required=True)
     fit.add_argument("--restarts", type=int, default=FitConfig.restarts)
-    fit.add_argument("--seed", type=int, default=_default_seed())
-    # Deliberately not FitConfig.max_iterations (30): the vdp m=2 fit (h=8,
-    # N=17) needs about 200 to reach a cost below 1e-2 on every seed, while
-    # the library default keeps the OU m=2 embedding accurate on [-1, 1].
-    fit.add_argument("--max-iterations", type=int, default=200)
+    fit.add_argument("--seed", type=int, default=FitConfig.seed)
+    fit.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
     fit.add_argument("--out", required=True)
     fit.set_defaults(func=_cmd_fit)
 
@@ -408,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--paths", type=int, required=True)
     mc.add_argument("--axis", type=int, default=1)
     mc.add_argument("--m", type=int, required=True, help="moment power")
-    mc.add_argument("--seed", type=int, default=_default_seed())
+    mc.add_argument("--seed", type=int, default=SimConfig.seed)
     mc.add_argument("--out", help="optional CSV of final states")
     mc.set_defaults(func=_cmd_mc)
 
@@ -420,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     train.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    train.add_argument("--seed", type=int, default=_default_seed())
+    train.add_argument("--seed", type=int, default=TrainConfig.seed)
     train.add_argument("--data-seed", type=int, default=None)
     train.add_argument("--dataset-out")
     train.add_argument("--out", required=True)
@@ -443,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # building the parser reads SDEMBED_SEED, so a malformed value exits 2 here
         args = _build_parser().parse_args(argv)
         run = _Run(args)
         summary = args.func(args, run)

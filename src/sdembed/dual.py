@@ -88,8 +88,9 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class DualCoefficients:
-    """Solved coefficient vector P(n, t) over a max-degree index set, whose
-    rows are checked once, here: distinct, non-negative, one per value."""
+    """Solved coefficient vector P(n, t) over any set of distinct
+    non-negative indices, whose rows are checked once, here: distinct,
+    non-negative, one finite value each."""
 
     index_set: np.ndarray
     values: np.ndarray
@@ -107,6 +108,8 @@ class DualCoefficients:
         _freeze(self, index_set=np.int64, values=float)
         if self.values.shape != (len(index_set),):
             raise ValueError(f"values shape {self.values.shape} != index count {len(index_set)}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("coefficient values must be finite")
 
     @property
     def dim(self) -> int:

@@ -12,18 +12,16 @@ cost drop of 1e-15 or on its iteration budget; only the budget is a setting,
 the rest are the module constants `_INIT_RANGE`, `_GRADIENT_TOL` and
 `_COST_TOL`.
 
-The default iteration budget (30) is deliberately modest, and it is not
-the one `sdembed fit` uses (200); neither serves both fits below.  On
-these small matching systems LM reaches costs below the truncation error
-of the expansion within a few dozen iterations.  When the hidden layer
-can interpolate the target, the infimum is approached only as weights
-diverge along a flat valley.  For the OU second moment (h=4, N=12, t=1)
-longer budgets therefore trade invisible cost gains for inflated weights
-that evaluate poorly away from the origin: at 200 iterations the maximum
-error on [-1, 1] is 0.137 instead of 0.007.  The van der Pol second
-moment (h=8, N=17, t=0.1) goes the other way: 200 iterations lower the
-worst cost over seeds 0-5 from 1.2e-2 to 2.7e-3 and the error in every
-radial band.
+The default iteration budget, 200, is the one the van der Pol second
+moment (h=8, N=17, t=0.1) needs: it brings the worst cost over seeds 0-5
+to 2.7e-3, against 1.2e-2 at 30, and lowers the error in every radial
+band.  No budget serves every fit.  When the hidden layer can interpolate
+the target, the infimum is approached only as weights diverge along a
+flat valley, so a longer budget can trade invisible cost gains for
+inflated weights that evaluate poorly away from the origin.  The OU
+moments (h=4, N=12, t=1) are fitted at 30 for that reason: for m=2 and
+seeds 0-5 the maximum error on [-1, 1] is 0.006-0.025 at 30 iterations
+and 0.005-0.376 at 200.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ class FitConfig:
     hidden: int
     order: int | None = None  # Taylor order; None means the target's truncation
     restarts: int = 10
-    max_iterations: int = 30
+    max_iterations: int = 200
     seed: int = 0
 
     def __post_init__(self):
@@ -187,8 +185,6 @@ def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
         config = replace(config, order=target.max_degree)
     dim = target.dim
     target_values = _target_vector(target, dim, config.order)
-    if not np.all(np.isfinite(target_values)):
-        raise FitError("target coefficients contain non-finite values")
     n_params = config.hidden * (dim + 2)
 
     best = None

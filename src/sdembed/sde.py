@@ -12,7 +12,8 @@ and `dual.build_generator` assembles its action on a whole monomial basis
 from the drift terms and the `diffusion_product` entries.
 Two builtin models are provided: the Ornstein-Uhlenbeck process (1-D,
 linear) and the noisy van der Pol oscillator (2-D, cubic drift).
-`BUILTIN_PARAMS` and `BUILTIN_ALIASES` name them and their parameters.
+`BUILTIN_PARAMS` and `BUILTIN_ALIASES` name them and their parameters,
+which default to 1.0.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "SdeModel",
     "ModelParseError",
     "check_moment",
+    "builtin_params",
     "builtin_model",
     "diffusion_product",
     "shift_model_origin",
@@ -102,18 +104,23 @@ def check_moment(dim: int, axis: int, power: int) -> None:
         raise ValueError(f"power must be >= 0, got {power}")
 
 
-def _require_params(name: str, params: dict, required: tuple[str, ...]) -> dict[str, float]:
-    missing = [k for k in required if k not in params]
-    if missing:
-        raise ValueError(f"model {name!r} is missing parameters {missing}")
-    extra = [k for k in params if k not in required]
+def builtin_params(name: str, params: dict | None = None) -> tuple[str, dict[str, float]]:
+    """The canonical name of a builtin model (an alias resolved) and its
+    parameters, each unset one 1.0; an unknown model or parameter is a
+    ValueError."""
+    key = name.strip().lower()
+    key = BUILTIN_ALIASES.get(key, key)
+    if key not in BUILTIN_PARAMS:
+        raise ValueError(f"unknown builtin model {name!r}")
+    params = dict(params or {})
+    extra = [k for k in params if k not in BUILTIN_PARAMS[key]]
     if extra:
         raise ValueError(f"model {name!r} got unknown parameters {extra}")
-    return {k: float(params[k]) for k in required}
+    return key, {k: float(params.get(k, 1.0)) for k in BUILTIN_PARAMS[key]}
 
 
 def builtin_model(name: str, params: dict | None = None) -> SdeModel:
-    """Construct one of the builtin models by name.
+    """Construct one of the builtin models by name, unset parameters 1.0.
 
     "ornstein-uhlenbeck" (alias "ou") takes gamma and sigma:
         dx = -gamma x dt + sigma dW.
@@ -121,11 +128,7 @@ def builtin_model(name: str, params: dict | None = None) -> SdeModel:
         dx1 = x2 dt,  dx2 = (epsilon x2 (1 - x1^2) - x1) dt,
         with diffusion diag(nu11, nu22).
     """
-    key = name.strip().lower()
-    key = BUILTIN_ALIASES.get(key, key)
-    if key not in BUILTIN_PARAMS:
-        raise ValueError(f"unknown builtin model {name!r}")
-    p = _require_params(name, dict(params or {}), BUILTIN_PARAMS[key])
+    key, p = builtin_params(name, params)
     if key == "ornstein-uhlenbeck":
         return SdeModel(_table(1, [{(1,): -p["gamma"]}, {(0,): p["sigma"]}]), key)
     eps = p["epsilon"]

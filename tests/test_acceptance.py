@@ -98,7 +98,7 @@ def build_ou_fits():
     payload, texts = {}, {}
     for power in (1, 2):
         target = solve_moment(OU, axis=1, power=power, t=1.0, max_degree=12)
-        result = fit_network(target, FitConfig(hidden=4, order=12, restarts=10, seed=FIT_SEED))
+        result = fit_network(target, FitConfig(hidden=4, order=12, restarts=10, max_iterations=30, seed=FIT_SEED))
         payload[power] = result
         texts[f"fit_m{power}.json"] = json.dumps(fit_result_to_dict(result), indent=2) + "\n"
         xs = np.linspace(-3.0, 3.0, 121)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdembed import cli
+from sdembed.baseline import TrainConfig
 from sdembed.cli import main
+from sdembed.dual import coefficients_csv_text, solve_moment
+from sdembed.fit import FitConfig
+from sdembed.mc import SimConfig
+from sdembed.sde import builtin_model
 
 
 def run(args):
@@ -74,7 +81,7 @@ class TestDualCommand:
         assert "not found" in capsys.readouterr().err
 
     def test_model_file_round_trip(self, tmp_path):
-        from sdembed.sde import builtin_model, model_to_dict
+        from sdembed.sde import model_to_dict
 
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_dict(builtin_model("ou", {"gamma": 1.0, "sigma": 1.0}))))
@@ -258,10 +265,13 @@ def test_train_baseline_dual_rejects_truncation_flag(ou_dual_csv, tmp_path, caps
             "power must be >= 0, got -1",
         ),
         (
-            ["eval", "--pred", "mc:model=vdp,axis=3,m=2,t=0.1", "--grid", -1, 1, -1, 1, 2, 2],
+            ["eval", "--pred", "mc:model=vdp,axis=3,m=2,t=0.1,dt=1e-3,paths=10000", "--grid", -1, 1, -1, 1, 2, 2],
             "axis 3 out of range for dimension 2",
         ),
-        (["eval", "--pred", "mc:model=ou,m=-1,t=0.1", "--line", -1, 1, 3], "power must be >= 0, got -1"),
+        (
+            ["eval", "--pred", "mc:model=ou,m=-1,t=0.1,dt=1e-3,paths=10000", "--line", -1, 1, 3],
+            "power must be >= 0, got -1",
+        ),
     ],
     ids=["mc-axis", "mc-power", "eval-mc-axis", "eval-mc-power"],
 )
@@ -316,21 +326,17 @@ def test_bad_setting_is_usage_error_before_any_work(argv, ou_dual_csv, tmp_path,
 
 
 @pytest.mark.parametrize(
-    "env_seed, argv, forbidden, message",
+    "argv, forbidden, message",
     [
-        ("-5", ["fit", "--dual", "{csv}", "--hidden", 2], "sdembed.cli.read_coefficients_csv", "got -5"),
-        ("-5", ["train-baseline", "--dual", "{csv}", "--size", 10, "--box", -1, 1, "--hidden", 2],
-         "sdembed.cli.read_coefficients_csv", "got -5"),
         # a data seed is checked once the coefficients are read, before any point is labelled
-        ("0", ["train-baseline", "--dual", "{csv}", "--size", 10, "--box", -1, 1, "--hidden", 2, "--data-seed", -1],
+        (["train-baseline", "--dual", "{csv}", "--size", 10, "--box", -1, 1, "--hidden", 2, "--data-seed", -1],
          "sdembed.baseline.eval_moment", "got -1"),
     ],
-    ids=["fit-env", "train-baseline-env", "train-baseline-data-seed"],
+    ids=["train-baseline-data-seed"],
 )
-def test_negative_seed_is_usage_error_before_any_work(env_seed, argv, forbidden, message, ou_dual_csv, tmp_path,
-                                                      capsys, monkeypatch):
+def test_negative_seed_is_usage_error_before_any_work(argv, forbidden, message, ou_dual_csv, tmp_path, capsys,
+                                                      monkeypatch):
     forbid_work(monkeypatch, forbidden)
-    monkeypatch.setenv("SDEMBED_SEED", env_seed)
     out = tmp_path / "net.json"
     code = run([str(a).replace("{csv}", str(ou_dual_csv)) for a in argv] + ["--out", out])
     assert code == 2
@@ -346,7 +352,7 @@ def test_negative_seed_is_usage_error_before_any_work(env_seed, argv, forbidden,
         (["mc", "ou", "--x0", 1, "--t", 1, "--dt", "inf", "--paths", 10, "--m", 1], "dt must be finite"),
         (["mc", "ou", "--x0", 1, "--t", 1, "--dt", "nan", "--paths", 10, "--m", 1], "dt must be finite"),
         (["mc", "ou", "--x0", 1, "--t", "inf", "--dt", 0.1, "--paths", 10, "--m", 1], "horizon must be finite"),
-        (["eval", "--pred", "mc:model=ou,m=1,t=inf,dt=0.1", "--line", -1, 1, 3], "horizon must be finite"),
+        (["eval", "--pred", "mc:model=ou,m=1,t=inf,dt=0.1,paths=10", "--line", -1, 1, 3], "horizon must be finite"),
     ],
     ids=["dual-nan", "dual-inf", "mc-dt-inf", "mc-dt-nan", "mc-t-inf", "eval-mc-t-inf"],
 )
@@ -679,6 +685,18 @@ class TestTrainBaselineCommand:
         assert len(doc["loss_trace"]) == 4
         assert len(data_out.read_text().strip().splitlines()) == 401
 
+    @pytest.mark.parametrize("flags, data_seed", [([], 5), (["--data-seed", 9], 9)], ids=["seed", "data-seed"])
+    def test_manifest_records_the_labelling_seed(self, flags, data_seed, ou_dual_csv, tmp_path):
+        out = tmp_path / "baseline.json"
+        code = run([
+            "train-baseline", "--dual", ou_dual_csv, "--size", 20, "--box", -1, 1,
+            "--hidden", 2, "--epochs", 1, "--seed", 5, *flags, "--out", out,
+        ])
+        assert code == 0
+        manifest = json.loads((tmp_path / "baseline.json.manifest.json").read_text())
+        assert manifest["seeds"] == {"seed": 5, "data_seed": data_seed}
+        assert manifest["config"]["data_seed"] == (flags[1] if flags else None)
+
 
 class TestEvalCommand:
     def test_line_eval_of_network(self, ou_dual_csv, tmp_path):
@@ -807,7 +825,7 @@ class TestEvalCommand:
         assert len(out.read_text().strip().splitlines()) == 6
 
     def test_mc_predictor_takes_model_json(self, tmp_path):
-        from sdembed.sde import builtin_model, model_to_dict
+        from sdembed.sde import model_to_dict
 
         model = tmp_path / "ou.json"
         model.write_text(json.dumps(model_to_dict(builtin_model("ou", {"gamma": 1.0, "sigma": 1.0}))))
@@ -832,7 +850,11 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize(
         "spec, key",
-        [("ou:m=1,gamma=1", "'t'"), ("mc:m=1,t=0.1", "'model'"), ("mc:model=ou,t=0.1", "'m'")],
+        [
+            ("ou:m=1,gamma=1", "'t'"), ("mc:m=1,t=0.1", "'model'"), ("mc:model=ou,t=0.1", "'m'"),
+            # like `mc --dt/--paths` and SimConfig, the spec has no default step or path count
+            ("mc:model=ou,m=1,t=0.1,paths=10", "'dt'"), ("mc:model=ou,m=1,t=0.1,dt=0.01", "'paths'"),
+        ],
     )
     def test_predictor_missing_key_is_usage_error(self, spec, key, tmp_path, capsys):
         code = run(["eval", "--pred", spec, "--line", -1, 1, 3, "--out", tmp_path / "x.csv"])
@@ -883,41 +905,57 @@ class TestEvalCommand:
         assert code == 2
 
 
-def test_parser_defaults_match_library():
-    from sdembed.baseline import TrainConfig
-    from sdembed.cli import _build_parser
-    from sdembed.fit import FitConfig
-
-    parser = _build_parser()
-    fit = parser.parse_args(["fit", "--dual", "c.csv", "--hidden", "2", "--out", "o"])
-    train = parser.parse_args(
-        ["train-baseline", "--dual", "c.csv", "--size", "8", "--box", "-1", "1", "--hidden", "2", "--out", "o"]
-    )
-    fitting, training = FitConfig(hidden=2), TrainConfig(hidden=2)
-    assert fit.restarts == fitting.restarts
-    assert (train.epochs, train.batch, train.lr) == (
-        training.epochs,
-        training.batch_size,
-        training.learning_rate,
-    )
-    # the one documented divergence: vdp m=2 needs the longer CLI budget,
-    # the OU m=2 embedding needs the library's shorter one
-    assert (fit.max_iterations, fitting.max_iterations) == (200, 30)
+FIT_ARGV = "fit --dual c.csv --hidden 2 --out o"
+MC_ARGV = "mc ou --x0 1 --t 1 --dt 0.1 --paths 2 --m 1"
+TRAIN_ARGV = "train-baseline --dual c.csv --size 8 --box -1 1 --hidden 2 --out o"
 
 
-class TestSeedEnvironmentOverride:
-    def test_env_seed_used_as_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SDEMBED_SEED", "123")
-        out = tmp_path / "states.csv"
-        code = run(["mc", "ou", "--x0", 1.0, "--t", 0.02, "--dt", 0.01, "--paths", 10, "--m", 1, "--out", out])
-        assert code == 0
-        manifest = json.loads((tmp_path / "states.csv.manifest.json").read_text())
-        assert manifest["seeds"]["seed"] == 123
+def _flag_default(argv, dest):
+    return lambda monkeypatch, tmp_path: getattr(cli._build_parser().parse_args(argv.split()), dest)
 
-    def test_malformed_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SDEMBED_SEED", "abc")
-        out = tmp_path / "states.csv"
-        code = run(["mc", "ou", "--x0", 1.0, "--t", 0.02, "--dt", 0.01, "--paths", 10, "--m", 1, "--out", out])
-        assert code == 2
-        assert "SDEMBED_SEED" in capsys.readouterr().err
-        assert not out.exists()
+
+def _mc_spec_seed(monkeypatch, tmp_path):
+    # stand-ins hand back the config the spec's simulation would draw with
+    monkeypatch.setattr("sdembed.cli.simulate", lambda model, x0, config: config)
+    monkeypatch.setattr("sdembed.cli.mc_moment", lambda config, axis, power: (config.seed, 0.0))
+    run_record = cli._Run(argparse.Namespace(command="eval"))
+    return cli._build_predictor("mc:model=ou,m=1,t=0.1,dt=0.1,paths=2", run_record).fn(np.zeros((1, 1)))[0]
+
+
+def _dual_text(name, axis, power, degree, t):
+    """`dual NAME` without parameter flags, against `builtin_model(NAME)`."""
+
+    def command(monkeypatch, tmp_path):
+        out = tmp_path / "coeffs.csv"
+        assert run(["dual", name, "--axis", axis, "--order", power, "--N", degree, "--t", t, "--out", out]) == 0
+        return out.read_text()
+
+    def library():
+        model = builtin_model(name)
+        return coefficients_csv_text(solve_moment(model, axis=axis, power=power, t=t, max_degree=degree))
+
+    return command, library
+
+
+@pytest.mark.parametrize(
+    "cli_default, library_default",
+    [
+        (_flag_default(FIT_ARGV, "restarts"), lambda: FitConfig.restarts),
+        (_flag_default(FIT_ARGV, "max_iterations"), lambda: FitConfig.max_iterations),
+        (_flag_default(FIT_ARGV, "seed"), lambda: FitConfig.seed),
+        (_flag_default(MC_ARGV, "seed"), lambda: SimConfig.seed),
+        (_mc_spec_seed, lambda: SimConfig.seed),
+        (_flag_default(TRAIN_ARGV, "epochs"), lambda: TrainConfig.epochs),
+        (_flag_default(TRAIN_ARGV, "batch"), lambda: TrainConfig.batch_size),
+        (_flag_default(TRAIN_ARGV, "lr"), lambda: TrainConfig.learning_rate),
+        (_flag_default(TRAIN_ARGV, "seed"), lambda: TrainConfig.seed),
+        _dual_text("ou", 1, 2, 6, 1.0),
+        _dual_text("vdp", 2, 2, 4, 0.1),
+    ],
+    ids=["fit-restarts", "fit-max-iterations", "fit-seed", "mc-seed", "mc-spec-seed", "train-baseline-epochs",
+         "train-baseline-batch", "train-baseline-lr", "train-baseline-seed", "dual-ou-params", "dual-vdp-params"],
+)
+def test_parser_defaults_match_library(cli_default, library_default, monkeypatch, tmp_path):
+    """Every default the CLI shares with the library is the library's: the
+    config classes' fields, and `builtin_model`'s parameters."""
+    assert cli_default(monkeypatch, tmp_path) == library_default()

@@ -567,6 +567,12 @@ class TestDualCoefficientsIndexSet:
         with pytest.raises(ValueError, match=match):
             DualCoefficients(index_set, np.array(values), t=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        # a record holds only what read_coefficients_csv accepts back from its CSV
+        with pytest.raises(ValueError, match="coefficient values must be finite"):
+            DualCoefficients([[0], [1]], [value, 1.0], t=0.0)
+
     @pytest.mark.parametrize(
         "text, match",
         [
@@ -608,7 +614,7 @@ class TestCsvInterchange:
     def test_text_bytes_of_the_per_row_writer(self, vdp):
         # the shared writer gives the sha256 of the join-per-row writer it replaced
         solved = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=17)
-        special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300]
+        special = [-0.0, 5e-324, 1e300, -1e300]
         cases = [
             (solved.index_set, solved.values),
             (multi_index_set(1, len(special) - 1, "max-degree"), special),

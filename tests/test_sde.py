@@ -80,8 +80,14 @@ class TestBuiltins:
         assert builtin_model("vdp", {"epsilon": 1, "nu11": 1, "nu22": 1}).name == "van-der-pol"
 
     def test_missing_parameter(self):
-        with pytest.raises(ValueError, match="missing"):
-            builtin_model("van-der-pol", {"epsilon": 1.0})
+        # an unset parameter is 1.0, so the bare names build the paper's models
+        pairs = [
+            (("van-der-pol", {"epsilon": 2.0}), ("vdp", {"epsilon": 2.0, "nu11": 1.0, "nu22": 1.0})),
+            (("vdp", None), ("vdp", {"epsilon": 1.0, "nu11": 1.0, "nu22": 1.0})),
+            (("ou", None), ("ou", {"gamma": 1.0, "sigma": 1.0})),
+        ]
+        for short, spelled_out in pairs:
+            assert builtin_model(*short).fingerprint == builtin_model(*spelled_out).fingerprint
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown"):
