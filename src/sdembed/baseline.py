@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dual import DualCoefficients, eval_moment
-from .network import _FORWARD_BLOCK, SigmoidNet, forward, param_views
+from .network import _FORWARD_BLOCK, SigmoidNet, forward, param_views, sigmoid
 from .polynomial import _csv_text, _freeze
 
 __all__ = [
@@ -149,7 +148,7 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
             for lo_idx in range(0, data.size, config.batch_size):
                 x = inputs[lo_idx : lo_idx + config.batch_size]
                 y = targets[lo_idx : lo_idx + config.batch_size]
-                hidden_act = expit(x @ in_w.T + biases)
+                hidden_act = sigmoid(x @ in_w.T + biases)
                 scaled = (2.0 / y.size) * (hidden_act @ out_w - y)
                 d_hidden = scaled[:, None] * out_w[None, :] * hidden_act * (1.0 - hidden_act)
                 d_out[:] = hidden_act.T @ scaled

@@ -156,6 +156,7 @@ def _param_keys(kv: dict[str, str]) -> dict[str, float]:
 def _cmd_dual(args, run: _Run) -> str:
     model = run.model(args.model, _param_flags(args), args.origin)
     coeffs = solve_moment(model, axis=args.axis, power=args.order, t=args.t, max_degree=args.N)
+    run.manifest["stages"] = [{"name": "solve", **coeffs.solve_stats, "closed": coeffs.closed}]
     run.write_output(args.out, coefficients_csv_text(coeffs))
     closure = "closed: truncation exact" if coeffs.closed else "not closed: truncation error not estimated"
     return f"wrote {args.out}: {len(coeffs.index_set)} coefficients at t={coeffs.t}, {closure}"

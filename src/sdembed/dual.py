@@ -13,6 +13,15 @@ is propagated.  A system closes under truncation when no nonzero generator
 entry leaves the set (`closed`); then the truncated solution is exact up
 to the integrator.  For systems that do not close, the truncation error is
 not estimated.
+
+The system is integrated with the paper's explicit Runge-Kutta 5(4)
+(Dormand-Prince) pair: `solve_ivp` here is scipy's RK45 repeated in the
+package, operation for operation (its tableau, initial step, step-size
+control and dense output at the horizon), so the coefficients are the
+bits `scipy.integrate.solve_ivp(method="RK45", t_eval=[t])` gives, with
+numpy as the one runtime dependency.  The generator is stored as one slot
+per exponent move (`MoveSlots`), whose product adds each row's terms in
+the order a CSR matrix-vector product does.
 """
 
 from __future__ import annotations
@@ -24,14 +33,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .polynomial import _csv_text, _freeze, index_order, index_positions, multi_index_set, power_table
 from .sde import SdeModel, check_moment, diffusion_product
 
 __all__ = [
     "SolverError",
+    "MoveSlots",
     "GeneratorMatrix",
     "DualCoefficients",
     "build_generator",
@@ -44,11 +52,36 @@ __all__ = [
 ]
 
 
-# the paper's Runge-Kutta 5(4) pair; solve_ivp's default max_step (inf) applies
-_IVP_METHOD = "RK45"
 # adaptive step tolerances, tight enough that truncation is the dominant error
 _RTOL = 1e-10
 _ATOL = 1e-12
+
+# the Dormand-Prince 5(4) pair as scipy's RK45 writes it (nodes C, stages A,
+# weights B, error weights E, dense-output polynomial P), the same floats
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_ERROR_ORDER = 4  # of the embedded error estimate
+# step-size control: a new step is SAFETY * error^(-1/5) times the last, within [MIN, MAX]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 # bytes per eval_moment block: peak memory is O(block + points), not O(points * K)
@@ -66,6 +99,112 @@ def _check_box(shape: tuple[int, ...]) -> None:
                          f"above the {_EVAL_BLOCK_BYTES}-byte evaluation block")
 
 
+@dataclass(frozen=True)
+class IvpResult:
+    """What `solve_ivp` returns: the solution at each t_eval point as the
+    columns of y (n, len(t_eval)), status 0 (reached the end) or -1 (the step
+    fell below float spacing), and the integrator's counters."""
+
+    y: np.ndarray
+    status: int
+    message: str
+    nfev: int  # right-hand side evaluations
+    accepted: int  # steps
+    rejected: int  # step attempts
+
+    @property
+    def success(self) -> bool:
+        return self.status >= 0
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> IvpResult:
+    """Integrate y' = fun(t, y) forward over t_span with the Dormand-Prince
+    5(4) pair and report y at the increasing times t_eval.
+
+    This is `scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45",
+    rtol=rtol, atol=atol, t_eval=t_eval)` repeated with the same numpy calls
+    in the same order: the initial step of `select_initial_step`, the RK
+    stages and error norm, the accepted-step factors and the `min_step`
+    check of `RungeKutta._step_impl`, and the dense output of each step
+    that passes a t_eval point.  So the values and nfev are scipy's bit for
+    bit.  Overflow in a diverging solve is left to the step control (a
+    non-finite error norm rejects the step), which ends in status -1.
+    """
+    t, t_bound = map(float, t_span)
+    if not t_bound > t:
+        raise ValueError(f"t_span must increase, got {t_span}")
+    t_eval = np.asarray(t_eval, dtype=float)
+    y = np.asarray(y0, dtype=float)
+    exponent = -1 / (_ERROR_ORDER + 1)
+    slopes = np.empty((len(_C) + 1, y.size))  # the stage derivatives, scipy's K
+    columns, done = [], 0  # the values at t_eval, and how many points they cover
+    accepted = rejected = 0
+    status = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = fun(t, y)
+        # select_initial_step
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, t_bound - t)
+        d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+        nfev = 2
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
+        h_abs = min(100 * h0, h1, t_bound - t)
+        while status is None:
+            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            h_abs = max(h_abs, min_step)
+            step_rejected = False
+            while True:
+                if h_abs < min_step:
+                    status = -1
+                    break
+                t_new = min(t + h_abs, t_bound)
+                h = t_new - t
+                h_abs = np.abs(h)
+                slopes[0] = f
+                for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
+                    dy = np.dot(slopes[:s].T, a[:s]) * h
+                    slopes[s] = fun(t + c * h, y + dy)
+                y_new = y + h * np.dot(slopes[:-1].T, _B)
+                f_new = fun(t + h, y_new)
+                slopes[-1] = f_new
+                nfev += 6
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error_norm = _rms(np.dot(slopes.T, _E) * h / scale)
+                if error_norm < 1:
+                    factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm**exponent)
+                    h_abs *= min(1, factor) if step_rejected else factor
+                    accepted += 1
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
+                step_rejected = True
+                rejected += 1
+            if status is not None:
+                break
+            passed = np.searchsorted(t_eval, t_new, side="right")
+            if passed > done:
+                # the step's quartic interpolant at the points it passed (RkDenseOutput)
+                powers = np.cumprod(np.tile((t_eval[done:passed] - t) / h, (_P.shape[1], 1)), axis=0)
+                value = h * np.dot(slopes.T.dot(_P), powers)
+                value += y[:, None]
+                columns.append(value)
+                done = passed
+            t, y, f = t_new, y_new, f_new
+            if t >= t_bound:
+                status = 0
+    y_out = np.hstack(columns) if columns else np.empty((y.size, 0))
+    message = "The solver successfully reached the end of the integration interval." if status == 0 else _TOO_SMALL_STEP
+    return IvpResult(y_out, status, message, nfev, accepted, rejected)
+
+
 class SolverError(RuntimeError):
     """ODE integration failure, carrying the integrator diagnostics, or a
     moment that float arithmetic cannot evaluate at a point."""
@@ -76,12 +215,44 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class MoveSlots:
+    """A square sparse matrix as w slots over its K rows: slot j of row k
+    holds one entry, value vals[j, k] in column cols[j, k] (0.0 in column 0
+    where the row has no entry in that slot).  Each row's entries lie in
+    increasing column order across the slots, so the product adds them in
+    the order a CSR matrix-vector product does, and gives its bits."""
+
+    cols: np.ndarray  # (w, K) int64, read-only
+    vals: np.ndarray  # (w, K) float, read-only
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.vals))
+
+    def product(self, y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """The product with y (K,), through a (w, K) float buffer `work` when
+        given: a repeated product then allocates no slot-sized temporaries,
+        which at vdp N=60 (178 KB each) cost page faults on every call."""
+        # "clip" takes into out= directly (every column index is in range);
+        # "raise" would copy through a temporary
+        work = np.take(y, self.cols, mode="clip", out=work)
+        np.multiply(self.vals, work, out=work)
+        # initial=0.0: each row's sum starts at +0.0, as CSR's does, whatever numpy's default
+        # start, so a row of -0.0 products gives +0.0
+        return np.add.reduce(work, axis=0, initial=0.0)
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        return self.product(y)
+
+
+@dataclass(frozen=True)
 class GeneratorMatrix:
-    """Sparse truncated generator A with A[k, n] = coeff of x^k in L x^n;
-    `closed` tells whether every nonzero entry of L x^n landed in the set."""
+    """Truncated generator A with A[k, n] = coeff of x^k in L x^n, one
+    `MoveSlots` slot per exponent move; `closed` tells whether every nonzero
+    entry of L x^n landed in the set."""
 
     index_set: np.ndarray  # (K, dim) int64, read-only, grlex order
-    matrix: sparse.csr_array
+    matrix: MoveSlots
     model_fingerprint: str = ""
     closed: bool | None = None
 
@@ -98,6 +269,8 @@ class DualCoefficients:
     observable: tuple[int, int] | None = None  # (axis, power), axis 1-based
     model_fingerprint: str = ""
     closed: bool | None = None  # the generator's closure; None when unknown (read from a file)
+    # the integrator's nfev, accepted and rejected steps and status; None when read from a file
+    solve_stats: dict | None = None
 
     def __post_init__(self):
         index_set = np.asarray(self.index_set)
@@ -140,9 +313,13 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
     running sum of one exponent move (shift + e), added in the order of the
     operator's terms (drift axes, then (i, j) row-major), so the matrix is
     bit-for-bit the one built column by column from the reference action on
-    one monomial, `adjoint_apply` in `tests/helpers.py`.  The generator is
-    `closed` when no nonzero entry was dropped for leaving the set.  A set
-    `eval_moment` could not evaluate is a ValueError, raised before it is built.
+    one monomial, `adjoint_apply` in `tests/helpers.py`.  A move m sends
+    column n to row n + m, so each move's sums fill one `MoveSlots` slot.
+    The slots go by the key (-|m|, m_1, ..., m_D): the source n = k - m of
+    row k then rises in grlex order from slot to slot, the column order of
+    a CSR row.  The generator is `closed` when no nonzero entry was dropped
+    for leaving the set.  A set `eval_moment` could not evaluate is a
+    ValueError, raised before it is built.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -170,17 +347,24 @@ def build_generator(model: SdeModel, max_degree: int) -> GeneratorMatrix:
             for e, c in zip(terms.tolist(), column.tolist()):
                 if c != 0.0:
                     sums[tuple((shift + e).tolist())][live] += (c * scale) * factor
-    entries = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    # the set's row of each exponent, as a dense (max_degree + 1)**dim table
+    position = np.empty((max_degree + 1,) * dim, dtype=np.int64)
+    position[tuple(exps.T)] = np.arange(size)
+    moves = sorted(sums, key=lambda move: (-sum(move), *move))
+    cols = np.zeros((len(moves), size), dtype=np.int64)
+    vals = np.zeros((len(moves), size))
     closed = True
-    for move, total in sums.items():
+    for slot, move in enumerate(moves):
+        total = sums[move]
         moved = exps + move
         nonzero, inside = total != 0.0, np.all(moved <= max_degree, axis=1)
         closed = closed and not np.any(nonzero & ~inside)
         keep = np.flatnonzero(nonzero & inside)
-        entries.append((index_positions(exps, moved[keep]), keep, total[keep]))
-    rows, cols, data = map(np.concatenate, zip(*entries))
-    matrix = sparse.csr_array((data, (rows, cols)), shape=(size, size))
-    return GeneratorMatrix(exps, matrix, model.fingerprint, closed)
+        rows = position[tuple(moved[keep].T)]
+        cols[slot, rows] = keep
+        vals[slot, rows] = total[keep]
+    cols.flags.writeable = vals.flags.writeable = False
+    return GeneratorMatrix(exps, MoveSlots(cols, vals), model.fingerprint, closed)
 
 
 def initial_coefficients(index_set: np.ndarray, axis: int, power: int) -> np.ndarray:
@@ -208,42 +392,36 @@ def solve_dual(
     t: float,
     observable: tuple[int, int] | None = None,
 ) -> DualCoefficients:
-    """Integrate dP/dt = A P from the start vector to time t (RK45, rtol
-    `_RTOL`, atol `_ATOL`)."""
+    """Integrate dP/dt = A P from the start vector to time t (`solve_ivp`,
+    rtol `_RTOL`, atol `_ATOL`), recording its counters as `solve_stats`.
+    A failed integration is a SolverError carrying them."""
     start = np.asarray(start, dtype=float)
     if start.shape != (len(generator.index_set),):
         raise ValueError(f"start shape {start.shape} does not match the index set")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("start vector must be finite")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    if not np.all(np.isfinite(generator.matrix.data)):
+    if not np.all(np.isfinite(generator.matrix.vals)):
         raise SolverError("generator matrix contains non-finite entries", {"t": t})
     if t == 0.0:
         values = start.copy()
+        stats = {"nfev": 0, "accepted": 0, "rejected": 0, "status": 0}
     else:
-        matrix = generator.matrix
+        matrix, work = generator.matrix, np.empty(generator.matrix.cols.shape)
 
         def rhs(_t, y):
-            return matrix @ y
+            return matrix.product(y, work)
 
-        sol = solve_ivp(
-            rhs,
-            (0.0, t),
-            start,
-            method=_IVP_METHOD,
-            rtol=_RTOL,
-            atol=_ATOL,
-            t_eval=[t],
-        )
+        sol = solve_ivp(rhs, (0.0, t), start, rtol=_RTOL, atol=_ATOL, t_eval=[t])
+        stats = {"nfev": sol.nfev, "accepted": sol.accepted, "rejected": sol.rejected, "status": sol.status}
         if not sol.success:
-            raise SolverError(
-                f"coefficient integration failed: {sol.message}",
-                {"status": sol.status, "nfev": sol.nfev, "t": t},
-            )
+            raise SolverError(f"coefficient integration failed: {sol.message}", {**stats, "t": t})
         values = sol.y[:, -1]
     if not np.all(np.isfinite(values)):
-        raise SolverError("coefficient integration produced non-finite values", {"t": t})
+        raise SolverError("coefficient integration produced non-finite values", {**stats, "t": t})
     return DualCoefficients(
-        generator.index_set, values, float(t), observable, generator.model_fingerprint, generator.closed
+        generator.index_set, values, float(t), observable, generator.model_fingerprint, generator.closed, stats
     )
 
 

@@ -13,6 +13,11 @@ map's terms to the first's, and `mul` sums each product coefficient with
 `math.fsum`, so it is exactly rounded and commutes bit for bit.  `table`,
 `terms` and `make_model` convert between term maps and the library's term
 tables (`Polynomial`) and models.
+
+scipy is a test-only dependency.  Its `solve_ivp` (RK45), `csr_array` and
+`expit` are the references that `dual.solve_ivp`, the generator's
+`MoveSlots` product and `network.sigmoid` are held to; `generator_csr`
+turns a generator into the CSR matrix the library once built.
 """
 
 import functools
@@ -20,12 +25,13 @@ import itertools
 import math
 
 import numpy as np
-
-from scipy.special import expit
+from scipy.integrate import solve_ivp  # noqa: F401 (a reference, imported by the tests)
+from scipy.sparse import csr_array
+from scipy.special import expit  # noqa: F401 (a reference, imported by the tests)
 
 from sdembed.baseline import _BETA1, _BETA2, _EPS
 from sdembed.fit import _target_vector
-from sdembed.network import SigmoidNet, _taylor_tables, network_taylor
+from sdembed.network import SigmoidNet, _taylor_tables, network_taylor, sigmoid
 from sdembed.polynomial import Polynomial, index_positions, monomials, multi_index_set
 from sdembed.sde import diffusion_product, parse_model
 
@@ -413,6 +419,16 @@ def reference_taylor_expansion(params, order, magnitude=False):
     return (weight_pow * bias_sum) @ out_w, np.hstack([weight_pow * bias_sum, d_in, d_bias])
 
 
+def generator_csr(matrix):
+    """A generator's `MoveSlots` as a canonical scipy CSR matrix: its nonzero
+    entries, each row's in increasing column order.  `.toarray()` gives the
+    dense matrix."""
+    width, size = matrix.cols.shape
+    rows = np.broadcast_to(np.arange(size), (width, size))
+    entry = matrix.vals != 0.0
+    return csr_array((matrix.vals[entry], (rows[entry], matrix.cols[entry])), shape=(size, size))
+
+
 def value_at(coeffs, index):
     """The solved coefficient P(index, t) of a `DualCoefficients`."""
     return float(coeffs.values[index_positions(coeffs.index_set, index)])
@@ -439,7 +455,7 @@ def reference_train_backprop(data, config):
             batch = order[lo_idx : lo_idx + config.batch_size]
             x = data.inputs[batch]
             y = data.targets[batch]
-            hidden_act = expit(x @ in_w.T + biases)
+            hidden_act = sigmoid(x @ in_w.T + biases)
             err = hidden_act @ out_w - y
             scale = 2.0 / batch.size
             d_hidden = (scale * err)[:, None] * out_w[None, :] * hidden_act * (1.0 - hidden_act)
@@ -451,6 +467,6 @@ def reference_train_backprop(data, config):
                 m += (1.0 - _BETA1) * (g - m)
                 v += (1.0 - _BETA2) * (g * g - v)
                 p -= config.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + _EPS)
-        err = expit(data.inputs @ in_w.T + biases) @ out_w - data.targets
+        err = sigmoid(data.inputs @ in_w.T + biases) @ out_w - data.targets
         trace[epoch] = float(err @ err) / err.size
     return SigmoidNet(out_w, in_w, biases), trace

@@ -55,6 +55,9 @@ class TestDualCommand:
         assert str(ou_dual_csv) in manifest["outputs"]
         assert manifest["config"]["N"] == 12
         assert "version" in manifest and "duration_seconds" in manifest
+        assert manifest["stages"] == [
+            {"name": "solve", "nfev": 134, "accepted": 22, "rejected": 0, "status": 0, "closed": True}
+        ]
 
     def test_rerun_reproduces_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,12 +2,21 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from helpers import adjoint_apply, make_model, reference_coefficients_csv_text, reference_eval_moment, value_at
+from helpers import (
+    adjoint_apply,
+    csr_array,
+    generator_csr,
+    make_model,
+    reference_coefficients_csv_text,
+    reference_eval_moment,
+    solve_ivp,
+    value_at,
+)
 from sdembed import dual
 from sdembed.dual import (
     DualCoefficients,
@@ -74,7 +83,7 @@ def generator_by_columns(model, max_degree):
                 cols.append(col)
                 vals.append(coef)
     size = len(basis)
-    return sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(size, size), dtype=float))
+    return csr_array((np.array(vals, dtype=float), (rows, cols)), shape=(size, size))
 
 
 def random_model(seed):
@@ -126,21 +135,22 @@ def vdp():
 class TestBuildGenerator:
     def test_ou_matches_recurrence_exactly(self, ou):
         gen = build_generator(ou, 12)
-        assert np.array_equal(gen.matrix.toarray(), ou_generator_oracle(1.0, 1.0, 12))
+        assert np.array_equal(generator_csr(gen.matrix).toarray(), ou_generator_oracle(1.0, 1.0, 12))
 
     def test_ou_nonunit_parameters(self):
         model = builtin_model("ou", {"gamma": 0.7, "sigma": 1.3})
         gen = build_generator(model, 8)
-        assert np.array_equal(gen.matrix.toarray(), ou_generator_oracle(0.7, 1.3, 8))
+        assert np.array_equal(generator_csr(gen.matrix).toarray(), ou_generator_oracle(0.7, 1.3, 8))
 
     def test_vdp_matches_recurrence_exactly(self, vdp):
         gen = build_generator(vdp, 5)
-        assert np.array_equal(gen.matrix.toarray(), vdp_generator_oracle(1.0, 1.0, 1.0, 5))
+        assert np.array_equal(generator_csr(gen.matrix).toarray(), vdp_generator_oracle(1.0, 1.0, 1.0, 5))
 
     def test_zero_model_gives_zero_matrix(self):
         model = make_model([{}], [[{}]])
         gen = build_generator(model, 4)
-        assert gen.matrix.nnz == 0
+        assert gen.matrix.nnz == 0 and gen.matrix.cols.shape == (0, 5)
+        assert (gen.matrix @ np.full(5, -1.0)).tobytes() == np.zeros(5).tobytes()
 
     def test_index_set_is_canonical(self, vdp):
         gen = build_generator(vdp, 3)
@@ -159,15 +169,15 @@ class TestGeneratorMatchesReferenceAction:
         model = random_model(seed)
         max_degree = 4 if model.dim == 3 else 7
         want = generator_by_columns(model, max_degree)
-        assert_same_csr(build_generator(model, max_degree).matrix, want)
+        assert_same_csr(generator_csr(build_generator(model, max_degree).matrix), want)
 
     def test_shifted_origin_vdp(self, vdp):
         model = shift_model_origin(vdp, (0.5, -1.0))
-        assert_same_csr(build_generator(model, 12).matrix, generator_by_columns(model, 12))
+        assert_same_csr(generator_csr(build_generator(model, 12).matrix), generator_by_columns(model, 12))
 
     def test_lorenz(self):
         model = lorenz_model()
-        assert_same_csr(build_generator(model, 8).matrix, generator_by_columns(model, 8))
+        assert_same_csr(generator_csr(build_generator(model, 8).matrix), generator_by_columns(model, 8))
 
 
 @pytest.mark.parametrize(
@@ -180,11 +190,108 @@ class TestGeneratorMatchesReferenceAction:
 def test_generator_bits_at_benchmark_scale(model, max_degree, digest, vdp):
     # the dual-scale workload's sizes; assembly uses no BLAS, so the bits are machine-independent
     model = vdp if model == "vdp" else lorenz_model()
-    matrix = build_generator(model, max_degree).matrix
+    matrix = generator_csr(build_generator(model, max_degree).matrix)
     h = hashlib.sha256()
     for part in (matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data):
         h.update(part.tobytes())
     assert h.hexdigest() == digest
+
+
+class TestMoveSlots:
+    """The move-slot product gives the bits of the CSR product, -0.0 included."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_product_matches_csr(self, seed):
+        model = random_model(seed)
+        matrix = build_generator(model, 4 if model.dim == 3 else 7).matrix
+        rng = np.random.default_rng(seed)
+        size = matrix.cols.shape[1]
+        y = rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size)
+        assert (matrix @ y).tobytes() == (generator_csr(matrix) @ y).tobytes()
+        assert matrix.nnz == generator_csr(matrix).nnz
+
+    def test_row_of_negative_zero_products_sums_to_positive_zero(self, vdp):
+        matrix = build_generator(vdp, 6).matrix
+        row = int(np.argmax(np.count_nonzero(matrix.vals, axis=0)))
+        slots = np.flatnonzero(matrix.vals[:, row])
+        y = np.ones(matrix.cols.shape[1])
+        y[matrix.cols[slots, row]] = np.copysign(0.0, -matrix.vals[slots, row])
+        assert len(slots) > 1 and np.all(np.signbit(matrix.vals[slots, row] * y[matrix.cols[slots, row]]))
+        got, want = matrix @ y, generator_csr(matrix) @ y
+        assert got[row] == 0.0 and not np.signbit(got[row])
+        assert got.tobytes() == want.tobytes()
+
+    def test_product_through_a_work_buffer(self, vdp):
+        matrix = build_generator(vdp, 9).matrix
+        y = np.random.default_rng(3).normal(size=matrix.cols.shape[1])
+        work = np.full(matrix.cols.shape, np.nan)
+        assert matrix.product(y, work).tobytes() == (matrix @ y).tobytes()
+
+
+def scipy_rk45(matrix, start, t):
+    """scipy's RK45 on the CSR form of a generator, with the solver's tolerances."""
+    reference = generator_csr(matrix)
+    return solve_ivp(lambda _t, y: reference @ y, (0.0, t), start, method="RK45",
+                     rtol=dual._RTOL, atol=dual._ATOL, t_eval=[t])
+
+
+class TestSolveIvpIsScipyRK45:
+    """`dual.solve_ivp` repeats scipy's RK45: the same bits and the same nfev."""
+
+    @staticmethod
+    def assert_same(matrix, start, t):
+        want = scipy_rk45(matrix, start, t)
+        got = dual.solve_ivp(lambda _t, y: matrix @ y, (0.0, t), start, rtol=dual._RTOL, atol=dual._ATOL, t_eval=[t])
+        assert want.success and got.success and got.status == 0
+        assert np.array_equal(got.y, want.y) and got.nfev == want.nfev
+        assert got.nfev == 2 + 6 * (got.accepted + got.rejected)
+        return got
+
+    # random 1-3-D models, N, horizons and start vectors; most seeds from 4 on reject steps
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_models(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        model = random_model(seed)
+        generator = build_generator(model, int(rng.integers(1, 5 if model.dim == 3 else 8)))
+        start = rng.normal(size=len(generator.index_set))
+        self.assert_same(generator.matrix, start, float(rng.uniform(0.01, 0.3)))
+
+    def test_rejected_steps(self):
+        generator = build_generator(random_model(4), 3)
+        start = np.random.default_rng(104).normal(size=len(generator.index_set))
+        assert self.assert_same(generator.matrix, start, 0.086).rejected > 0
+
+    def test_vdp_long_horizon(self, vdp):
+        generator = build_generator(vdp, 17)
+        start = initial_coefficients(generator.index_set, 2, 2)
+        got = self.assert_same(generator.matrix, start, 1.0)
+        assert got.nfev == 1982
+        assert solve_dual(generator, start, 1.0).values.tobytes() == got.y[:, -1].tobytes()
+
+    def test_solve_dual_records_the_counters(self, vdp):
+        coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=17)
+        assert coeffs.solve_stats == {"nfev": 134, "accepted": 22, "rejected": 0, "status": 0}
+        assert solve_moment(vdp, axis=2, power=2, t=0.0, max_degree=4).solve_stats["nfev"] == 0
+
+    def test_diverging_solve_is_a_solver_error_without_warnings(self):
+        # scipy's loop warns on the overflow (3-4 RuntimeWarnings) before it gives up
+        generator = build_generator(builtin_model("ou", {"gamma": -1e300}), 4)
+        start = initial_coefficients(generator.index_set, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="less than spacing between numbers") as info:
+                solve_dual(generator, start, 1.0)
+        stats = info.value.diagnostics
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = scipy_rk45(generator.matrix, start, 1.0)
+        assert want.status == stats["status"] == -1 and stats["t"] == 1.0
+        assert stats["nfev"] == want.nfev == 2 + 6 * (stats["accepted"] + stats["rejected"])
+        assert stats["rejected"] > 0
+
+    def test_backward_span_rejected(self):
+        with pytest.raises(ValueError, match="must increase"):
+            dual.solve_ivp(lambda _t, y: y, (1.0, 0.0), np.ones(2), rtol=1e-6, atol=1e-9, t_eval=[0.0])
 
 
 class TestInitialCoefficients:
@@ -283,11 +390,20 @@ class TestSolveDual:
             message = "step size underflow"
             status = -1
             nfev = 7
+            accepted = 2
+            rejected = 3
 
         monkeypatch.setattr("sdembed.dual.solve_ivp", lambda *a, **k: _Failed())
         with pytest.raises(SolverError, match="underflow") as info:
             solve_dual(gen, start, 1.0)
-        assert info.value.diagnostics["nfev"] == 7
+        assert info.value.diagnostics == {"status": -1, "nfev": 7, "accepted": 2, "rejected": 3, "t": 1.0}
+
+    def test_non_finite_start_rejected(self, ou):
+        gen = build_generator(ou, 4)
+        start = initial_coefficients(gen.index_set, 1, 1)
+        start[0] = math.nan
+        with pytest.raises(ValueError, match="start vector must be finite"):
+            solve_dual(gen, start, 1.0)
 
     def test_negative_time_rejected(self, ou):
         gen = build_generator(ou, 4)

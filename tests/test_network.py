@@ -1,13 +1,14 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from helpers import (
+    expit,
     fd_taylor_coefficients,
     flatten_params,
     multinomial,
@@ -25,6 +26,7 @@ from sdembed.network import (
     network_taylor,
     param_views,
     read_network,
+    sigmoid,
     sigmoid_derivatives,
     taylor_jacobian,
 )
@@ -48,6 +50,21 @@ def central_difference_sigmoid(order, h="1e-5", dps=60):
             x = (mp.mpf(order) / 2 - j) * h
             acc += (-1) ** j * mp.binomial(order, j) / (1 + mp.e**-x)
         return float(acc / h**order)
+
+
+class TestSigmoid:
+    def test_matches_expit(self):
+        # 5.1e-16 relative where expit's value is a normal float, one subnormal step below
+        rng = np.random.default_rng(0)
+        z = np.concatenate([rng.normal(scale=8.0, size=500_000), rng.uniform(-760.0, 40.0, 500_000)])
+        got, want = sigmoid(z), expit(z)
+        assert np.all(np.abs(got - want) <= np.maximum(5.1e-16 * want, np.finfo(float).smallest_subnormal))
+
+    def test_limits_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(np.array([-np.inf, np.inf, np.nan, -800.0, 800.0, 0.0]))
+        assert got[[0, 1, 3, 4, 5]].tolist() == [0.0, 1.0, 0.0, 1.0, 0.5] and np.isnan(got[2])
 
 
 class TestSigmoidDerivatives:

@@ -1,7 +1,10 @@
 import argparse
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Names that may stay public with no caller in the library, each with its reason.
 UNREFERENCED_ALLOWED: set[str] = set()
+
+
+def test_runtime_imports_no_scipy():
+    """The package and its CLI run on numpy alone: scipy is a test-only dependency."""
+    code = ("import sys\nimport sdembed\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "import sdembed.cli\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split("\n") == ["[]", "[]", ""]
 
 
 @pytest.mark.parametrize("name", MODULES)
