@@ -11,6 +11,7 @@ produces, so all evaluation code is shared.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,5 +173,5 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     return TrainResult(SigmoidNet(out_w, in_w, biases), trace, config)
 
 
-def dataset_csv_text(data: Dataset) -> str:
+def dataset_csv_text(data: Dataset) -> Iterator[str]:
     return _csv_text([*(f"x_{d + 1}" for d in range(data.dim)), "target"], data.inputs, data.targets)

@@ -5,7 +5,8 @@ coefficients, datasets, states and profiles as CSV.  Every command that
 writes an output also writes `<out>.manifest.json` capturing the resolved
 configuration, seeds, input hashes and produced files, so a run can be
 reproduced bit-for-bit from its manifest.  Outputs are written atomically
-(temp file + rename).
+(temp file + rename), tables in chunks of rows as their writers yield them,
+so no whole-file text is built.
 
 Exit codes: 0 success, 1 runtime or solver failure, 2 usage or parse error.
 A setting the library has takes its default from there: the seeds, budgets
@@ -22,6 +23,7 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,17 +60,21 @@ from .sde import (
 
 __all__ = ["main"]
 
+_HASH_BLOCK = 1 << 20  # bytes an input file is hashed in at a time
+
 # the parameter names of every builtin, each once
 _PARAM_NAMES = tuple(dict.fromkeys(name for names in BUILTIN_PARAMS.values() for name in names))
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to a temp file beside `path`, then rename it
+    over `path`: a chunk iterator that raises leaves the target as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -110,12 +116,15 @@ class _Run:
         path = Path(ref)
         if not path.is_file():
             raise ValueError(f"{what} not found: {path}")
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.manifest["input_hashes"][str(path)] = digest
+        digest = hashlib.sha256()
+        with path.open("rb") as handle:
+            for block in iter(lambda: handle.read(_HASH_BLOCK), b""):
+                digest.update(block)
+        self.manifest["input_hashes"][str(path)] = digest.hexdigest()
         return path
 
-    def write_output(self, path, text: str) -> None:
-        _atomic_write_text(Path(path), text)
+    def write_output(self, path, chunks: Iterable[str]) -> None:
+        _atomic_write_text(Path(path), chunks)
         self.manifest["outputs"].append(str(path))
 
     def finish(self, anchor) -> None:
@@ -124,7 +133,7 @@ class _Run:
         duration = round(time.perf_counter() - self.started, 6)
         doc = dict(self.manifest, duration_seconds=duration)
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        _atomic_write_text(Path(str(anchor) + ".manifest.json"), text)
+        _atomic_write_text(Path(str(anchor) + ".manifest.json"), (text,))
 
     def model(self, ref: str, params: dict[str, float], origin=None) -> SdeModel:
         """A builtin or a model JSON, whose hash is recorded."""
@@ -172,7 +181,7 @@ def _cmd_fit(args, run: _Run) -> str:
     )
     coeffs = read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
     result = fit_network(coeffs, config)
-    run.write_output(args.out, json.dumps(fit_result_to_dict(result), indent=2) + "\n")
+    run.write_output(args.out, (json.dumps(fit_result_to_dict(result), indent=2) + "\n",))
     return f"final cost: {result.cost:.6e} (best of {config.restarts} restarts, converged={result.converged})"
 
 
@@ -208,7 +217,7 @@ def _cmd_train_baseline(args, run: _Run) -> str:
         "loss_trace": result.loss_trace.tolist(),
         "dataset_fingerprint": dataset.generator_fingerprint,
     }
-    run.write_output(args.out, json.dumps(doc, indent=2) + "\n")
+    run.write_output(args.out, (json.dumps(doc, indent=2) + "\n",))
     if args.dataset_out:
         run.write_output(args.dataset_out, dataset_csv_text(dataset))
     return f"final training MSE: {result.loss_trace[-1]:.6e} over {dataset.size} examples"
@@ -337,7 +346,7 @@ def _cmd_eval(args, run: _Run) -> str:
         profile = radial_error_profile(
             predictor.fn, reference.fn, r_max, (_count(n_r, "NR"), _count(n_theta, "NTHETA"))
         )
-        text = profile_csv_text(profile)
+        chunks = profile_csv_text(profile)
     else:
         # --line LO HI COUNT, --grid X1LO X1HI X2LO X2HI N1 N2: bounds per axis, then counts
         flags = getattr(args, mode)
@@ -346,11 +355,11 @@ def _cmd_eval(args, run: _Run) -> str:
             raise ValueError(f"--{mode} requires a {dim}-D predictor")
         names = ["COUNT"] if dim == 1 else [f"N{d + 1}" for d in range(dim)]
         counts = [_count(n, name) for n, name in zip(flags[-dim:], names)]
-        text = grid_csv_text(grid_eval(predictor.fn, np.reshape(flags[:-dim], (dim, 2)), counts))
-    run.write_output(args.out, text)
+        chunks = grid_csv_text(grid_eval(predictor.fn, np.reshape(flags[:-dim], (dim, 2)), counts))
+    run.write_output(args.out, chunks)
     if args.gnuplot:
         script = _GNUPLOT[mode].format(csv=Path(args.out).name)
-        run.write_output(str(args.out) + ".gp", script)
+        run.write_output(str(args.out) + ".gp", (script,))
     return f"wrote {args.out}"
 
 

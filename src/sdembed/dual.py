@@ -22,6 +22,10 @@ bits `scipy.integrate.solve_ivp(method="RK45", t_eval=[t])` gives, with
 numpy as the one runtime dependency.  The generator is stored as one slot
 per exponent move (`MoveSlots`), whose product adds each row's terms in
 the order a CSR matrix-vector product does.
+
+Coefficients travel as CSV: `coefficients_csv_text` yields the table in
+chunks of rows, and `read_coefficients_csv` reads it back line by line,
+its errors naming the file's own line numbers.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -498,32 +503,44 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
 # -- CSV interchange ---------------------------------------------------------
 
 
-def coefficients_csv_text(coeffs: DualCoefficients) -> str:
+def coefficients_csv_text(coeffs: DualCoefficients) -> Iterator[str]:
+    """The coefficients as CSV chunks: header n_1,...,n_D,value, one row per index."""
     return _csv_text([*(f"n_{d + 1}" for d in range(coeffs.dim)), "value"], coeffs.index_set, coeffs.values)
 
 
 def read_coefficients_csv(path) -> DualCoefficients:
-    """Load a coefficient CSV; time and observable metadata are not stored there."""
+    """Load a coefficient CSV; time and observable metadata are not stored there.
+
+    The file is read line by line and errors name the file's own line
+    numbers.  Blank lines may lead and trail; one between rows is an error."""
     path = Path(path)
-    lines = path.read_text().strip().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty coefficient file")
-    header = lines[0].split(",")
-    if header[-1] != "value" or any(not h.startswith("n_") for h in header[:-1]):
-        raise ValueError(f"{path}: expected header n_1,...,n_D,value")
-    dim = len(header) - 1
+    header, blank = None, None  # blank: the first blank line after the header
     indices, values = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != dim + 1:
-            raise ValueError(f"{path}:{ln}: expected {dim + 1} fields")
-        try:
-            indices.append([int(p) for p in parts[:-1]])
-            values.append(float(parts[-1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from None
-        if not math.isfinite(values[-1]):
-            raise ValueError(f"{path}:{ln}: non-finite value {parts[-1]!r}")
+    with path.open() as handle:
+        for ln, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                if header is not None and blank is None:
+                    blank = ln
+                continue
+            if header is None:
+                header = line.split(",")
+                if header[-1] != "value" or any(not h.startswith("n_") for h in header[:-1]):
+                    raise ValueError(f"{path}: expected header n_1,...,n_D,value")
+                dim = len(header) - 1
+                continue
+            parts = line.split(",")
+            if blank is not None or len(parts) != dim + 1:
+                raise ValueError(f"{path}:{blank or ln}: expected {dim + 1} fields")
+            try:
+                indices.append([int(p) for p in parts[:-1]])
+                values.append(float(parts[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}:{ln}: non-finite value {parts[-1]!r}")
+    if header is None:
+        raise ValueError(f"{path}: empty coefficient file")
     try:
         return DualCoefficients(indices, np.array(values), t=math.nan, observable=None)
     except ValueError as exc:

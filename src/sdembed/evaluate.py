@@ -14,6 +14,7 @@ external tooling.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +138,11 @@ def radial_error_profile(
 # -- CSV interchange ---------------------------------------------------------
 
 
-def grid_csv_text(table: np.ndarray) -> str:
-    """A `grid_eval` table as CSV: header x,value in 1-D, else x1,...,xD,value."""
+def grid_csv_text(table: np.ndarray) -> Iterator[str]:
+    """A `grid_eval` table as CSV chunks: header x,value in 1-D, else x1,...,xD,value."""
     names = ["x"] if table.shape[1] == 2 else [f"x{d}" for d in range(1, table.shape[1])]
     return _csv_text([*names, "value"], table)
 
 
-def profile_csv_text(profile: RadialErrorProfile) -> str:
+def profile_csv_text(profile: RadialErrorProfile) -> Iterator[str]:
     return _csv_text(["r_lo", "r_hi", "mse"], profile.band_edges[:-1], profile.band_edges[1:], profile.mse)

@@ -16,12 +16,15 @@ Pol run makes 438 minor page faults, against 68 427 when every step and
 block allocated its own.  Paths whose state goes non-finite (possible for
 the cubic van der Pol drift at coarse steps) are flagged and excluded from
 moment estimates instead of aborting the run.  Only final-time states are
-kept.
+kept.  `final_states_csv_text` yields their CSV in chunks of rows
+(`polynomial._csv_text`), so writing the states holds one chunk's cells
+and text at a time, never the whole file's.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +144,7 @@ def mc_moment(ensemble: TrajectoryEnsemble, axis: int, power: int) -> tuple[floa
     return estimate, std_error
 
 
-def final_states_csv_text(ensemble: TrajectoryEnsemble) -> str:
+def final_states_csv_text(ensemble: TrajectoryEnsemble) -> Iterator[str]:
+    """The final states as CSV chunks: header path,x_1,...,x_D, one row per path."""
     paths, dim = ensemble.final.shape
     return _csv_text(["path", *(f"x_{d + 1}" for d in range(dim))], np.arange(paths), ensemble.final)

@@ -28,13 +28,15 @@ can write its table and rows into one caller-owned buffer
 `simulate` allocates once per call.
 
 Two private helpers serve the modules above this leaf one: `_freeze`, how
-every result record stores its arrays, and `_csv_text`, the one CSV writer.
+every result record stores its arrays, and `_csv_text`, the one CSV writer,
+which yields the text in chunks of `_CSV_ROWS` rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -253,18 +255,24 @@ def _freeze(record, **dtypes) -> None:
         object.__setattr__(record, name, array)
 
 
-def _csv_text(names, *columns) -> str:
-    """CSV text: header `names`, then one row per entry of the columns, each
-    1-D or 2-D (a CSV column per array column).  One row template writes
-    integer columns %d and the rest %r (a float's shortest round-trip repr),
-    from each column's own `tolist` cells, so no integer passes through a float."""
+_CSV_ROWS = 4096  # rows per chunk of `_csv_text`
+
+
+def _csv_text(names, *columns) -> Iterator[str]:
+    """CSV text in chunks: the header line `names`, then `_CSV_ROWS` rows at
+    a time, one row per entry of the columns, each 1-D or 2-D (a CSV column
+    per array column).  One row template writes integer columns %d and the
+    rest %r (a float's shortest round-trip repr), from each slice's own
+    `tolist` cells, so no integer passes through a float and no text or
+    cells beyond one chunk's are ever held."""
     columns = [column[:, None] if column.ndim == 1 else column for column in map(np.asarray, columns)]
     formats = ["%d" if column.dtype.kind in "iu" else "%r" for column in columns for _ in column.T]
-    rows, width = len(columns[0]), len(formats)
-    cells = [None] * (rows * width)
-    # one CSV column's list at a time, the list dropped before formatting and
-    # the header in the template: no second copy of the cells or of the text
-    for k, field in enumerate(field for column in columns for field in column.T):
-        cells[k::width] = field.tolist()
-    cells = tuple(cells)
-    return (",".join(names) + ("\n" + ",".join(formats)) * rows + "\n") % cells
+    row, width = ",".join(formats) + "\n", len(formats)
+    yield ",".join(names) + "\n"
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        fields = [field for column in columns for field in column[start : start + _CSV_ROWS].T]
+        rows = len(fields[0])
+        cells = [None] * (rows * width)
+        for k, field in enumerate(fields):
+            cells[k::width] = field.tolist()
+        yield row * rows % tuple(cells)

@@ -82,12 +82,12 @@ def build_mc_comparison():
     """Criterion 4 artifacts: vdP moments from the dual solve vs sampling."""
     x0 = (1.0, 1.0)
     ensemble = simulate(VDP, x0, SimConfig(dt=1e-3, horizon=0.1, paths=100_000, seed=MC_SEED))
-    texts = {"final_states.csv": final_states_csv_text(ensemble)}
+    texts = {"final_states.csv": "".join(final_states_csv_text(ensemble))}
     comparisons = {}
     for axis in (1, 2):
         for power in (1, 2):
             coeffs = solve_moment(VDP, axis=axis, power=power, t=0.1, max_degree=17)
-            texts[f"dual_x{axis}_m{power}.csv"] = coefficients_csv_text(coeffs)
+            texts[f"dual_x{axis}_m{power}.csv"] = "".join(coefficients_csv_text(coeffs))
             estimate, std_error = mc_moment(ensemble, axis, power)
             comparisons[(axis, power)] = (float(eval_moment(coeffs, x0)), estimate, std_error)
     return {"comparisons": comparisons, "excluded": ensemble.n_excluded}, texts
@@ -121,7 +121,7 @@ def build_vdp_fit_profile():
     )
     texts = {
         "vdp_fit.json": json.dumps(fit_result_to_dict(result), indent=2) + "\n",
-        "vdp_profile.csv": profile_csv_text(profile),
+        "vdp_profile.csv": "".join(profile_csv_text(profile)),
     }
     return {"result": result, "profile": profile, "target": target}, texts
 
@@ -140,9 +140,9 @@ def build_baseline_run():
         (100, 100),
     )
     texts = {
-        "baseline_dataset.csv": dataset_csv_text(dataset),
+        "baseline_dataset.csv": "".join(dataset_csv_text(dataset)),
         "baseline_net.json": json.dumps(net_to_dict(trained.net), indent=2) + "\n",
-        "baseline_profile.csv": profile_csv_text(profile),
+        "baseline_profile.csv": "".join(profile_csv_text(profile)),
     }
     payload = {"dataset": dataset, "trained": trained, "profile": profile}
     return payload, texts
@@ -341,7 +341,7 @@ def test_criterion_09_baseline_smoke(baseline_run, vdp_fit_profile, tmp_path):
     comparison_dir = tmp_path
     (comparison_dir / "baseline_profile.csv").write_text(texts["baseline_profile.csv"])
     proposed_profile = vdp_fit_profile[0]["profile"]
-    (comparison_dir / "proposed_profile.csv").write_text(profile_csv_text(proposed_profile))
+    (comparison_dir / "proposed_profile.csv").write_text("".join(profile_csv_text(proposed_profile)))
     baseline_near = payload["profile"].band_mean(0.0, 1.0)
     proposed_near = proposed_profile.band_mean(0.0, 1.0)
     elapsed = time.perf_counter() - started

@@ -216,7 +216,7 @@ class TestTrainBackprop:
 class TestDatasetCsv:
     def test_layout_and_round_trip_values(self, ou_coeffs):
         data = generate_dataset(ou_coeffs, [(-2.0, 2.0)], size=7, seed=8)
-        lines = dataset_csv_text(data).strip().splitlines()
+        lines = "".join(dataset_csv_text(data)).strip().splitlines()
         assert lines[0] == "x_1,target"
         assert len(lines) == 8
         first = lines[1].split(",")
@@ -231,7 +231,7 @@ class TestDatasetCsv:
         special = np.array([[math.inf, math.nan], [-0.0, 5e-324], [-math.inf, 1e300], [0.1, -1e300]])
         cases = [(labelled.inputs, labelled.targets), (special, special[::-1, 1]), (special[:, :1], special[:, 0])]
         for inputs, targets in cases:
-            got = dataset_csv_text(Dataset(inputs, targets, ""))
+            got = "".join(dataset_csv_text(Dataset(inputs, targets, "")))
             want = reference_dataset_csv_text(inputs, targets)
             assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
@@ -240,8 +240,8 @@ class TestDatasetCsv:
         data = generate_dataset(ou_coeffs, [(-1.0, 1.0)], size=3, seed=9)
         path = tmp_path / "data.csv"
         coeffs = tmp_path / "ou.csv"
-        coeffs.write_text(coefficients_csv_text(ou_coeffs))
+        coeffs.write_text("".join(coefficients_csv_text(ou_coeffs)))
         argv = "train-baseline --size 3 --box -1 1 --hidden 2 --epochs 1"
         outs = ["--data-seed", "9", "--dataset-out", str(path), "--out", str(tmp_path / "net.json")]
         assert main([*argv.split(), "--dual", str(coeffs), *outs]) == 0
-        assert path.read_text() == dataset_csv_text(data)
+        assert path.read_text() == "".join(dataset_csv_text(data))

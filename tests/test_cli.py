@@ -935,7 +935,7 @@ def _dual_text(name, axis, power, degree, t):
 
     def library():
         model = builtin_model(name)
-        return coefficients_csv_text(solve_moment(model, axis=axis, power=power, t=t, max_degree=degree))
+        return "".join(coefficients_csv_text(solve_moment(model, axis=axis, power=power, t=t, max_degree=degree)))
 
     return command, library
 

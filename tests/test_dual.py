@@ -628,7 +628,7 @@ class TestClosure:
     def test_unknown_when_read_from_a_file(self, ou, tmp_path):
         coeffs = solve_moment(ou, axis=1, power=2, t=1.0, max_degree=6)
         path = tmp_path / "ou.csv"
-        path.write_text(coefficients_csv_text(coeffs))
+        path.write_text("".join(coefficients_csv_text(coeffs)))
         assert coeffs.closed is True and read_coefficients_csv(path).closed is None
 
     def test_fingerprint_ignores_closure(self, ou):
@@ -709,12 +709,37 @@ class TestDualCoefficientsIndexSet:
         with pytest.raises(ValueError, match=match):
             read_coefficients_csv(path)
 
+    def test_errors_name_the_files_own_line_numbers(self, tmp_path):
+        path = tmp_path / "lead.csv"
+        path.write_text("\n\nn_1,value\n0,1.0\n1,abc\n")
+        with pytest.raises(ValueError, match="lead.csv:5: could not convert string to float: 'abc'"):
+            read_coefficients_csv(path)
+
+    def test_leading_and_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text("\n \nn_1,value\n0,1.0\n1,2.5\n\n\n")
+        coeffs = read_coefficients_csv(path)
+        assert coeffs.index_set.tolist() == [[0], [1]] and coeffs.values.tolist() == [1.0, 2.5]
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "  \n"], ids=["empty", "blank", "spaces"])
+    def test_file_without_a_header_rejected(self, text, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty.csv: empty coefficient file"):
+            read_coefficients_csv(path)
+
+    def test_blank_line_between_rows_rejected_at_that_line(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("\nn_1,value\n0,1.0\n\n\n1,2.0\n")
+        with pytest.raises(ValueError, match="gap.csv:4: expected 2 fields"):
+            read_coefficients_csv(path)
+
 
 class TestCsvInterchange:
     def test_round_trip_bit_exact(self, vdp, tmp_path):
         coeffs = solve_moment(vdp, axis=2, power=1, t=0.1, max_degree=5)
         path = tmp_path / "coeffs.csv"
-        path.write_text(coefficients_csv_text(coeffs))
+        path.write_text("".join(coefficients_csv_text(coeffs)))
         again = read_coefficients_csv(path)
         assert np.array_equal(again.index_set, coeffs.index_set)
         assert np.array_equal(again.values, coeffs.values)
@@ -722,7 +747,7 @@ class TestCsvInterchange:
     def test_header_shape(self, ou, tmp_path):
         coeffs = solve_moment(ou, axis=1, power=1, t=1.0, max_degree=12)
         path = tmp_path / "ou.csv"
-        path.write_text(coefficients_csv_text(coeffs))
+        path.write_text("".join(coefficients_csv_text(coeffs)))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n_1,value"
         assert len(lines) == 14
@@ -737,14 +762,14 @@ class TestCsvInterchange:
             ([[0, 0], [2**53 + 1, 0], [3, 2**62]], [1.0, 2.0, 3.0]),
         ]
         for index_set, values in cases:
-            got = coefficients_csv_text(DualCoefficients(index_set, values, t=0.0))
+            got = "".join(coefficients_csv_text(DualCoefficients(index_set, values, t=0.0)))
             want = reference_coefficients_csv_text(index_set, values)
             assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
     def test_large_exponent_written_back_exactly(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("n_1,value\n0,1.0\n9007199254740993,2.0\n")
-        assert coefficients_csv_text(read_coefficients_csv(path)) == path.read_text()
+        assert "".join(coefficients_csv_text(read_coefficients_csv(path))) == path.read_text()
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"

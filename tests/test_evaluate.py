@@ -174,7 +174,7 @@ class TestRadialErrorProfile:
 class TestCsvFormats:
     def test_grid_csv_round_trips(self):
         table = grid_eval(lambda p: p[:, 0] * p[:, 1], ((0, 1), (0, 1)), (3, 3))
-        text = grid_csv_text(table)
+        text = "".join(grid_csv_text(table))
         lines = text.strip().splitlines()
         assert lines[0] == "x1,x2,value"
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
@@ -182,18 +182,18 @@ class TestCsvFormats:
 
     def test_line_csv(self):
         table = grid_eval(lambda p: p[:, 0] ** 2, [(0.0, 2.0)], [3])
-        lines = grid_csv_text(table).strip().splitlines()
+        lines = "".join(grid_csv_text(table)).strip().splitlines()
         assert lines[0] == "x,value"
         assert [float(v) for v in lines[2].split(",")] == [1.0, 1.0]
 
     def test_tables_keep_the_bytes_of_the_per_mode_tabulators(self):
         # the text the former line_eval/line_csv_text and 2-D grid_eval/grid_csv_text wrote
-        line = grid_csv_text(grid_eval(lambda p: np.exp(-p[:, 0]), [(-1.0, 1.0)], [4]))
+        line = "".join(grid_csv_text(grid_eval(lambda p: np.exp(-p[:, 0]), [(-1.0, 1.0)], [4])))
         assert line == (
             "x,value\n-1.0,2.718281828459045\n-0.33333333333333337,1.3956124250860895\n"
             "0.33333333333333326,0.7165313105737893\n1.0,0.36787944117144233\n"
         )
-        grid = grid_csv_text(grid_eval(lambda p: p[:, 0] - p[:, 1] / 3, ((0, 1), (-1, 1)), (2, 3)))
+        grid = "".join(grid_csv_text(grid_eval(lambda p: p[:, 0] - p[:, 1] / 3, ((0, 1), (-1, 1)), (2, 3))))
         assert grid == (
             "x1,x2,value\n0.0,-1.0,0.3333333333333333\n0.0,0.0,0.0\n0.0,1.0,-0.3333333333333333\n"
             "1.0,-1.0,1.3333333333333333\n1.0,0.0,1.0\n1.0,1.0,0.6666666666666667\n"
@@ -209,7 +209,7 @@ class TestCsvFormats:
             np.empty((0, 3)),
         ]
         for table in tables:
-            got, want = grid_csv_text(table), reference_grid_csv_text(table)
+            got, want = "".join(grid_csv_text(table)), reference_grid_csv_text(table)
             assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
     def test_profile_text_bytes_of_the_per_row_writer(self):
@@ -221,13 +221,13 @@ class TestCsvFormats:
             RadialErrorProfile([0.0], []),
         ]
         for profile in profiles:
-            got = profile_csv_text(profile)
+            got = "".join(profile_csv_text(profile))
             want = reference_profile_csv_text(profile.band_edges, profile.mse)
             assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
     def test_profile_csv(self):
         profile = RadialErrorProfile(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.125]))
-        lines = profile_csv_text(profile).strip().splitlines()
+        lines = "".join(profile_csv_text(profile)).strip().splitlines()
         assert lines[0] == "r_lo,r_hi,mse"
         assert lines[1] == "0.0,1.0,0.5"
         assert lines[2] == "1.0,2.0,0.125"

@@ -295,7 +295,7 @@ class TestMcMoment:
 class TestCsvExport:
     def test_layout_and_values(self, ou):
         ens = simulate(ou, [1.0], SimConfig(dt=0.01, horizon=0.05, paths=5, seed=8))
-        lines = final_states_csv_text(ens).strip().splitlines()
+        lines = "".join(final_states_csv_text(ens)).strip().splitlines()
         assert lines[0] == "path,x_1"
         assert len(lines) == 6
         values = [float(line.split(",")[1]) for line in lines[1:]]
@@ -305,7 +305,7 @@ class TestCsvExport:
         final = np.array([[math.inf, math.nan], [-0.0, 5e-324], [-math.inf, 2.5e-310], [0.1, -1e300]])
         config = SimConfig(dt=0.1, horizon=0.0, paths=4, seed=0)
         ens = TrajectoryEnsemble(final, np.array([True, False, True, False]), config)
-        assert final_states_csv_text(ens) == (
+        assert "".join(final_states_csv_text(ens)) == (
             "path,x_1,x_2\n0,inf,nan\n1,-0.0,5e-324\n2,-inf,2.5e-310\n3,0.1,-1e+300\n"
         )
 
@@ -314,7 +314,7 @@ class TestCsvExport:
         ens = simulate(vdp, [1.0, 1.0], SimConfig(dt=0.01, horizon=0.1, paths=3000, seed=4))
         special = np.array([[math.inf, math.nan], [-0.0, 5e-324], [-math.inf, 2.5e-310], [1e300, -1e300]])
         for final in (ens.final, special, ens.final[:0], ens.final[:, :1]):
-            got = final_states_csv_text(TrajectoryEnsemble(final, np.zeros(len(final), bool), ens.config))
+            got = "".join(final_states_csv_text(TrajectoryEnsemble(final, np.zeros(len(final), bool), ens.config)))
             want = reference_states_csv_text(final)
             assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
@@ -324,7 +324,7 @@ class TestCsvExport:
         path = tmp_path / "states.csv"
         argv = "mc vdp --x0 0.5 0.5 --t 0.02 --dt 0.01 --paths 3 --m 1 --seed 1 --out".split()
         assert main([*argv, str(path)]) == 0
-        assert path.read_text() == final_states_csv_text(ens)
+        assert path.read_text() == "".join(final_states_csv_text(ens))
 
 
 @pytest.mark.slow
