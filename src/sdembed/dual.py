@@ -15,13 +15,15 @@ to the integrator.  For systems that do not close, the truncation error is
 not estimated.
 
 The system is integrated with the paper's explicit Runge-Kutta 5(4)
-(Dormand-Prince) pair: `solve_ivp` here is scipy's RK45 repeated in the
-package, operation for operation (its tableau, initial step, step-size
-control and dense output at the horizon), so the coefficients are the
-bits `scipy.integrate.solve_ivp(method="RK45", t_eval=[t])` gives, with
-numpy as the one runtime dependency.  The generator is stored as one slot
-per exponent move (`MoveSlots`), whose product adds each row's terms in
-the order a CSR matrix-vector product does.
+(Dormand-Prince) pair: `solve_ivp(product, y0, t)` here is scipy's RK45
+repeated in the package, operation for operation, for y' = A y over
+[0, t].  Its value is the last step's dense output at t, scipy's
+`t_eval=[t]` interpolant, so the coefficients are the bits
+`scipy.integrate.solve_ivp(method="RK45", t_eval=[t])` gives, with numpy
+as the one runtime dependency; `_MAX_STEPS` step attempts bound a solve.
+The generator is stored as one slot per exponent move (`MoveSlots`), whose
+product adds each row's terms in the order a CSR matrix-vector product
+does.
 
 Coefficients travel as CSV: `coefficients_csv_text` yields the table in
 chunks of rows, and `read_coefficients_csv` reads it back line by line,
@@ -30,6 +32,7 @@ its errors naming the file's own line numbers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections import defaultdict
@@ -61,9 +64,9 @@ __all__ = [
 _RTOL = 1e-10
 _ATOL = 1e-12
 
-# the Dormand-Prince 5(4) pair as scipy's RK45 writes it (nodes C, stages A,
-# weights B, error weights E, dense-output polynomial P), the same floats
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+# the Dormand-Prince 5(4) pair as scipy's RK45 writes it (stages A, weights B,
+# error weights E, dense-output polynomial P), the same floats; the right-hand
+# side ignores time, so the stage nodes C are not needed
 _A = np.array([
     [0, 0, 0, 0, 0],
     [1/5, 0, 0, 0, 0],
@@ -86,7 +89,9 @@ _P = np.array([
 _ERROR_ORDER = 4  # of the embedded error estimate
 # step-size control: a new step is SAFETY * error^(-1/5) times the last, within [MIN, MAX]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# step attempts before a solve gives up: a stable system's step stays bounded, so attempts grow
+# with t and a huge t would never end (the tests, README and benchmark take at most 5 754)
+_MAX_STEPS = 100_000
 
 
 # bytes per eval_moment block: peak memory is O(block + points), not O(points * K)
@@ -106,83 +111,72 @@ def _check_box(shape: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class IvpResult:
-    """What `solve_ivp` returns: the solution at each t_eval point as the
-    columns of y (n, len(t_eval)), status 0 (reached the end) or -1 (the step
-    fell below float spacing), and the integrator's counters."""
+    """What `solve_ivp` returns: y (K,) at the horizon, status 0 (reached it),
+    -1 (the step fell below float spacing) or -2 (`_MAX_STEPS` attempts ran
+    out first), and the integrator's counters."""
 
     y: np.ndarray
     status: int
-    message: str
     nfev: int  # right-hand side evaluations
     accepted: int  # steps
-    rejected: int  # step attempts
-
-    @property
-    def success(self) -> bool:
-        return self.status >= 0
+    rejected: int  # step attempts that failed the error test
 
 
 def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> IvpResult:
-    """Integrate y' = fun(t, y) forward over t_span with the Dormand-Prince
-    5(4) pair and report y at the increasing times t_eval.
+def solve_ivp(product, y0, t: float) -> IvpResult:
+    """Integrate y' = product(y) over [0, t], t > 0, with the Dormand-Prince
+    5(4) pair at `_RTOL`, `_ATOL` and report y at t.
 
-    This is `scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45",
-    rtol=rtol, atol=atol, t_eval=t_eval)` repeated with the same numpy calls
-    in the same order: the initial step of `select_initial_step`, the RK
-    stages and error norm, the accepted-step factors and the `min_step`
-    check of `RungeKutta._step_impl`, and the dense output of each step
-    that passes a t_eval point.  So the values and nfev are scipy's bit for
-    bit.  Overflow in a diverging solve is left to the step control (a
-    non-finite error norm rejects the step), which ends in status -1.
+    This is `scipy.integrate.solve_ivp(lambda _t, y: product(y), (0, t), y0,
+    method="RK45", rtol=_RTOL, atol=_ATOL, t_eval=[t])` repeated with the
+    same numpy calls in the same order (`select_initial_step`, then
+    `RungeKutta._step_impl`), so the value and nfev are scipy's bit for bit:
+    the value is the last step's dense output at t, where that step ends,
+    not its end value, which differs in the last bits.  A diverging solve
+    ends in status -1 (a non-finite error norm rejects the step).
     """
-    t, t_bound = map(float, t_span)
-    if not t_bound > t:
-        raise ValueError(f"t_span must increase, got {t_span}")
-    t_eval = np.asarray(t_eval, dtype=float)
     y = np.asarray(y0, dtype=float)
     exponent = -1 / (_ERROR_ORDER + 1)
-    slopes = np.empty((len(_C) + 1, y.size))  # the stage derivatives, scipy's K
-    columns, done = [], 0  # the values at t_eval, and how many points they cover
+    slopes = np.empty((len(_B) + 1, y.size))  # the stage derivatives, scipy's K
+    t_now = 0.0
     accepted = rejected = 0
-    status = None
     with np.errstate(over="ignore", invalid="ignore"):
-        f = fun(t, y)
+        f = product(y)
         # select_initial_step
-        scale = atol + np.abs(y) * rtol
+        scale = _ATOL + np.abs(y) * _RTOL
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, t_bound - t)
-        d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+        h0 = min(h0, t)
+        d2 = _rms((product(y + h0 * f) - f) / scale) / h0
         nfev = 2
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
-        h_abs = min(100 * h0, h1, t_bound - t)
-        while status is None:
-            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = min(100 * h0, h1, t)
+        while True:
+            min_step = 10 * np.abs(np.nextafter(t_now, np.inf) - t_now)
             h_abs = max(h_abs, min_step)
             step_rejected = False
             while True:
                 if h_abs < min_step:
-                    status = -1
-                    break
-                t_new = min(t + h_abs, t_bound)
-                h = t_new - t
+                    return IvpResult(y, -1, nfev, accepted, rejected)
+                if accepted + rejected == _MAX_STEPS:
+                    return IvpResult(y, -2, nfev, accepted, rejected)
+                t_new = min(t_now + h_abs, t)
+                h = t_new - t_now
                 h_abs = np.abs(h)
                 slopes[0] = f
-                for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-                    dy = np.dot(slopes[:s].T, a[:s]) * h
-                    slopes[s] = fun(t + c * h, y + dy)
+                for s, a in enumerate(_A[1:], start=1):
+                    slopes[s] = product(y + np.dot(slopes[:s].T, a[:s]) * h)
                 y_new = y + h * np.dot(slopes[:-1].T, _B)
-                f_new = fun(t + h, y_new)
+                f_new = product(y_new)
                 slopes[-1] = f_new
                 nfev += 6
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
                 error_norm = _rms(np.dot(slopes.T, _E) * h / scale)
                 if error_norm < 1:
                     factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm**exponent)
@@ -192,22 +186,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> IvpResult
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
                 step_rejected = True
                 rejected += 1
-            if status is not None:
-                break
-            passed = np.searchsorted(t_eval, t_new, side="right")
-            if passed > done:
-                # the step's quartic interpolant at the points it passed (RkDenseOutput)
-                powers = np.cumprod(np.tile((t_eval[done:passed] - t) / h, (_P.shape[1], 1)), axis=0)
-                value = h * np.dot(slopes.T.dot(_P), powers)
-                value += y[:, None]
-                columns.append(value)
-                done = passed
-            t, y, f = t_new, y_new, f_new
-            if t >= t_bound:
-                status = 0
-    y_out = np.hstack(columns) if columns else np.empty((y.size, 0))
-    message = "The solver successfully reached the end of the integration interval." if status == 0 else _TOO_SMALL_STEP
-    return IvpResult(y_out, status, message, nfev, accepted, rejected)
+            if t_new == t:
+                # the step's quartic interpolant (RkDenseOutput) at t, where sigma = 1
+                value = y + h * slopes.T.dot(_P).dot(np.ones(_P.shape[1]))
+                return IvpResult(value, 0, nfev, accepted, rejected)
+            t_now, y, f = t_new, y_new, f_new
 
 
 class SolverError(RuntimeError):
@@ -246,9 +229,6 @@ class MoveSlots:
         # start, so a row of -0.0 products gives +0.0
         return np.add.reduce(work, axis=0, initial=0.0)
 
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        return self.product(y)
-
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
@@ -258,8 +238,8 @@ class GeneratorMatrix:
 
     index_set: np.ndarray  # (K, dim) int64, read-only, grlex order
     matrix: MoveSlots
-    model_fingerprint: str = ""
-    closed: bool | None = None
+    model_fingerprint: str
+    closed: bool
 
 
 @dataclass(frozen=True)
@@ -397,9 +377,10 @@ def solve_dual(
     t: float,
     observable: tuple[int, int] | None = None,
 ) -> DualCoefficients:
-    """Integrate dP/dt = A P from the start vector to time t (`solve_ivp`,
-    rtol `_RTOL`, atol `_ATOL`), recording its counters as `solve_stats`.
-    A failed integration is a SolverError carrying them."""
+    """Integrate dP/dt = A P from the start vector to time t (`solve_ivp`),
+    recording its counters as `solve_stats`.  A failed integration (the step
+    fell below float spacing, or `_MAX_STEPS` attempts did not reach t) is a
+    SolverError carrying them."""
     start = np.asarray(start, dtype=float)
     if start.shape != (len(generator.index_set),):
         raise ValueError(f"start shape {start.shape} does not match the index set")
@@ -413,16 +394,14 @@ def solve_dual(
         values = start.copy()
         stats = {"nfev": 0, "accepted": 0, "rejected": 0, "status": 0}
     else:
-        matrix, work = generator.matrix, np.empty(generator.matrix.cols.shape)
-
-        def rhs(_t, y):
-            return matrix.product(y, work)
-
-        sol = solve_ivp(rhs, (0.0, t), start, rtol=_RTOL, atol=_ATOL, t_eval=[t])
+        buffer = np.empty(generator.matrix.cols.shape)
+        sol = solve_ivp(functools.partial(generator.matrix.product, work=buffer), start, t)
         stats = {"nfev": sol.nfev, "accepted": sol.accepted, "rejected": sol.rejected, "status": sol.status}
-        if not sol.success:
-            raise SolverError(f"coefficient integration failed: {sol.message}", {**stats, "t": t})
-        values = sol.y[:, -1]
+        if sol.status != 0:
+            reason = ("Required step size is less than spacing between numbers." if sol.status == -1
+                      else f"{_MAX_STEPS} step attempts did not reach t = {t}")
+            raise SolverError(f"coefficient integration failed: {reason}", {**stats, "t": t})
+        values = sol.y
     if not np.all(np.isfinite(values)):
         raise SolverError("coefficient integration produced non-finite values", {**stats, "t": t})
     return DualCoefficients(
@@ -525,9 +504,9 @@ def read_coefficients_csv(path) -> DualCoefficients:
                 continue
             if header is None:
                 header = line.split(",")
-                if header[-1] != "value" or any(not h.startswith("n_") for h in header[:-1]):
-                    raise ValueError(f"{path}: expected header n_1,...,n_D,value")
                 dim = len(header) - 1
+                if header != [*(f"n_{d + 1}" for d in range(dim)), "value"]:
+                    raise ValueError(f"{path}:{ln}: expected header n_1,...,n_D,value")
                 continue
             parts = line.split(",")
             if blank is not None or len(parts) != dim + 1:

@@ -16,8 +16,10 @@ tables (`Polynomial`) and models.
 
 scipy is a test-only dependency.  Its `solve_ivp` (RK45), `csr_array` and
 `expit` are the references that `dual.solve_ivp`, the generator's
-`MoveSlots` product and `network.sigmoid` are held to; `generator_csr`
-turns a generator into the CSR matrix the library once built.
+`MoveSlots` product and `network.sigmoid` are held to: `dual.solve_ivp(
+product, y0, t)` gives the bits of scipy's RK45 from 0 to t with
+`t_eval=[t]`, its value at the horizon.  `generator_csr` turns a generator
+into the CSR matrix the library once built.
 """
 
 import functools

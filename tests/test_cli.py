@@ -59,6 +59,13 @@ class TestDualCommand:
             {"name": "solve", "nfev": 134, "accepted": 22, "rejected": 0, "status": 0, "closed": True}
         ]
 
+    def test_huge_horizon_ends_on_the_step_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("sdembed.dual._MAX_STEPS", 1000)
+        out = tmp_path / "x.csv"
+        assert run(["dual", "ou", "--order", 2, "--N", 4, "--t", 1e308, "--out", out]) == 1
+        assert "1000 step attempts did not reach t = 1e+308" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_reproduces_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -809,6 +816,15 @@ class TestEvalCommand:
         code = run(["eval", "--pred", path, "--line", -1, 1, 3, "--out", out])
         assert code == 2
         assert "cannot interpret predictor spec" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_swapped_coefficient_header_is_usage_error(self, tmp_path, capsys):
+        # read as n_1,n_2, this file once gave 3.0 at (1, 0), the value its header puts at x2 = 1
+        csv = tmp_path / "swapped.csv"
+        csv.write_text("n_2,n_1,value\n0,0,1.0\n1,0,2.0\n")
+        out = tmp_path / "grid.csv"
+        assert run(["eval", "--pred", f"dual:{csv}", "--grid", 0, 1, 0, 1, 2, 2, "--out", out]) == 2
+        assert "swapped.csv:1: expected header n_1,...,n_D,value" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dimension_mismatch_is_usage_error(self, ou_dual_csv, vdp_dual_csv, tmp_path):

@@ -150,7 +150,7 @@ class TestBuildGenerator:
         model = make_model([{}], [[{}]])
         gen = build_generator(model, 4)
         assert gen.matrix.nnz == 0 and gen.matrix.cols.shape == (0, 5)
-        assert (gen.matrix @ np.full(5, -1.0)).tobytes() == np.zeros(5).tobytes()
+        assert gen.matrix.product(np.full(5, -1.0)).tobytes() == np.zeros(5).tobytes()
 
     def test_index_set_is_canonical(self, vdp):
         gen = build_generator(vdp, 3)
@@ -207,7 +207,7 @@ class TestMoveSlots:
         rng = np.random.default_rng(seed)
         size = matrix.cols.shape[1]
         y = rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size)
-        assert (matrix @ y).tobytes() == (generator_csr(matrix) @ y).tobytes()
+        assert matrix.product(y).tobytes() == (generator_csr(matrix) @ y).tobytes()
         assert matrix.nnz == generator_csr(matrix).nnz
 
     def test_row_of_negative_zero_products_sums_to_positive_zero(self, vdp):
@@ -217,7 +217,7 @@ class TestMoveSlots:
         y = np.ones(matrix.cols.shape[1])
         y[matrix.cols[slots, row]] = np.copysign(0.0, -matrix.vals[slots, row])
         assert len(slots) > 1 and np.all(np.signbit(matrix.vals[slots, row] * y[matrix.cols[slots, row]]))
-        got, want = matrix @ y, generator_csr(matrix) @ y
+        got, want = matrix.product(y), generator_csr(matrix) @ y
         assert got[row] == 0.0 and not np.signbit(got[row])
         assert got.tobytes() == want.tobytes()
 
@@ -225,7 +225,7 @@ class TestMoveSlots:
         matrix = build_generator(vdp, 9).matrix
         y = np.random.default_rng(3).normal(size=matrix.cols.shape[1])
         work = np.full(matrix.cols.shape, np.nan)
-        assert matrix.product(y, work).tobytes() == (matrix @ y).tobytes()
+        assert matrix.product(y, work).tobytes() == matrix.product(y).tobytes()
 
 
 def scipy_rk45(matrix, start, t):
@@ -236,14 +236,15 @@ def scipy_rk45(matrix, start, t):
 
 
 class TestSolveIvpIsScipyRK45:
-    """`dual.solve_ivp` repeats scipy's RK45: the same bits and the same nfev."""
+    """`dual.solve_ivp` repeats scipy's RK45: the bits of its `t_eval=[t]`
+    value and the same nfev."""
 
     @staticmethod
     def assert_same(matrix, start, t):
         want = scipy_rk45(matrix, start, t)
-        got = dual.solve_ivp(lambda _t, y: matrix @ y, (0.0, t), start, rtol=dual._RTOL, atol=dual._ATOL, t_eval=[t])
-        assert want.success and got.success and got.status == 0
-        assert np.array_equal(got.y, want.y) and got.nfev == want.nfev
+        got = dual.solve_ivp(matrix.product, start, t)
+        assert want.success and got.status == 0
+        assert got.y.tobytes() == want.y[:, -1].tobytes() and got.nfev == want.nfev
         assert got.nfev == 2 + 6 * (got.accepted + got.rejected)
         return got
 
@@ -261,12 +262,19 @@ class TestSolveIvpIsScipyRK45:
         start = np.random.default_rng(104).normal(size=len(generator.index_set))
         assert self.assert_same(generator.matrix, start, 0.086).rejected > 0
 
+    # the benchmark's own sizes (dual-scale): vdp N=60 and the 3-D Lorenz model at N=12
+    @pytest.mark.parametrize("name, N, axis, power, t", [("vdp", 60, 2, 2, 0.1), ("lorenz", 12, 1, 2, 0.05)])
+    def test_benchmark_sizes(self, request, name, N, axis, power, t):
+        model = lorenz_model() if name == "lorenz" else request.getfixturevalue(name)
+        generator = build_generator(model, N)
+        self.assert_same(generator.matrix, initial_coefficients(generator.index_set, axis, power), t)
+
     def test_vdp_long_horizon(self, vdp):
         generator = build_generator(vdp, 17)
         start = initial_coefficients(generator.index_set, 2, 2)
         got = self.assert_same(generator.matrix, start, 1.0)
         assert got.nfev == 1982
-        assert solve_dual(generator, start, 1.0).values.tobytes() == got.y[:, -1].tobytes()
+        assert solve_dual(generator, start, 1.0).values.tobytes() == got.y.tobytes()
 
     def test_solve_dual_records_the_counters(self, vdp):
         coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=17)
@@ -289,9 +297,16 @@ class TestSolveIvpIsScipyRK45:
         assert stats["nfev"] == want.nfev == 2 + 6 * (stats["accepted"] + stats["rejected"])
         assert stats["rejected"] > 0
 
-    def test_backward_span_rejected(self):
-        with pytest.raises(ValueError, match="must increase"):
-            dual.solve_ivp(lambda _t, y: y, (1.0, 0.0), np.ones(2), rtol=1e-6, atol=1e-9, t_eval=[0.0])
+    def test_step_budget_ends_a_huge_horizon(self, ou, monkeypatch):
+        # a stable system keeps its step bounded, so t = 1e308 would take ~1e307 attempts
+        monkeypatch.setattr(dual, "_MAX_STEPS", 1000)
+        generator = build_generator(ou, 4)
+        start = initial_coefficients(generator.index_set, 1, 2)
+        with pytest.raises(SolverError, match="1000 step attempts did not reach t = 1e[+]308") as info:
+            solve_dual(generator, start, 1e308)
+        stats = info.value.diagnostics
+        assert stats["accepted"] + stats["rejected"] == 1000 and stats["nfev"] == 2 + 6 * 1000
+        assert stats["status"] == -2 and stats["t"] == 1e308
 
 
 class TestInitialCoefficients:
@@ -385,16 +400,9 @@ class TestSolveDual:
         gen = build_generator(ou, 4)
         start = initial_coefficients(gen.index_set, 1, 1)
 
-        class _Failed:
-            success = False
-            message = "step size underflow"
-            status = -1
-            nfev = 7
-            accepted = 2
-            rejected = 3
-
-        monkeypatch.setattr("sdembed.dual.solve_ivp", lambda *a, **k: _Failed())
-        with pytest.raises(SolverError, match="underflow") as info:
+        failed = dual.IvpResult(start, status=-1, nfev=7, accepted=2, rejected=3)
+        monkeypatch.setattr("sdembed.dual.solve_ivp", lambda *a, **k: failed)
+        with pytest.raises(SolverError, match="less than spacing between numbers") as info:
             solve_dual(gen, start, 1.0)
         assert info.value.diagnostics == {"status": -1, "nfev": 7, "accepted": 2, "rejected": 3, "t": 1.0}
 
@@ -775,6 +783,14 @@ class TestCsvInterchange:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
+            read_coefficients_csv(path)
+
+    @pytest.mark.parametrize("header", ["n_2,n_1,value", "n_1,n_1,value", "n_1, n_2,value", "n_1,n_2,Value"])
+    def test_only_the_written_header_accepted(self, header, tmp_path):
+        # "n_2,n_1" was once read as n_1,n_2: the value at x = (1, 0) came from the x2 exponent
+        path = tmp_path / "swapped.csv"
+        path.write_text(f"\n{header}\n0,0,1.0\n1,0,2.0\n")
+        with pytest.raises(ValueError, match=r"swapped.csv:2: expected header n_1,...,n_D,value"):
             read_coefficients_csv(path)
 
 
