@@ -49,6 +49,10 @@ class Dataset:
             raise ValueError("inputs must be (size, dim) with one target per row")
         if self.inputs.shape[0] < 1:
             raise ValueError("dataset must be non-empty")
+        bad = np.flatnonzero(~(np.isfinite(self.inputs).all(axis=1) & np.isfinite(self.targets)))
+        if bad.size:
+            row = bad[0]
+            raise ValueError(f"dataset row {row} is not finite: {self.inputs[row].tolist()} -> {self.targets[row]}")
 
     @property
     def size(self) -> int:
@@ -111,7 +115,8 @@ def generate_dataset(coeffs: DualCoefficients, region, size: int, seed: int = 0)
     lo = np.array([a for a, _ in region])
     hi = np.array([b for _, b in region])
     inputs = rng.uniform(lo, hi, size=(size, coeffs.dim))
-    targets = np.asarray(eval_moment(coeffs, inputs), dtype=float).reshape(size)
+    targets = eval_moment(coeffs, inputs)
+    inputs.flags.writeable = targets.flags.writeable = False  # the dataset keeps them as is
     return Dataset(inputs, targets, coeffs.fingerprint())
 
 
@@ -123,12 +128,14 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     `network.param_views`; the gradient fills the same views of one buffer,
     and each step is one Adam update of the whole vector.  Initial weights
     are uniform on [-1, 1); shuffling and initialization both derive from
-    the seed, so training is reproducible.  Each epoch gathers the shuffled
-    dataset once and slices its batches from that copy.  The loss trace
-    records the full-dataset MSE after each epoch, through `network.forward`
-    of the weight views, summed over its row blocks: the trace is the same
-    for any BLAS thread count, and training holds memory O(size * (dim + 1)),
-    never O(size * hidden).  One `SigmoidNet` is built, for the result.
+    the seed, so training is reproducible.  Each epoch shuffles an index
+    array (int32 below 2**31 rows; `rng.permutation`'s order and state),
+    and gathers each batch by it into two buffers allocated once per call,
+    so the dataset is never copied.  The loss trace records the full-dataset
+    MSE after each epoch, through `network.forward` of the weight views,
+    summed over its row blocks: the trace is the same for any BLAS thread
+    count, and training holds O(size) memory beside the dataset (the index
+    array), never O(size * hidden).  One `SigmoidNet` is built, for the result.
     """
     hidden, dim = config.hidden, data.dim
     rng = np.random.default_rng(config.seed)
@@ -140,15 +147,17 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     adam_step = 0
     trace = np.empty(config.epochs)
     loss_rows = max(1, _FORWARD_BLOCK // hidden)  # one block of `forward` each
+    batch_x, batch_y = np.empty((config.batch_size, dim)), np.empty(config.batch_size)
     # divergence surfaces through the per-epoch finite-loss check, so the
     # intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            order = rng.permutation(data.size)
-            inputs, targets = data.inputs[order], data.targets[order]
+            order = np.arange(data.size, dtype=np.int32 if data.size < 2**31 else np.int64)
+            rng.shuffle(order)
             for lo_idx in range(0, data.size, config.batch_size):
-                x = inputs[lo_idx : lo_idx + config.batch_size]
-                y = targets[lo_idx : lo_idx + config.batch_size]
+                idx = order[lo_idx : lo_idx + config.batch_size]
+                x = np.take(data.inputs, idx, axis=0, out=batch_x[: idx.size])
+                y = np.take(data.targets, idx, out=batch_y[: idx.size])
                 hidden_act = sigmoid(x @ in_w.T + biases)
                 scaled = (2.0 / y.size) * (hidden_act @ out_w - y)
                 d_hidden = scaled[:, None] * out_w[None, :] * hidden_act * (1.0 - hidden_act)
@@ -161,7 +170,7 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
                 first += (1.0 - _BETA1) * (grad - first)
                 second += (1.0 - _BETA2) * (grad * grad - second)
                 theta -= config.learning_rate * (first / correct1) / (np.sqrt(second / correct2) + _EPS)
-            del inputs, targets, x, y  # the epoch's gathered copy is not held past it
+            del order  # so two epochs' index arrays are never alive at once
             total = 0.0
             for lo_idx in range(0, data.size, loss_rows):
                 err = forward((out_w, in_w, biases), data.inputs[lo_idx : lo_idx + loss_rows])

@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -441,6 +442,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=_cmd_eval)
 
+    # argparse's negative-number pattern has no exponent: "--x0 -1e-3" would read "-1e-3" as an option
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

@@ -442,7 +442,8 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
         raise ValueError(f"point dimension {x.shape[-1]} != coefficient dimension {dim}")
     exps = coeffs.index_set
     flat = x.reshape(-1, dim)
-    out = np.empty(flat.shape[0])
+    moments = np.empty(x.shape[:-1])
+    out = moments.reshape(-1)  # a view, so the array returned owns its values and a record can keep it
     # per point: the (top + 1) x dim power table `power_table` builds
     table = 8 * (coeffs.max_degree + 1) * dim
     if table > _EVAL_BLOCK_BYTES:
@@ -475,8 +476,7 @@ def eval_moment(coeffs: DualCoefficients, x) -> float | np.ndarray:
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise SolverError(f"moment at x = {flat[bad[0]].tolist()} is not finite in float arithmetic")
-    out = out.reshape(x.shape[:-1])
-    return float(out) if out.ndim == 0 else out
+    return float(moments) if moments.ndim == 0 else moments
 
 
 # -- CSV interchange ---------------------------------------------------------

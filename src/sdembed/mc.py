@@ -102,7 +102,7 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
     pairs = [(i, j) for i in range(dim) for j in range(dim) if np.any(model.diffusion[:, i, j])]
     columns = [model.drift, *(model.diffusion[:, i, j, None] for i, j in pairs)]
     field = Polynomial(model.terms.exps, np.hstack(columns))
-    final = np.tile(x0, (config.paths, 1))
+    final = np.full((config.paths, dim), x0)
     # one workspace per call; a block of n paths takes contiguous prefix views
     # buf[:n * w].reshape(n, w), the layout of fresh arrays, so a short last
     # block's GEMM sees the same operands and gives the same bits
@@ -128,6 +128,7 @@ def simulate(model: SdeModel, x0, config: SimConfig) -> TrajectoryEnsemble:
                     incr[:, i] += np.multiply(values[:, col], xi[:, j], out=kick[:n])
                 states += incr
     blown = ~np.all(np.isfinite(final), axis=1)
+    final.flags.writeable = blown.flags.writeable = False  # the record keeps them as is
     return TrajectoryEnsemble(final, blown, config)
 
 

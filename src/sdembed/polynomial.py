@@ -29,7 +29,8 @@ can write its table and rows into one caller-owned buffer
 
 Two private helpers serve the modules above this leaf one: `_freeze`, how
 every result record stores its arrays, and `_csv_text`, the one CSV writer,
-which yields the text in chunks of `_CSV_ROWS` rows.
+which yields the text in chunks of `_CSV_ROWS` rows.  `_freeze` keeps an
+array nothing else can write to as is, and copies any other.
 """
 
 from __future__ import annotations
@@ -247,11 +248,16 @@ class Polynomial:
 
 
 def _freeze(record, **dtypes) -> None:
-    """Store each named field of the frozen dataclass `record` as a read-only
-    copy of the given dtype, so the caller's array stays its own."""
+    """Store each named field of the frozen dataclass `record` read-only in
+    the given dtype: as is when nothing else can write to it (read-only, of
+    that dtype, no view of a writeable array), else as a copy of its own."""
     for name, dtype in dtypes.items():
-        array = np.array(getattr(record, name), dtype=dtype)
-        array.flags.writeable = False
+        array = base = getattr(record, name)
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None or array.dtype != dtype:
+            array = np.array(array, dtype=dtype)
+            array.flags.writeable = False
         object.__setattr__(record, name, array)
 
 

@@ -20,10 +20,11 @@ from sdembed.baseline import (
 from sdembed.cli import main
 from sdembed.dual import coefficients_csv_text, solve_moment
 from sdembed.evaluate import analytic_ou_moment
+from sdembed.mc import SimConfig, TrajectoryEnsemble, final_states_csv_text
 from sdembed.network import SigmoidNet, forward
 from sdembed.sde import builtin_model
 
-from helpers import reference_dataset_csv_text, reference_train_backprop
+from helpers import reference_dataset_csv_text, reference_states_csv_text, reference_train_backprop
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,38 @@ class TestGenerateDataset:
     def test_region_dimension_mismatch(self, ou_coeffs):
         with pytest.raises(ValueError):
             generate_dataset(ou_coeffs, [(-1.0, 1.0), (-1.0, 1.0)], size=3, seed=0)
+
+    def test_labelling_peak_below_dataset_and_one_label_block(self):
+        # the dataset keeps the inputs and targets labelling built, with no
+        # copy of either: 1.48 times the held arrays at vdp N=17, 250k rows,
+        # where a copy of both took it to 2.0
+        vdp = builtin_model("vdp", {"epsilon": 1.0, "nu11": 1.0, "nu22": 1.0})
+        coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=17)
+        box = [(-4.0, 4.0), (-4.0, 4.0)]
+        generate_dataset(coeffs, box, size=10, seed=7)  # first-call imports are not the dataset's
+        tracemalloc.start()
+        try:
+            data = generate_dataset(coeffs, box, size=250_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = data.inputs.nbytes + data.targets.nbytes
+        assert peak < 1.6 * held, f"peak traced memory {peak / held:.2f} times the dataset"
+
+
+@pytest.mark.parametrize(
+    "inputs, targets, row",
+    [
+        ([[math.nan], [1.0]], [1.0, math.inf], 0),
+        ([[0.0], [1.0]], [1.0, -math.inf], 1),
+        ([[0.0, 1.0], [2.0, 3.0], [math.inf, 0.0]], [1.0, 2.0, 3.0], 2),
+    ],
+    ids=["nan-input", "inf-target", "inf-input"],
+)
+def test_dataset_rejects_non_finite_rows(inputs, targets, row):
+    # before training, not as a non-finite loss that blames it
+    with pytest.raises(ValueError, match=f"dataset row {row} is not finite"):
+        Dataset(np.array(inputs), np.array(targets), "bad")
 
 
 class TestTrainBackprop:
@@ -200,8 +233,10 @@ class TestTrainBackprop:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # one (size, hidden) float64 array, which the full-dataset forward pass formed twice
-        assert peak < data.size * config.hidden * 8
+        # 1 MiB, a sixth of one (size, hidden) float64 array, which the full-dataset
+        # forward pass formed twice: the batches are gathered in place, so no
+        # shuffled copy of the dataset (2.3 MiB here) is made
+        assert peak < 2**20, f"peak traced memory {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize(
         "settings",
@@ -229,11 +264,15 @@ class TestDatasetCsv:
         coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=10)
         labelled = generate_dataset(coeffs, [(-4.0, 4.0), (-4.0, 4.0)], size=3000, seed=5)
         special = np.array([[math.inf, math.nan], [-0.0, 5e-324], [-math.inf, 1e300], [0.1, -1e300]])
-        cases = [(labelled.inputs, labelled.targets), (special, special[::-1, 1]), (special[:, :1], special[:, 0])]
+        finite = np.nan_to_num(special)  # a dataset rejects inf and nan: the largest floats and 0.0 instead
+        cases = [(labelled.inputs, labelled.targets), (finite, finite[::-1, 1]), (finite[:, :1], finite[:, 0])]
         for inputs, targets in cases:
             got = "".join(dataset_csv_text(Dataset(inputs, targets, "")))
             want = reference_dataset_csv_text(inputs, targets)
             assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+        # the writer's inf and nan cells, through the one table that holds them: blown paths' states
+        blown = TrajectoryEnsemble(special, ~np.isfinite(special).all(axis=1), SimConfig(dt=0.1, horizon=0.0, paths=4))
+        assert "".join(final_states_csv_text(blown)) == reference_states_csv_text(special)
 
     def test_text_matches_file(self, ou_coeffs, tmp_path):
         # the dataset file `sdembed train-baseline --dataset-out` writes is this text

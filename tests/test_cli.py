@@ -488,6 +488,37 @@ def test_removed_tolerance_flags_are_usage_errors(argv, flag, ou_dual_csv, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, exponent, decimal",
+    [
+        (["mc", "vdp", "--x0", "{v}", 1, "--t", 0.01, "--dt", 1e-3, "--paths", 10, "--m", 2], "-1e-3", "-0.001"),
+        (["eval", "--pred", "dual:{vdp}", "--grid", "{v}", 1, -1, 1, 3, 3], "-1e0", "-1"),
+        (["eval", "--pred", "ou:m=1,t=1,gamma=1,sigma=1", "--line", "{v}", 1, 5], "-1e0", "-1"),
+        (["train-baseline", "--dual", "{ou}", "--size", 20, "--box", "{v}", 4, "--hidden", 2, "--epochs", 1],
+         "-4e0", "-4"),
+        (["dual", "vdp", "--axis", 2, "--order", 2, "--N", 4, "--t", 0.1, "--origin", "{v}", 0], "-5E-1", "-.5"),
+    ],
+    ids=["mc--x0", "eval--grid", "eval--line", "train-baseline--box", "dual--origin"],
+)
+def test_exponent_form_negative_numbers_are_values(argv, exponent, decimal, ou_dual_csv, vdp_dual_csv, tmp_path):
+    # argparse alone reads "-1e-3" as an unknown option: "--x0: expected at least one argument"
+    outputs = []
+    for value in (exponent, decimal):
+        out = tmp_path / f"out{value}.csv"
+        args = [str(a).format(v=value, ou=ou_dual_csv, vdp=vdp_dual_csv) for a in argv]
+        assert run([*args, "--out", out]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flag", ["--bogus", "-1e", "-e5"])
+def test_unknown_option_stays_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["mc", "vdp", "--x0", 1, 1, flag, "--t", 0.01, "--dt", 1e-3, "--paths", 10, "--m", 2])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_readme_command_lines_parse():
     # every `sdembed ...` line of the README's code blocks is a valid command line
     from sdembed.cli import _build_parser

@@ -221,9 +221,12 @@ _NET = {"out_weights": [1.0, 2.0], "in_weights": [[0.5], [-0.5]], "biases": [0.0
     ids=["Dataset", "TrajectoryEnsemble", "TrainResult", "DualCoefficients", "RadialErrorProfile", "SigmoidNet"],
 )
 def test_records_keep_read_only_copies(record, fields):
-    """A record stores each array field as its own read-only copy: the
-    caller's arrays stay writable, and writing them leaves the record as built."""
-    arrays = {name: value.copy() for name, value in fields.items() if isinstance(value, np.ndarray)}
+    """A record stores each array field read-only, as its own copy unless
+    nothing else can write to it: the caller's arrays stay writable, and
+    writing them, or the base of a read-only view of them, leaves the record
+    as built; a read-only array that owns its memory is kept as is."""
+    given = {name: value for name, value in fields.items() if isinstance(value, np.ndarray)}
+    arrays = {name: value.copy() for name, value in given.items()}
     built = record(**{**fields, **arrays})
     for name, array in arrays.items():
         stored = getattr(built, name)
@@ -232,6 +235,25 @@ def test_records_keep_read_only_copies(record, fields):
         assert array.flags.writeable
         array[...] = 1
         assert np.array_equal(stored, before)
+
+    bases = {name: value.copy() for name, value in given.items()}
+    views = {name: base[...] for name, base in bases.items()}
+    for view in views.values():
+        view.flags.writeable = False
+    built = record(**{**fields, **views})
+    for name, base in bases.items():
+        stored = getattr(built, name)
+        before = stored.copy()
+        assert not stored.flags.writeable and not np.shares_memory(stored, base)
+        base[...] = 2
+        assert np.array_equal(stored, before)
+
+    owners = {name: value.copy() for name, value in given.items()}
+    for owner in owners.values():
+        owner.flags.writeable = False
+    built = record(**{**fields, **owners})
+    for name, owner in owners.items():
+        assert np.shares_memory(getattr(built, name), owner)
 
 
 def test_no_except_tuple_lists_a_class_with_its_base():
