@@ -131,11 +131,12 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     the seed, so training is reproducible.  Each epoch shuffles an index
     array (int32 below 2**31 rows; `rng.permutation`'s order and state),
     and gathers each batch by it into two buffers allocated once per call,
-    so the dataset is never copied.  The loss trace records the full-dataset
-    MSE after each epoch, through `network.forward` of the weight views,
-    summed over its row blocks: the trace is the same for any BLAS thread
-    count, and training holds O(size) memory beside the dataset (the index
-    array), never O(size * hidden).  One `SigmoidNet` is built, for the result.
+    of at most the dataset's rows, so the dataset is never copied.  The loss
+    trace records the full-dataset MSE after each epoch, through
+    `network.forward` of the weight views, summed over its row blocks: the
+    trace is the same for any BLAS thread count, and training holds O(size)
+    memory beside the dataset (the index array), never O(size * hidden).
+    One `SigmoidNet` is built, for the result.
     """
     hidden, dim = config.hidden, data.dim
     rng = np.random.default_rng(config.seed)
@@ -147,7 +148,8 @@ def train_backprop(data: Dataset, config: TrainConfig) -> TrainResult:
     adam_step = 0
     trace = np.empty(config.epochs)
     loss_rows = max(1, _FORWARD_BLOCK // hidden)  # one block of `forward` each
-    batch_x, batch_y = np.empty((config.batch_size, dim)), np.empty(config.batch_size)
+    batch_rows = min(config.batch_size, data.size)
+    batch_x, batch_y = np.empty((batch_rows, dim)), np.empty(batch_rows)
     # divergence surfaces through the per-epoch finite-loss check, so the
     # intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):

@@ -457,8 +457,8 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:  # ModelParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # SolverError, FitError, EstimationError, TrainingError
-        print(f"error: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:  # SolverError, FitError, EstimationError, TrainingError
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     print(summary)
     return 0

@@ -96,11 +96,13 @@ def multi_index_set(dim: int, order: int, mode: str = "total-degree") -> np.ndar
 def index_positions(index_set: np.ndarray, indices) -> np.ndarray:
     """Rows of the index set (K, dim) holding the multi-indices (..., dim).
 
-    This is the package's one lookup of multi-indices, through a dense
-    (top + 1)**dim table, top the smaller of the set's and the queries'
-    largest exponent: set rows off the table match no query, and queries
-    off it are missing.  An index outside the set raises KeyError carrying
-    the first such index as a tuple.
+    The lookup goes through a dense (top + 1)**dim table, top the smaller of
+    the set's and the queries' largest exponent: set rows off the table match
+    no query, and queries off it are missing.  An index outside the set
+    raises KeyError carrying the first such index as a tuple.  Every lookup
+    in the package comes here but `dual.build_generator`'s: it indexes its
+    own table of the max-degree set once per move, with no checks, where a
+    call per move here builds the same matrix about 1.8 times slower.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.shape[-1:] != index_set.shape[1:]:

@@ -216,6 +216,17 @@ class TestTrainBackprop:
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300)
         assert float(run.stdout) < 0.02
 
+    def test_batch_above_dataset_size_trains_full_batch(self):
+        # the batch buffers once took batch_size rows: 10**12 asked numpy for 14.6 TiB
+        rng = np.random.default_rng(9)
+        inputs = rng.uniform(-1, 1, (100, 2))
+        data = Dataset(inputs, np.sin(inputs).sum(axis=1), "full-batch")
+        full, huge = (train_backprop(data, TrainConfig(hidden=2, epochs=3, batch_size=batch, seed=9))
+                      for batch in (100, 10**12))
+        for name in ("out_weights", "in_weights", "biases"):
+            assert getattr(full.net, name).tobytes() == getattr(huge.net, name).tobytes()
+        assert full.loss_trace.tobytes() == huge.loss_trace.tobytes()
+
     def test_one_network_built_per_training(self, ou_coeffs, net_builds):
         data = generate_dataset(ou_coeffs, [(-2.0, 2.0)], size=1_000, seed=6)
         result = train_backprop(data, TrainConfig(hidden=3, epochs=3, batch_size=64, seed=6))

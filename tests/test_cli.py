@@ -297,6 +297,22 @@ def test_bad_moment_is_usage_error_before_simulating(argv, message, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "message", ["Unable to allocate 8.00 EiB for an array with shape (1152921504606846976,)", ""],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_is_one_error_line(message, tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("sdembed.cli.simulate", out_of_memory)
+    out = tmp_path / "states.csv"
+    code = run(["mc", "ou", "--x0", 1, "--t", 0.02, "--dt", 0.01, "--paths", 10, "--m", 1, "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+    assert not out.exists()
+
+
 def forbid_work(monkeypatch, *targets):
     def no_work(*args, **kwargs):
         raise AssertionError("the command started working")

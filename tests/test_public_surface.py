@@ -3,6 +3,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,14 +27,55 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Names that may stay public with no caller in the library, each with its reason.
 UNREFERENCED_ALLOWED: set[str] = set()
 
+# The library modules each module loads: one layer graph, so importing a
+# module loads only the layers it uses, and the package loads none.
+LOADS = {
+    "sdembed": set(),
+    "sdembed.polynomial": set(),
+    "sdembed.sde": {"polynomial"},
+    "sdembed.dual": {"polynomial", "sde"},
+    "sdembed.network": {"polynomial"},
+    "sdembed.evaluate": {"polynomial"},
+    "sdembed.mc": {"polynomial", "sde"},
+    "sdembed.fit": {"dual", "network", "polynomial", "sde"},
+    "sdembed.baseline": {"dual", "network", "polynomial", "sde"},
+    "sdembed.cli": {"baseline", "dual", "evaluate", "fit", "mc", "network", "polynomial", "sde"},
+}
+
+
+def _fresh_python(code: str) -> str:
+    """The standard output of `code` run in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
 
 def test_runtime_imports_no_scipy():
     """The package and its CLI run on numpy alone: scipy is a test-only dependency."""
     code = ("import sys\nimport sdembed\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             "import sdembed.cli\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split("\n") == ["[]", "[]", ""]
+    assert _fresh_python(code).split("\n") == ["[]", "[]", ""]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_import_loads_only_the_layers_used(name):
+    code = f"import sys, {name}\nprint(*sorted(m for m in sys.modules if m.startswith('sdembed')))"
+    assert _fresh_python(code).split() == sorted({"sdembed", name, *(f"sdembed.{m}" for m in LOADS[name])})
+
+
+def test_version_matches_pyproject():
+    """Every manifest records `sdembed.__version__`: the packaged version must be the same."""
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', pyproject, flags=re.M) == [sdembed.__version__]
+
+
+def test_readme_library_tour_runs(capsys):
+    """The README's one `python` block runs as written, with the imports it documents."""
+    readme = (SRC.parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 5 and printed[1] == "False"
 
 
 @pytest.mark.parametrize("name", MODULES)
