@@ -4,9 +4,9 @@ The cost is the plain sum of squared differences between the solved
 coefficients P(l, t) and the network Taylor coefficients, taken over the
 total-degree index set {l : sum l_j <= N}.  Minimization uses damped
 Gauss-Newton (Levenberg-Marquardt) steps with the analytic Jacobian from
-the network module, on the expansion its accepted trial built, restarted from
-several random initializations; the lowest-cost restart wins.  Everything is
-deterministic for a fixed seed.  Each restart draws its initial weights
+the network module, taken of the expansion its accepted trial returned,
+restarted from several random initializations; the lowest-cost restart
+wins.  Everything is deterministic for a fixed seed.  Each restart draws its initial weights
 uniformly from [-1, 1] and stops at a gradient norm of 1e-10, at a relative
 cost drop of 1e-15 or on its iteration budget; only the budget is a setting,
 the rest are the module constants `_INIT_RANGE`, `_GRADIENT_TOL` and
@@ -117,21 +117,21 @@ def _target_vector(target: DualCoefficients, dim: int, order: int) -> np.ndarray
     return target.values[rows]
 
 
-def _lm_minimize(theta0, target_values, hidden, dim, config):
+def _lm_minimize(theta, target_values, hidden, dim, config):
     """One damped Gauss-Newton descent on the flat weight vector, read through
     `param_views`; returns (theta, cost, iterations, converged)."""
 
-    def cost_and_residual(theta):
-        r = target_values - network_taylor(param_views(theta, hidden, dim), config.order)
-        return r, float(r @ r)
+    def expand(theta):  # the expansion, its residual and cost
+        expansion = network_taylor(param_views(theta, hidden, dim), config.order)
+        r = target_values - expansion.coefficients
+        return expansion, r, float(r @ r)
 
-    def jacobian_and_gradient(theta, r):  # J, J^T r (computed once) and its max norm
-        jac = -taylor_jacobian(param_views(theta, hidden, dim), config.order)
+    def jacobian_and_gradient(expansion, r):  # J, J^T r (computed once) and its max norm
+        jac = -taylor_jacobian(expansion)
         gradient = jac.T @ r
         return jac, gradient, float(np.max(np.abs(gradient)))
 
-    theta = theta0
-    r, cost = cost_and_residual(theta)
+    expansion, r, cost = expand(theta)
     if not np.isfinite(cost):
         raise FitError("non-finite residuals at the initial point")
     damping = _DAMPING_INIT
@@ -142,31 +142,30 @@ def _lm_minimize(theta0, target_values, hidden, dim, config):
     converged = False
     iterations = 0
     while iterations < config.max_iterations:
-        jac, gradient, gnorm = jacobian_and_gradient(theta, r)
+        jac, gradient, gnorm = jacobian_and_gradient(expansion, r)
         if gnorm <= _GRADIENT_TOL:
             converged = True
             break
         hess = jac.T @ jac
-        accepted = False
         while damping <= _DAMPING_CEIL:
             try:
                 step = np.linalg.solve(hess + damping * identity, -gradient)
             except np.linalg.LinAlgError:
                 damping *= _DAMPING_UP
                 continue
-            r_new, cost_new = cost_and_residual(theta + step)
+            trial = theta + step
+            expansion_new, r_new, cost_new = expand(trial)
             if np.isfinite(cost_new) and cost_new < cost:
-                accepted = True
                 break
             damping *= _DAMPING_UP
-        if not accepted:
+        else:
             break  # damping exhausted without a downhill step
         iterations += 1
         drop = cost - cost_new
-        theta, r, cost = theta + step, r_new, cost_new
+        theta, expansion, r, cost = trial, expansion_new, r_new, cost_new
         damping = max(damping * _DAMPING_DOWN, _DAMPING_FLOOR)
         if drop <= _COST_TOL * max(cost, _DAMPING_FLOOR):
-            converged = jacobian_and_gradient(theta, r)[2] <= _GRADIENT_TOL
+            converged = jacobian_and_gradient(expansion, r)[2] <= _GRADIENT_TOL
             break
     return theta, cost, iterations, converged
 
@@ -192,9 +191,7 @@ def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
         theta0 = rng.uniform(*_INIT_RANGE, n_params)
-        theta, cost, iterations, converged = _lm_minimize(
-            theta0, target_values, config.hidden, dim, config
-        )
+        theta, cost, iterations, converged = _lm_minimize(theta0, target_values, config.hidden, dim, config)
         costs.append(cost)
         if best is None or cost < best[1]:
             best = (theta, cost, iterations, converged)

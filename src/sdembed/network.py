@@ -10,8 +10,9 @@ expansion around the origin whose coefficient at the multi-index l is
 
 truncated at order N.  These coefficients, and their closed-form partial
 derivatives with respect to every weight, are what the coefficient-matching
-fit optimizes over; both come from one expansion, kept for the last weights,
-so the fit's Jacobian at an accepted step reuses the one its trial built.
+fit optimizes over; both come from one expansion, which `network_taylor`
+returns as a record and `taylor_jacobian` differentiates, so the fit's
+Jacobian at an accepted step reuses the one its trial built.
 The sigmoid derivatives at zero are computed in exact rational arithmetic
 via the polynomial-in-sigmoid recurrence, so no float error enters the
 tables.
@@ -19,8 +20,8 @@ tables.
 Parameter flattening order (used by the Jacobian columns, the fit and the
 backprop baseline) is: output weights (n), then input weights row-major
 (node-major, axis-minor; n*D), then biases (n); `param_views` writes it and
-returns, as views, the weight triple (q, R, s) that `forward`,
-`network_taylor` and `taylor_jacobian` take.  A `SigmoidNet` unpacks to it.
+returns, as views, the weight triple (q, R, s) that `forward` and
+`network_taylor` take.  A `SigmoidNet` unpacks to it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .polynomial import _freeze, multi_index_set, power_table
 __all__ = [
     "MAX_SIGMOID_ORDER",
     "SigmoidNet",
+    "TaylorExpansion",
     "sigmoid",
     "sigmoid_derivatives",
     "forward",
@@ -149,7 +152,7 @@ def _taylor_tables(dim: int, order: int):
     / (l! * j!) for j <= order - |l| (zero beyond), which combine the
     multinomial and 1/k! factors of the coefficient formula; the bias-derivative
     factors j * c[l, j], j >= 1; per axis d the exponent column (L, 1); and the
-    `_expansion` power rows (dim, L) of w_in[:, d]^l_d and w_in[:, d]^max(l_d - 1, 0).
+    `power_table` rows (dim, L) of w_in[:, d]^l_d and w_in[:, d]^max(l_d - 1, 0).
     """
     table = sigmoid_derivatives(order)
     exps = multi_index_set(dim, order, "total-degree")
@@ -167,48 +170,48 @@ def _taylor_tables(dim: int, order: int):
     return tables
 
 
-@lru_cache(maxsize=1)
-def _expansion(in_bytes: bytes, bias_bytes: bytes, dim: int, order: int):
-    """What `network_taylor` and `taylor_jacobian` share, for the float64 w_in
-    and biases of these bytes, all read-only: the `_taylor_tables`; the nodes'
-    `power_table` as rows k * (dim + 1) + a (a = 0: b^k, d + 1: w_in[:, d]^k);
-    its rows gathered at every index (dim, L, hidden); their product; the bias
-    sums; the product times the bias sums.  Kept for the last weights only."""
-    _, factors, _, _, rows, _ = tables = _taylor_tables(dim, order)
-    nodes = np.concatenate([np.frombuffer(bias_bytes)[:, None], np.frombuffer(in_bytes).reshape(-1, dim)], axis=1)
-    powers = power_table(nodes, [order] * (dim + 1)).reshape(-1, len(nodes))
-    gathered = np.take(powers, rows, axis=0)
-    weight_pow = np.multiply.reduce(gathered)  # from axis 0 upwards
-    bias_sum = factors @ powers[:: dim + 1]
-    expansion = (tables, powers, gathered, weight_pow, bias_sum, weight_pow * bias_sum)
-    for array in expansion[1:]:
-        array.setflags(write=False)
-    return expansion
+class TaylorExpansion(NamedTuple):
+    """The expansion `network_taylor` builds and `taylor_jacobian` reuses: the (L,)
+    coefficients, the given out_weights, and new arrays of the nodes' `power_table` as rows
+    k * (dim + 1) + a (a = 0: b^k, d + 1: w_in[:, d]^k), its rows gathered at every
+    index (dim, L, hidden), their product over the axes, and the bias sums."""
+
+    coefficients: np.ndarray
+    out_weights: np.ndarray
+    powers: np.ndarray
+    gathered: np.ndarray
+    weight_pow: np.ndarray
+    bias_sum: np.ndarray
 
 
-def network_taylor(params, order: int) -> np.ndarray:
+def network_taylor(params, order: int) -> TaylorExpansion:
     """Exact order-N Taylor coefficients at the origin of the output of the
-    network with weights (q, R, s).
+    network with weights (q, R, s), with what their Jacobian reuses.
 
-    Returns an (L,) float array, one coefficient per row of
+    `.coefficients` is an (L,) float array, one coefficient per row of
     `multi_index_set(dim, order, "total-degree")`, in that order.
     """
     out_w, in_w, biases = (np.asarray(w, dtype=float) for w in params)
-    return _expansion(in_w.tobytes(), biases.tobytes(), in_w.shape[1], order)[-1] @ out_w
+    dim = in_w.shape[1]
+    _, factors, _, _, rows, _ = _taylor_tables(dim, order)
+    powers = power_table(np.concatenate([biases[:, None], in_w], axis=1), [order] * (dim + 1)).reshape(-1, len(biases))
+    gathered = np.take(powers, rows, axis=0)
+    weight_pow = np.multiply.reduce(gathered)  # from axis 0 upwards
+    bias_sum = factors @ powers[:: dim + 1]
+    return TaylorExpansion((weight_pow * bias_sum) @ out_w, out_w, powers, gathered, weight_pow, bias_sum)
 
 
-def taylor_jacobian(params, order: int) -> np.ndarray:
+def taylor_jacobian(expansion: TaylorExpansion) -> np.ndarray:
     """Partial derivatives of every Taylor coefficient w.r.t. every weight of
-    (q, R, s), from the same expansion `network_taylor` sums.
+    (q, R, s), from the expansion `network_taylor` built at those weights.
 
     Shape (L, hidden * (dim + 2)); columns follow `param_views`.
     """
-    out_w, in_w, biases = (np.asarray(w, dtype=float) for w in params)
-    n, dim = in_w.shape
-    tables, powers, gathered, weight_pow, bias_sum, d_out = _expansion(in_w.tobytes(), biases.tobytes(), dim, order)
-    exps, _, dbias_factors, columns, _, lowered = tables
+    _, out_w, powers, gathered, weight_pow, bias_sum = expansion
+    dim, _, n = gathered.shape
+    exps, _, dbias_factors, columns, _, lowered = _taylor_tables(dim, len(powers) // (dim + 1) - 1)
     jac = np.empty((len(exps), n * (dim + 2)))
-    jac[:, :n] = d_out  # d/d out_weights
+    np.multiply(weight_pow, bias_sum, out=jac[:, :n])  # d/d out_weights
 
     # d/d in_weights[:, d]: lower the exponent on axis d, keep the others
     for d in range(dim):
@@ -218,9 +221,8 @@ def taylor_jacobian(params, order: int) -> np.ndarray:
                 dpow = dpow * gathered[other]
         np.multiply(dpow * bias_sum, out_w, out=jac[:, n + d : n * (dim + 1) : dim])
 
-    # d/d biases: differentiate the bias power series term-wise
-    bias_pow = powers[: order * (dim + 1) : dim + 1]
-    np.multiply(weight_pow * (dbias_factors @ bias_pow), out_w, out=jac[:, n * (dim + 1) :])
+    # d/d biases: differentiate the bias power series term-wise (b^0 .. b^(order-1))
+    np.multiply(weight_pow * (dbias_factors @ powers[: -dim - 1 : dim + 1]), out_w, out=jac[:, n * (dim + 1) :])
     return jac
 
 

@@ -383,23 +383,23 @@ def residuals(target, net, order):
     residual vector whose squared norm `fit_network` minimises."""
     if target.dim != net.dim:
         raise ValueError(f"target dimension {target.dim} != network dimension {net.dim}")
-    return _target_vector(target, net.dim, order) - network_taylor(net, order)
+    return _target_vector(target, net.dim, order) - network_taylor(net, order).coefficients
 
 
 def taylor_terms(net, order):
     """The network's order-N Taylor coefficients keyed by exponent tuple, in
     the total-degree order `network_taylor` returns them in."""
     index_set = multi_index_set(net.dim, order, "total-degree")
-    return dict(zip(map(tuple, index_set.tolist()), network_taylor(net, order).tolist()))
+    return dict(zip(map(tuple, index_set.tolist()), network_taylor(net, order).coefficients.tolist()))
 
 
 def reference_taylor_expansion(params, order, magnitude=False):
-    """`network_taylor` and `taylor_jacobian` of the weights (q, R, s) by their
-    earlier formulation: the per-axis powers from one `np.power` call, the
-    Jacobian blocks joined by `np.hstack`.  Returns (coefficients (L,),
-    Jacobian (L, hidden * (dim + 2))).  With `magnitude`, every weight and
-    factor enters by its absolute value, so each entry is the sum of the
-    absolute values of the terms that make it up: its scale."""
+    """`network_taylor`'s coefficients and `taylor_jacobian` at the weights
+    (q, R, s) by their earlier formulation: the per-axis powers from one
+    `np.power` call, the Jacobian blocks joined by `np.hstack`.  Returns
+    (coefficients (L,), Jacobian (L, hidden * (dim + 2))).  With `magnitude`,
+    every weight and factor enters by its absolute value, so each entry is the
+    sum of the absolute values of the terms that make it up: its scale."""
     out_w, in_w, biases = (np.abs(w) if magnitude else np.asarray(w, dtype=float) for w in params)
     n, dim = in_w.shape
     exps, factors = _taylor_tables(dim, order)[:2]

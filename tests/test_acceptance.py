@@ -245,7 +245,7 @@ def test_criterion_05_taylor_machinery():
             rng.uniform(-0.5, 0.5, (hidden, dim)),
             rng.uniform(-0.5, 0.5, hidden),
         )
-        jac = taylor_jacobian(net, order)
+        jac = taylor_jacobian(network_taylor(net, order))
         theta = flatten_params(net)
         h = 1e-3
         fd_jac = np.zeros_like(jac)
@@ -254,7 +254,7 @@ def test_criterion_05_taylor_machinery():
             for mult, weight in stencil:
                 bumped = theta.copy()
                 bumped[p] += mult * h
-                acc += weight * network_taylor(param_views(bumped, hidden, dim), order)
+                acc += weight * network_taylor(param_views(bumped, hidden, dim), order).coefficients
             fd_jac[:, p] = acc / h
         worst_jac = max(worst_jac, np.abs(fd_jac - jac).max() / max(np.abs(jac).max(), 1e-12))
     elapsed = time.perf_counter() - started

@@ -197,7 +197,10 @@ class TestTrainBackprop:
     )
     def test_labelling_wakes_no_blas_thread(self):
         # a threaded OpenBLAS call leaves its helper spinning for about 0.135 s of
-        # CPU; with one 6472-point product per block these labels did so
+        # CPU; with one 6472-point product per block these labels did so.  The
+        # helper's start-up spin after `import numpy` (about 70 ms of CPU) must
+        # not count: the child first waits, for at most 3 s, until one 0.1 s
+        # sleep burns under 1 ms of CPU, and only then labels and measures
         script = (
             "import time\n"
             "from sdembed.baseline import generate_dataset\n"
@@ -205,6 +208,12 @@ class TestTrainBackprop:
             "from sdembed.sde import builtin_model\n"
             "vdp = builtin_model('vdp', {'epsilon': 1.0, 'nu11': 1.0, 'nu22': 1.0})\n"
             "coeffs = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=17)\n"
+            "quiet_by = time.monotonic() + 3.0\n"
+            "while time.monotonic() < quiet_by:\n"
+            "    start = time.process_time()\n"
+            "    time.sleep(0.1)\n"
+            "    if time.process_time() - start < 0.001:\n"
+            "        break\n"
             "generate_dataset(coeffs, [(-4.0, 4.0), (-4.0, 4.0)], size=250_000, seed=7)\n"
             "start = time.process_time()\n"
             "time.sleep(0.3)\n"

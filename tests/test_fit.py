@@ -8,7 +8,7 @@ from sdembed import fit
 from sdembed.dual import DualCoefficients, solve_moment
 from sdembed.evaluate import analytic_ou_moment
 from sdembed.fit import FitConfig, fit_network, fit_result_to_dict
-from sdembed.network import SigmoidNet, _expansion, forward, taylor_jacobian
+from sdembed.network import SigmoidNet, forward, network_taylor, taylor_jacobian
 from sdembed.polynomial import multi_index_set
 from sdembed.sde import builtin_model
 
@@ -109,7 +109,7 @@ class TestFitNetwork:
         config = FitConfig(hidden=2, order=4, restarts=3, seed=1, max_iterations=200)
         result = fit_network(target, config)
         if result.converged:
-            jac = -taylor_jacobian(result.net, 4)
+            jac = -taylor_jacobian(network_taylor(result.net, 4))
             r = residuals(target, result.net, 4)
             assert np.max(np.abs(jac.T @ r)) <= fit._GRADIENT_TOL
 
@@ -126,39 +126,31 @@ class TestFitNetwork:
         assert len(net_builds) == 1 and net_builds[0] is result.net
 
     @pytest.mark.parametrize("model", ["ou", "vdp"])
-    def test_each_jacobian_reuses_its_trials_expansion(self, model, ou_first_moment, monkeypatch):
-        # every Jacobian is taken at weights a trial has just expanded: it adds
-        # one cache hit and no miss, while every trial expands afresh
+    def test_each_jacobian_differentiates_its_trials_expansion(self, model, ou_first_moment, monkeypatch):
+        # every Jacobian differentiates the very record that the accepted trial's
+        # `network_taylor` returned (the last one built), and no weights are expanded twice
         if model == "ou":
             target, config = ou_first_moment, FitConfig(hidden=4, restarts=2, max_iterations=40)
         else:
             vdp = builtin_model("vdp", {"epsilon": 1.0, "nu11": 1.0, "nu22": 1.0})
             target = solve_moment(vdp, axis=2, power=2, t=0.1, max_degree=9)
             config = FitConfig(hidden=5, restarts=2, max_iterations=40, seed=2)
-        counts = {"network_taylor": 0, "taylor_jacobian": 0}
+        weights, expansions, differentiated = [], [], []
 
-        def counted(name):
-            original = getattr(fit, name)
+        def expand(params, order):
+            weights.append(b"".join(np.asarray(w).tobytes() for w in params))
+            expansions.append(network_taylor(params, order))
+            return expansions[-1]
 
-            def call(params, order):
-                before = _expansion.cache_info()
-                result = original(params, order)
-                after = _expansion.cache_info()
-                counts[name] += 1
-                if name == "taylor_jacobian":
-                    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-                return result
+        def differentiate(expansion):
+            differentiated.append(expansion is expansions[-1])
+            return taylor_jacobian(expansion)
 
-            return call
-
-        for name in counts:
-            monkeypatch.setattr(fit, name, counted(name))
-        _expansion.cache_clear()
+        monkeypatch.setattr(fit, "network_taylor", expand)
+        monkeypatch.setattr(fit, "taylor_jacobian", differentiate)
         fit_network(target, config)
-        info = _expansion.cache_info()
-        assert counts["taylor_jacobian"] > 0
-        assert info.misses == counts["network_taylor"]
-        assert info.hits == counts["taylor_jacobian"]
+        assert len(differentiated) > 0 and all(differentiated)
+        assert len(set(weights)) == len(weights)
 
     def test_restart_monotonicity(self, ou_first_moment):
         base = dict(hidden=3, order=8, seed=3, max_iterations=15)

@@ -18,7 +18,6 @@ from helpers import (
 )
 from sdembed.network import (
     MAX_SIGMOID_ORDER,
-    _expansion,
     SigmoidNet,
     dict_to_net,
     forward,
@@ -146,13 +145,13 @@ class TestForward:
 class TestNetworkTaylor:
     def test_constant_node(self):
         net = SigmoidNet([1.0], [[0.0]], [0.0])
-        values = network_taylor(net, 5)
+        values = network_taylor(net, 5).coefficients
         assert values[0] == 0.5
         assert np.array_equal(values[1:], np.zeros(5))
 
     def test_unit_node_collapses_to_derivative_table(self):
         net = SigmoidNet([1.0], [[1.0]], [0.0])
-        values = network_taylor(net, 3)
+        values = network_taylor(net, 3).coefficients
         assert values.shape == (4,)
         assert np.allclose(values, [0.5, 0.25, 0.0, -1.0 / 48.0], rtol=1e-15)
 
@@ -161,7 +160,7 @@ class TestNetworkTaylor:
         net = random_net(rng, 3, 2)
         doubled = SigmoidNet(2.0 * net.out_weights, net.in_weights, net.biases)
         assert np.allclose(
-            network_taylor(doubled, 4), 2.0 * network_taylor(net, 4), rtol=1e-15
+            network_taylor(doubled, 4).coefficients, 2.0 * network_taylor(net, 4).coefficients, rtol=1e-15
         )
 
     def test_matches_finite_differences_zero_bias(self):
@@ -215,16 +214,16 @@ class TestTaylorJacobian:
     def test_output_weight_columns_are_per_node_coefficients(self):
         rng = np.random.default_rng(4)
         net = random_net(rng, 3, 2)
-        jac = taylor_jacobian(net, 4)
+        jac = taylor_jacobian(network_taylor(net, 4))
         for i in range(net.hidden):
             solo = SigmoidNet(
                 np.eye(net.hidden)[i], net.in_weights, net.biases
             )
-            assert np.allclose(jac[:, i], network_taylor(solo, 4), rtol=1e-14)
+            assert np.allclose(jac[:, i], network_taylor(solo, 4).coefficients, rtol=1e-14)
 
     def test_all_zero_net_bias_gradient(self):
         net = SigmoidNet([0.0, 0.0], [[0.0], [0.0]], [0.0, 0.0])
-        jac = taylor_jacobian(net, 3)
+        jac = taylor_jacobian(network_taylor(net, 3))
         constant_row = jac[0]
         for i in range(2):
             assert constant_row[i] == 0.5  # d/d out_weights
@@ -238,7 +237,7 @@ class TestTaylorJacobian:
             dim = int(rng.integers(1, 3))
             order = int(rng.integers(2, 6))
             net = random_net(rng, hidden, dim)
-            jac = taylor_jacobian(net, order)
+            jac = taylor_jacobian(network_taylor(net, order))
             theta = flatten_params(net)
             h = 1e-3
             fd = np.zeros_like(jac)
@@ -247,7 +246,7 @@ class TestTaylorJacobian:
                 for mult, weight in stencil:
                     bumped = theta.copy()
                     bumped[p] += mult * h
-                    acc += weight * network_taylor(param_views(bumped, hidden, dim), order)
+                    acc += weight * network_taylor(param_views(bumped, hidden, dim), order).coefficients
                 fd[:, p] = acc / h
             scale = max(np.abs(jac).max(), 1e-12)
             assert np.abs(fd - jac).max() / scale < 1e-6
@@ -255,8 +254,8 @@ class TestTaylorJacobian:
     def test_column_layout_matches_flattening(self):
         rng = np.random.default_rng(6)
         net = random_net(rng, 2, 2)
-        jac = taylor_jacobian(net, 3)
-        assert jac.shape == (len(network_taylor(net, 3)), 2 * (2 + 2))
+        jac = taylor_jacobian(network_taylor(net, 3))
+        assert jac.shape == (len(network_taylor(net, 3).coefficients), 2 * (2 + 2))
 
 
 class TestMatchesPowerReference:
@@ -272,38 +271,11 @@ class TestMatchesPowerReference:
                   rng.uniform(-spread, spread, hidden))
         taylor, jac = reference_taylor_expansion(params, order)
         taylor_scale, jac_scale = reference_taylor_expansion(params, order, magnitude=True)
-        got_taylor, got_jac = network_taylor(params, order), taylor_jacobian(params, order)
+        expansion = network_taylor(params, order)
+        got_taylor, got_jac = expansion.coefficients, taylor_jacobian(expansion)
         assert got_jac.shape == jac.shape
         assert np.all(np.abs(got_taylor - taylor) <= 1e-13 * taylor_scale)
         assert np.all(np.abs(got_jac - jac) <= 1e-13 * jac_scale)
-
-
-class TestExpansionCache:
-    def test_jacobian_at_the_last_weights_reuses_their_expansion(self):
-        net = random_net(np.random.default_rng(12), 3, 2)
-        _expansion.cache_clear()
-        network_taylor(net, 6)
-        taylor_jacobian(net, 6)
-        info = _expansion.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-        moved = SigmoidNet(net.out_weights, net.in_weights, net.biases + 0.25)
-        taylor_jacobian(moved, 6)
-        assert _expansion.cache_info().misses == 2
-
-    def test_output_weights_are_not_part_of_the_key(self):
-        net = random_net(np.random.default_rng(13), 3, 2)
-        doubled = SigmoidNet(2.0 * net.out_weights, net.in_weights, net.biases)
-        _expansion.cache_clear()
-        assert np.array_equal(network_taylor(doubled, 5), network_taylor(net, 5) * 2.0)
-        assert _expansion.cache_info().hits == 1
-
-    def test_cached_arrays_are_read_only(self):
-        net = random_net(np.random.default_rng(14), 2, 3)
-        expansion = _expansion(net.in_weights.tobytes(), net.biases.tobytes(), 3, 4)
-        for array in (*expansion[0], *expansion[1:]):
-            assert not array.flags.writeable
-        # what the callers return is their own
-        assert network_taylor(net, 4).flags.writeable and taylor_jacobian(net, 4).flags.writeable
 
 
 class TestParamsRoundTrip:
@@ -323,8 +295,8 @@ class TestParamsRoundTrip:
         "apply",
         [
             lambda params: forward(params, np.linspace(-2, 2, 10_000).reshape(5_000, 2)),
-            lambda params: network_taylor(params, 5),
-            lambda params: taylor_jacobian(params, 5),
+            lambda params: network_taylor(params, 5).coefficients,
+            lambda params: taylor_jacobian(network_taylor(params, 5)),
         ],
         ids=["forward", "network_taylor", "taylor_jacobian"],
     )
