@@ -62,6 +62,9 @@ from .sde import (
 __all__ = ["main"]
 
 _HASH_BLOCK = 1 << 20  # bytes an input file is hashed in at a time
+# argparse's negative-number pattern with an exponent: its own has none, so "--x0 -1e-3"
+# would read "-1e-3" as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 # the parameter names of every builtin, each once
 _PARAM_NAMES = tuple(dict.fromkeys(name for names in BUILTIN_PARAMS.values() for name in names))
@@ -190,7 +193,10 @@ def _cmd_fit(args, run: _Run) -> str:
     coeffs = read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
     result = fit_network(coeffs, config)
     run.write_output(args.out, (json.dumps(fit_result_to_dict(result), indent=2) + "\n",))
-    return f"final cost: {result.cost:.6e} (best of {config.restarts} restarts, converged={result.converged})"
+    return (
+        f"final cost: {result.cost:.6e} (best of {config.restarts} restarts, converged={result.converged})"
+        f"  own_cost: {result.own_cost:.6e}  origin_gap: {result.origin_gap:.6e}"
+    )
 
 
 def _cmd_mc(args, run: _Run) -> str:
@@ -382,16 +388,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         group.add_argument(f"--{name}", type=float, default=None)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sdembed",
-        description="Moment pipelines for polynomial SDEs: dual-coefficient solves, "
-        "coefficient-matched network fits, Monte Carlo checks, backprop baselines.",
-    )
-    parser.add_argument("--version", action="version", version=f"sdembed {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    dual = sub.add_parser("dual", help="solve the truncated coefficient ODEs, write CSV")
+def _dual_arguments(dual: argparse.ArgumentParser) -> None:
     _add_model_arguments(dual)
     dual.add_argument("--axis", type=int, default=1, help="coordinate of the moment (1-based)")
     dual.add_argument("--order", type=int, required=True, help="moment power m")
@@ -399,9 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
     dual.add_argument("--t", type=float, required=True, help="time horizon")
     dual.add_argument("--origin", type=float, nargs="+", help="shift the expansion origin")
     dual.add_argument("--out", required=True)
-    dual.set_defaults(func=_cmd_dual)
 
-    fit = sub.add_parser("fit", help="fit a network to coefficients by Taylor matching")
+
+def _fit_arguments(fit: argparse.ArgumentParser) -> None:
     fit.add_argument("--dual", required=True, help="coefficient CSV written by `dual`")
     fit.add_argument("--N", type=int, help="Taylor order (default: the file's truncation)")
     fit.add_argument("--hidden", type=int, required=True)
@@ -409,9 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=int, default=FitConfig.seed)
     fit.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
     fit.add_argument("--out", required=True)
-    fit.set_defaults(func=_cmd_fit)
 
-    mc = sub.add_parser("mc", help="Euler-Maruyama moment estimate with standard error")
+
+def _mc_arguments(mc: argparse.ArgumentParser) -> None:
     _add_model_arguments(mc)
     mc.add_argument("--x0", type=float, nargs="+", required=True)
     mc.add_argument("--t", type=float, required=True)
@@ -421,9 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--m", type=int, required=True, help="moment power")
     mc.add_argument("--seed", type=int, default=SimConfig.seed)
     mc.add_argument("--out", help="optional CSV of final states")
-    mc.set_defaults(func=_cmd_mc)
 
-    train = sub.add_parser("train-baseline", help="label a dataset from coefficients, train by backprop")
+
+def _train_arguments(train: argparse.ArgumentParser) -> None:
     train.add_argument("--dual", required=True, help="coefficient CSV written by `dual`")
     train.add_argument("--size", type=int, required=True)
     train.add_argument("--box", type=float, nargs=2, required=True, metavar=("LO", "HI"))
@@ -435,9 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data-seed", type=int, default=None)
     train.add_argument("--dataset-out")
     train.add_argument("--out", required=True)
-    train.set_defaults(func=_cmd_train_baseline)
 
-    ev = sub.add_parser("eval", help="tabulate predictors or compare two on a polar mesh")
+
+def _eval_arguments(ev: argparse.ArgumentParser) -> None:
     ev.add_argument("--pred", required=True, help="net:PATH | dual:PATH | ou:KV | mc:KV")
     ev.add_argument("--ref", help="reference predictor (for --polar)")
     ev.add_argument("--polar", type=float, nargs=3, metavar=("RMAX", "NR", "NTHETA"))
@@ -447,17 +444,46 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--line", type=float, nargs=3, metavar=("LO", "HI", "COUNT"))
     ev.add_argument("--gnuplot", action="store_true", help="also write a plot script")
     ev.add_argument("--out", required=True)
-    ev.set_defaults(func=_cmd_eval)
 
-    # argparse's negative-number pattern has no exponent: "--x0 -1e-3" would read "-1e-3" as an option
-    for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+# each command: (help line, what adds its arguments, what runs it)
+_COMMANDS = {
+    "dual": ("solve the truncated coefficient ODEs, write CSV", _dual_arguments, _cmd_dual),
+    "fit": ("fit a network to coefficients by Taylor matching", _fit_arguments, _cmd_fit),
+    "mc": ("Euler-Maruyama moment estimate with standard error", _mc_arguments, _cmd_mc),
+    "train-baseline": (
+        "label a dataset from coefficients, train by backprop", _train_arguments, _cmd_train_baseline
+    ),
+    "eval": ("tabulate predictors or compare two on a polar mesh", _eval_arguments, _cmd_eval),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, every command's subparser created; only `command`'s gets
+    its arguments when it names one, and every one of them when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="sdembed",
+        description="Moment pipelines for polynomial SDEs: dual-coefficient solves, "
+        "coefficient-matched network fits, Monte Carlo checks, backprop baselines.",
+    )
+    parser.add_argument("--version", action="version", version=f"sdembed {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, run) in _COMMANDS.items():
+        each = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(each)
+        each.set_defaults(func=run)
+        each._negative_number_matcher = _NEGATIVE_NUMBER
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        # the top level takes no option with a value, so a leading command word is the command
+        named = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = _build_parser(named).parse_args(argv)
         run = _Run(args)
         summary = args.func(args, run)
         run.finish(args.out)

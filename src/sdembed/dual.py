@@ -26,8 +26,8 @@ product adds each row's terms in the order a CSR matrix-vector product
 does.
 
 Coefficients travel as CSV: `coefficients_csv_text` yields the table in
-chunks of rows, and `read_coefficients_csv` reads it back line by line,
-its errors naming the file's own line numbers.
+chunks of rows, and `read_coefficients_csv` reads it back in blocks of
+lines, its errors naming the file's own line numbers.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import math
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,8 @@ _EVAL_BLOCK_BYTES = 16 << 20
 # row rounds by its place mod 4), below the ~450 000 (one column) and 524 288 (dgemm) at which
 # OpenBLAS threads: no helper thread is woken, and every thread count gives the same bits
 _EVAL_GEMM = 400_000
+# lines `read_coefficients_csv` converts at a time
+_READ_BLOCK = 1024
 
 
 def _check_box(shape: tuple[int, ...]) -> None:
@@ -487,40 +490,88 @@ def coefficients_csv_text(coeffs: DualCoefficients) -> Iterator[str]:
     return _csv_text([*(f"n_{d + 1}" for d in range(coeffs.dim)), "value"], coeffs.index_set, coeffs.values)
 
 
+def _parse_block(path, lines: list[str], first: int, dim: int, blank: int | None):
+    """The flat exponents and the values of a block of stripped lines, the first of them
+    line `first` of the file, with the first blank line after the header so far.  A block
+    of rows is one join and split and one `int` and `float` map; where any check fails
+    (a blank line before or in it, a field count, a conversion, a non-finite value) the
+    block is read line by line, so its first error in file order is the one raised."""
+    if blank is None and "" not in lines and set(map(str.count, lines, repeat(","))) == {dim}:
+        fields = ",".join(lines).split(",")
+        try:
+            values = list(map(float, fields[dim :: dim + 1]))
+            del fields[dim :: dim + 1]
+            exponents = list(map(int, fields))
+        except ValueError:
+            pass
+        else:
+            if all(map(math.isfinite, values)):
+                return exponents, values, blank
+    exponents, values = [], []
+    for ln, line in enumerate(lines, start=first):
+        if not line:
+            if blank is None:
+                blank = ln
+            continue
+        parts = line.split(",")
+        if blank is not None or len(parts) != dim + 1:
+            raise ValueError(f"{path}:{blank or ln}: expected {dim + 1} fields")
+        try:
+            exponents.extend([int(p) for p in parts[:-1]])
+            values.append(float(parts[-1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"{path}:{ln}: non-finite value {parts[-1]!r}")
+    return exponents, values, blank
+
+
 def read_coefficients_csv(path) -> DualCoefficients:
     """Load a coefficient CSV; time and observable metadata are not stored there.
 
-    The file is read line by line and errors name the file's own line
-    numbers.  Blank lines may lead and trail; one between rows is an error."""
+    The rows are read `_READ_BLOCK` lines at a time, each block converted
+    at once, and errors name the file's own line numbers: the first error
+    in the file is the one reported, as a line-by-line reader would.
+    Blank lines may lead and trail; one between rows is an error."""
     path = Path(path)
-    header, blank = None, None  # blank: the first blank line after the header
-    indices, values = [], []
+    dim, ln = None, 0
+    index_blocks, value_blocks = [], []
     with path.open() as handle:
         for ln, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                if header is not None and blank is None:
-                    blank = ln
-                continue
-            if header is None:
-                header = line.split(",")
-                dim = len(header) - 1
-                if header != [*(f"n_{d + 1}" for d in range(dim)), "value"]:
+            if line := line.strip():
+                dim = line.count(",")
+                if line.split(",") != [*(f"n_{d + 1}" for d in range(dim)), "value"]:
                     raise ValueError(f"{path}:{ln}: expected header n_1,...,n_D,value")
-                continue
-            parts = line.split(",")
-            if blank is not None or len(parts) != dim + 1:
-                raise ValueError(f"{path}:{blank or ln}: expected {dim + 1} fields")
+                break
+        if dim is None:
+            raise ValueError(f"{path}: empty coefficient file")
+        blank = None  # the first blank line after the header
+        while True:
+            lines = []
             try:
-                indices.append([int(p) for p in parts[:-1]])
-                values.append(float(parts[-1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-            if not math.isfinite(values[-1]):
-                raise ValueError(f"{path}:{ln}: non-finite value {parts[-1]!r}")
-    if header is None:
-        raise ValueError(f"{path}: empty coefficient file")
+                lines.extend(map(str.strip, islice(handle, _READ_BLOCK)))
+            except UnicodeDecodeError:
+                _parse_block(path, lines, ln + 1, dim, blank)  # an error in the lines before it comes first
+                raise
+            if not lines:
+                break
+            exponents, values, blank = _parse_block(path, lines, ln + 1, dim, blank)
+            ln += len(lines)
+            if values:
+                try:
+                    exponents = np.array(exponents, dtype=np.int64)
+                except OverflowError:
+                    exponents = np.array(exponents, dtype=object)
+                index_blocks.append(exponents.reshape(len(values), dim))
+                value_blocks.append(np.array(values))
+    if not value_blocks:
+        raise ValueError(f"{path}: no coefficient rows")
+    index_set, values = np.concatenate(index_blocks), np.concatenate(value_blocks)
+    if index_set.dtype == object or dim == 0:
+        # exponents outside int64, or none: numpy types the rows as it types any list of them
+        index_set = np.asarray(index_set.tolist())
+    index_set.flags.writeable = values.flags.writeable = False  # the record keeps them, uncopied
     try:
-        return DualCoefficients(indices, np.array(values), t=math.nan, observable=None)
+        return DualCoefficients(index_set, values, t=math.nan, observable=None)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

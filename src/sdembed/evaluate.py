@@ -138,10 +138,37 @@ def radial_error_profile(
 # -- CSV interchange ---------------------------------------------------------
 
 
+class _DistinctText:
+    """A column as the repr of its cells, sliced into lists of str: a slice
+    formats each of its distinct values once, told apart by bit pattern, so
+    -0.0 keeps its own text."""
+
+    def __init__(self, column: np.ndarray):
+        self.column = column
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        # distinct bit patterns through a dict, not `np.unique`, whose sort and
+        # inverse arrays lift a 101 x 101 grid's peak RSS by about 0.35 MB
+        cells = self.column[rows]
+        bits = cells.view(f"u{cells.itemsize}")
+        keys = bits.tolist()
+        distinct = np.array(list(dict.fromkeys(keys)), dtype=bits.dtype)
+        text = dict(zip(distinct.tolist(), map(repr, distinct.view(cells.dtype).tolist())))
+        return list(map(text.__getitem__, keys))
+
+
 def grid_csv_text(table: np.ndarray) -> Iterator[str]:
-    """A `grid_eval` table as CSV chunks: header x,value in 1-D, else x1,...,xD,value."""
-    names = ["x"] if table.shape[1] == 2 else [f"x{d}" for d in range(1, table.shape[1])]
-    return _csv_text([*names, "value"], table)
+    """A `grid_eval` table as CSV chunks: header x,value in 1-D, else
+    x1,...,xD,value.  A grid repeats each coordinate of an axis along the
+    others, so the coordinate columns go as pre-formatted text, each
+    distinct value formatted once per chunk (`_DistinctText`).  The bytes
+    are those of array columns, for any table, mesh or not."""
+    dim = table.shape[1] - 1
+    names = ["x"] if dim == 1 else [f"x{d}" for d in range(1, dim + 1)]
+    return _csv_text([*names, "value"], *(_DistinctText(table[:, d]) for d in range(dim)), table[:, -1])
 
 
 def profile_csv_text(profile: RadialErrorProfile) -> Iterator[str]:

@@ -34,8 +34,10 @@ from .dual import DualCoefficients
 from .network import (
     MAX_SIGMOID_ORDER,
     SigmoidNet,
+    forward,
     net_to_dict,
     network_taylor,
+    own_taylor_coefficients,
     param_views,
     taylor_jacobian,
 )
@@ -97,10 +99,18 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best network over all restarts plus per-restart diagnostics."""
+    """Best network over all restarts plus per-restart diagnostics.
+
+    `cost` is the cost the fit minimized, against the surrogate expansion in
+    x and the biases together.  `own_cost` is the same sum against the
+    winner's own Taylor coefficients (`own_taylor_coefficients`), and
+    `origin_gap` is |forward(0) - T(0)|, the surrogate's miss at the origin.
+    """
 
     net: SigmoidNet
     cost: float
+    own_cost: float
+    origin_gap: float
     restart_costs: tuple[float, ...]
     iterations: int
     converged: bool
@@ -119,7 +129,7 @@ def _target_vector(target: DualCoefficients, dim: int, order: int) -> np.ndarray
 
 def _lm_minimize(theta, target_values, hidden, dim, config):
     """One damped Gauss-Newton descent on the flat weight vector, read through
-    `param_views`; returns (theta, cost, iterations, converged)."""
+    `param_views`; returns (theta, its expansion, cost, iterations, converged)."""
 
     def expand(theta):  # the expansion, its residual and cost
         expansion = network_taylor(param_views(theta, hidden, dim), config.order)
@@ -167,7 +177,7 @@ def _lm_minimize(theta, target_values, hidden, dim, config):
         if drop <= _COST_TOL * max(cost, _DAMPING_FLOOR):
             converged = jacobian_and_gradient(expansion, r)[2] <= _GRADIENT_TOL
             break
-    return theta, cost, iterations, converged
+    return theta, expansion, cost, iterations, converged
 
 
 def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
@@ -191,14 +201,18 @@ def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
         theta0 = rng.uniform(*_INIT_RANGE, n_params)
-        theta, cost, iterations, converged = _lm_minimize(theta0, target_values, config.hidden, dim, config)
-        costs.append(cost)
-        if best is None or cost < best[1]:
-            best = (theta, cost, iterations, converged)
-    theta, cost, iterations, converged = best
+        outcome = _lm_minimize(theta0, target_values, config.hidden, dim, config)
+        costs.append(outcome[2])
+        if best is None or outcome[2] < best[2]:
+            best = outcome
+    theta, expansion, cost, iterations, converged = best
+    net = SigmoidNet(*param_views(theta, config.hidden, dim))
+    own = target_values - own_taylor_coefficients(expansion, net.biases)
     return FitResult(
-        net=SigmoidNet(*param_views(theta, config.hidden, dim)),
+        net=net,
         cost=cost,
+        own_cost=float(own @ own),
+        origin_gap=abs(forward(net, np.zeros(dim)) - float(expansion.coefficients[0])),
         restart_costs=tuple(costs),
         iterations=iterations,
         converged=converged,
@@ -210,6 +224,8 @@ def fit_result_to_dict(result: FitResult) -> dict:
     return {
         "network": net_to_dict(result.net),
         "cost": result.cost,
+        "own_cost": result.own_cost,
+        "origin_gap": result.origin_gap,
         "restart_costs": list(result.restart_costs),
         "iterations": result.iterations,
         "converged": result.converged,

@@ -268,19 +268,29 @@ _CSV_ROWS = 4096  # rows per chunk of `_csv_text`
 
 def _csv_text(names, *columns) -> Iterator[str]:
     """CSV text in chunks: the header line `names`, then `_CSV_ROWS` rows at
-    a time, one row per entry of the columns, each 1-D or 2-D (a CSV column
-    per array column).  One row template writes integer columns %d and the
-    rest %r (a float's shortest round-trip repr), from each slice's own
-    `tolist` cells, so no integer passes through a float and no text or
-    cells beyond one chunk's are ever held."""
-    columns = [column[:, None] if column.ndim == 1 else column for column in map(np.asarray, columns)]
-    formats = ["%d" if column.dtype.kind in "iu" else "%r" for column in columns for _ in column.T]
+    a time, one row per entry of the columns.  A column is an array, 1-D or
+    2-D (a CSV column per array column), or a sequence of pre-formatted
+    cells whose slices are lists of str.  One row template writes integer
+    columns %d, pre-formatted ones %s and the rest %r (a float's shortest
+    round-trip repr), from each slice's own `tolist` cells, so no integer
+    passes through a float and no text or cells beyond one chunk's are ever
+    held."""
+    fields, formats = [], []  # one per CSV column
+    for column in columns:
+        if not isinstance(column, np.ndarray):
+            fields.append(column)
+            formats.append("%s")
+            continue
+        for field in (column[:, None] if column.ndim == 1 else column).T:
+            fields.append(field)
+            formats.append("%d" if column.dtype.kind in "iu" else "%r")
     row, width = ",".join(formats) + "\n", len(formats)
     yield ",".join(names) + "\n"
-    for start in range(0, len(columns[0]), _CSV_ROWS):
-        fields = [field for column in columns for field in column[start : start + _CSV_ROWS].T]
-        rows = len(fields[0])
+    total = len(fields[0])
+    for start in range(0, total, _CSV_ROWS):
+        rows = min(_CSV_ROWS, total - start)
         cells = [None] * (rows * width)
         for k, field in enumerate(fields):
-            cells[k::width] = field.tolist()
+            chunk = field[start : start + rows]
+            cells[k::width] = chunk if isinstance(chunk, list) else chunk.tolist()
         yield row * rows % tuple(cells)

@@ -32,6 +32,7 @@ from scipy.sparse import csr_array
 from scipy.special import expit  # noqa: F401 (a reference, imported by the tests)
 
 from sdembed.baseline import _BETA1, _BETA2, _EPS
+from sdembed.dual import DualCoefficients
 from sdembed.fit import _target_vector
 from sdembed.network import SigmoidNet, _taylor_tables, network_taylor, sigmoid
 from sdembed.polynomial import Polynomial, index_positions, monomials, multi_index_set
@@ -227,6 +228,46 @@ def reference_coefficients_csv_text(index_set, values):
     for index, value in zip(np.asarray(index_set).tolist(), values):
         lines.append(",".join([str(e) for e in index] + [repr(float(value))]))
     return "\n".join(lines) + "\n"
+
+
+def reference_read_coefficients_csv(path):
+    """A coefficient CSV read as `dual.read_coefficients_csv` read it before
+    it converted blocks of lines: line by line, an `int` and a `float` per
+    field, errors naming the file's own line numbers.  A header with no rows
+    is "no coefficient rows", as the reader now reports it."""
+    header, blank = None, None  # blank: the first blank line after the header
+    indices, values = [], []
+    with open(path) as handle:
+        for ln, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                if header is not None and blank is None:
+                    blank = ln
+                continue
+            if header is None:
+                header = line.split(",")
+                dim = len(header) - 1
+                if header != [*(f"n_{d + 1}" for d in range(dim)), "value"]:
+                    raise ValueError(f"{path}:{ln}: expected header n_1,...,n_D,value")
+                continue
+            parts = line.split(",")
+            if blank is not None or len(parts) != dim + 1:
+                raise ValueError(f"{path}:{blank or ln}: expected {dim + 1} fields")
+            try:
+                indices.append([int(p) for p in parts[:-1]])
+                values.append(float(parts[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}:{ln}: non-finite value {parts[-1]!r}")
+    if header is None:
+        raise ValueError(f"{path}: empty coefficient file")
+    if not values:
+        raise ValueError(f"{path}: no coefficient rows")
+    try:
+        return DualCoefficients(indices, np.array(values), t=math.nan)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def reference_profile_csv_text(band_edges, mse):

@@ -138,6 +138,18 @@ class TestFitCommand:
         assert doc["network"]["hidden"] == 2
         assert len(doc["restart_costs"]) == 2
 
+    def test_fit_reports_own_cost_and_origin_gap(self, ou_dual_csv, tmp_path, capsys):
+        # next to the surrogate cost it minimized, the winner's own-coefficient cost
+        # and |forward(0) - T(0)|, in the JSON and on the stdout line
+        net_path = tmp_path / "net.json"
+        fit = ["fit", "--dual", ou_dual_csv, "--hidden", 2, "--restarts", 2, "--max-iterations", 15]
+        assert run([*fit, "--out", net_path]) == 0
+        doc = json.loads(net_path.read_text())
+        assert doc["own_cost"] >= 0 and doc["origin_gap"] >= 0
+        line = capsys.readouterr().out
+        assert f"final cost: {doc['cost']:.6e}" in line
+        assert f"own_cost: {doc['own_cost']:.6e}  origin_gap: {doc['origin_gap']:.6e}" in line
+
     def test_zero_restarts_is_usage_error(self, ou_dual_csv, tmp_path):
         code = run([
             "fit", "--dual", ou_dual_csv, "--hidden", 2, "--restarts", 0,
@@ -917,6 +929,24 @@ class TestEvalCommand:
         assert "swapped.csv:1: expected header n_1,...,n_D,value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["eval", "--pred", "dual:{csv}", "--grid", 0, 1, 0, 1, 2, 2],
+            ["fit", "--dual", "{csv}", "--hidden", 2],
+            ["train-baseline", "--dual", "{csv}", "--size", 4, "--box", -1, 1, "--hidden", 2],
+        ],
+        ids=["eval", "fit", "train-baseline"],
+    )
+    def test_header_without_rows_is_usage_error(self, command, tmp_path, capsys):
+        # it once read "index set must be a non-empty (K, dim) integer array, got float64 array of shape (0,)"
+        csv = tmp_path / "header.csv"
+        csv.write_text("n_1,n_2,value\n\n")
+        out = tmp_path / "out"
+        assert run([*(str(a).format(csv=csv) for a in command), "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {csv}: no coefficient rows\n"
+        assert not out.exists()
+
     def test_dimension_mismatch_is_usage_error(self, ou_dual_csv, vdp_dual_csv, tmp_path):
         code = run([
             "eval", "--pred", f"dual:{ou_dual_csv}", "--ref", f"dual:{vdp_dual_csv}",
@@ -1068,3 +1098,38 @@ def test_parser_defaults_match_library(cli_default, library_default, monkeypatch
     """Every default the CLI shares with the library is the library's: the
     config classes' fields, and `builtin_model`'s parameters."""
     assert cli_default(monkeypatch, tmp_path) == library_default()
+
+
+class TestParser:
+    """`main` adds arguments only to the command its argv names; what it prints
+    is the text of the parser with every command's arguments."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        try:
+            parse(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], ["-h"], ["--version"], ["bogus"], ["--help", "dual"],
+         *([name, "--help"] for name in ("dual", "fit", "mc", "train-baseline", "eval")),
+         ["dual"], ["fit", "--hidden", "x"], ["eval", "--bogus"], ["mc", "ou", "--x0"],
+         ["train-baseline", "--box", "1"], ["dual", "ou", "--order", "x"]],
+    )
+    def test_help_and_usage_errors_read_as_the_whole_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = self._outcome(cli._build_parser().parse_args, list(argv), capsys)
+        got = self._outcome(main, list(argv), capsys)
+        assert got == want
+        assert want[0] in (0, 2)
+
+    def test_every_command_is_listed_and_built(self):
+        parser = cli._build_parser("dual")
+        commands = parser._subparsers._group_actions[0].choices
+        assert list(commands) == ["dual", "fit", "mc", "train-baseline", "eval"]
+        assert [len(each._actions) > 1 for each in commands.values()] == [True, False, False, False, False]
+        assert all(len(each._actions) > 1 for each in cli._build_parser()._subparsers._group_actions[0].choices.values())

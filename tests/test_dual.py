@@ -14,6 +14,7 @@ from helpers import (
     make_model,
     reference_coefficients_csv_text,
     reference_eval_moment,
+    reference_read_coefficients_csv,
     solve_ivp,
     value_at,
 )
@@ -792,6 +793,148 @@ class TestCsvInterchange:
         path.write_text(f"\n{header}\n0,0,1.0\n1,0,2.0\n")
         with pytest.raises(ValueError, match=r"swapped.csv:2: expected header n_1,...,n_D,value"):
             read_coefficients_csv(path)
+
+
+BLOCK = dual._READ_BLOCK
+# line numbers in a file whose header is line 1: the first row, the last row of
+# the first block, the first row of the second and the last row of a 2.5-block file
+ROW_LINES = [2, BLOCK + 1, BLOCK + 2, 5 * BLOCK // 2 + 1]
+
+
+def _rows_file(path, rows=5 * BLOCK // 2, edits=(), eol="\n"):
+    """A 2-D coefficient CSV of `rows` distinct rows, header on line 1, with the
+    lines in `edits` ({line number: text}) put in place of theirs."""
+    lines = ["n_1,n_2,value", *(f"{k},{k % 3},{0.25 * k - 1.5!r}" for k in range(rows))]
+    for ln, text in dict(edits).items():
+        lines[ln - 1] = text
+    path.write_bytes((eol.join(lines) + eol).encode())
+    return path
+
+
+def _same_outcome(path):
+    """Read `path` with the reader and with the line-by-line reference: the
+    same records, or the same error text."""
+    try:
+        want = reference_read_coefficients_csv(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_coefficients_csv(path)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = read_coefficients_csv(path)
+    assert got.index_set.dtype == want.index_set.dtype
+    assert np.array_equal(got.index_set, want.index_set)
+    assert got.values.tobytes() == want.values.tobytes()
+    return None
+
+
+class TestBlockReader:
+    """`read_coefficients_csv` converts `_READ_BLOCK` lines at a time and reports
+    what the line-by-line reader it replaced reported, at the same line."""
+
+    @pytest.mark.parametrize("ln", ROW_LINES, ids=["first-row", "block-end", "next-block", "last-row"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2", "expected 3 fields"),
+            ("1,2,3.0,4", "expected 3 fields"),
+            ("1,x,3.0", "invalid literal for int() with base 10: 'x'"),
+            ("1,2,abc", "could not convert string to float: 'abc'"),
+            ("1,2,inf", "non-finite value 'inf'"),
+        ],
+        ids=["few-fields", "many-fields", "integer", "float", "non-finite"],
+    )
+    def test_a_bad_row_is_reported_at_its_line(self, text, message, ln, tmp_path):
+        path = _rows_file(tmp_path / "bad.csv", edits={ln: text})
+        assert _same_outcome(path) == f"{path}:{ln}: {message}"
+
+    def test_the_earlier_of_two_errors_in_a_block_wins(self, tmp_path):
+        # the later line's error would be found first by a whole-field pass
+        path = _rows_file(tmp_path / "two.csv", edits={BLOCK + 9: "1,2,nan", BLOCK + 30: "1.5,2,3.0"})
+        assert _same_outcome(path) == f"{path}:{BLOCK + 9}: non-finite value 'nan'"
+        path = _rows_file(tmp_path / "two.csv", edits={40: "7,x,3.0", 41: "1,2"})
+        assert _same_outcome(path) == f"{path}:40: invalid literal for int() with base 10: 'x'"
+
+    @pytest.mark.parametrize("ln", [BLOCK + 1, BLOCK + 2], ids=["block-end", "next-block"])
+    def test_a_blank_line_on_a_block_boundary(self, ln, tmp_path):
+        path = _rows_file(tmp_path / "gap.csv", edits={ln: "  "})
+        assert _same_outcome(path) == f"{path}:{ln}: expected 3 fields"
+        # as the file's last lines, the blank line and what follows it are trailing
+        path = _rows_file(tmp_path / "tail.csv", rows=ln - 2)
+        path.write_bytes(path.read_bytes() + b"  \n\n")
+        assert _same_outcome(path) is None
+        assert len(read_coefficients_csv(path).values) == ln - 2
+
+    def test_crlf_line_ends(self, tmp_path):
+        crlf = _rows_file(tmp_path / "crlf.csv", eol="\r\n")
+        lf = _rows_file(tmp_path / "lf.csv")
+        assert _same_outcome(crlf) is None
+        assert read_coefficients_csv(crlf).values.tobytes() == read_coefficients_csv(lf).values.tobytes()
+        bad = _rows_file(tmp_path / "bad.csv", edits={BLOCK + 2: "1,2,x"}, eol="\r\n")
+        assert _same_outcome(bad) == f"{bad}:{BLOCK + 2}: could not convert string to float: 'x'"
+
+    def test_trailing_blank_lines_over_several_blocks(self, tmp_path):
+        path = tmp_path / "tail.csv"
+        path.write_text("\n n_1,value\n0,1.0\n1,2.5\n" + "\n \t\n" * BLOCK)
+        assert _same_outcome(path) is None
+        assert read_coefficients_csv(path).values.tolist() == [1.0, 2.5]
+
+    def test_python_literals_are_read_as_python_reads_them(self, tmp_path):
+        # numpy's string casts would refuse "1_0" or read " 2" otherwise
+        path = tmp_path / "literals.csv"
+        path.write_text("n_1,n_2,value\n1_0, 2,+3.5\n-0,0x1,1e5\n")
+        assert _same_outcome(path) == f"{path}:3: invalid literal for int() with base 10: '0x1'"
+        path.write_text("n_1,n_2,value\n1_0, 2,+3.5\n-0,4, 1_0.5 \n")
+        assert _same_outcome(path) is None
+        assert read_coefficients_csv(path).index_set.tolist() == [[10, 2], [0, 4]]
+
+    def test_an_error_before_undecodable_bytes_comes_first(self, tmp_path):
+        # the text layer decodes ahead of the rows, so a block can end at a decode error
+        path = _rows_file(tmp_path / "bytes.csv", edits={5: "1,2,x"})
+        data = path.read_bytes()
+        cut = data.index(b"\n", 9_000) + 1  # past the first 8 KiB the text layer decodes
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        assert _same_outcome(path) == f"{path}:5: could not convert string to float: 'x'"
+        path.write_bytes(data.replace(b"1,2,x", b"4,1,0.5")[:cut] + b"\xff" + data[cut:])
+        with pytest.raises(UnicodeDecodeError):
+            read_coefficients_csv(path)
+
+    def test_exponents_beyond_int64_as_the_rows_list(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        for exponent in (2**63 - 1, 2**63, 2**64, -(2**63) - 1):
+            path.write_text(f"n_1,value\n0,1.0\n{exponent},2.0\n")
+            _same_outcome(path)
+
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        for text in ("n_1,value\n", "\nn_1,n_2,value\n\n  \n"):
+            path.write_text(text)
+            with pytest.raises(ValueError) as got:
+                read_coefficients_csv(path)
+            assert str(got.value) == f"{path}: no coefficient rows"
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_random_files_as_the_line_by_line_reader(self, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(dual, "_READ_BLOCK", block)
+        rng = np.random.default_rng(block)
+        fields = ["x", "", " ", "1_0", "nan", "-inf", "1e400", "-0", "+3", "\t2", "0x10", str(2**63), "1.5"]
+        path = tmp_path / "random.csv"
+        for _ in range(150):
+            dim = int(rng.integers(1, 4))
+            lines = [""] * int(rng.integers(0, 2)) + [",".join([*(f"n_{d + 1}" for d in range(dim)), "value"])]
+            for k in range(int(rng.integers(0, 10))):
+                row = [str(k), *(str(int(e)) for e in rng.integers(0, 4, dim - 1)), repr(float(rng.normal()))]
+                roll = rng.random()
+                if roll < 0.05:
+                    row[int(rng.integers(len(row)))] = str(rng.choice(fields))
+                elif roll < 0.08:
+                    row = []
+                elif roll < 0.1:
+                    row.append("")
+                lines.append(",".join(row))
+            lines += [""] * int(rng.integers(0, 3))
+            path.write_text("\n".join(lines) + "\n")
+            _same_outcome(path)
 
 
 class TestMonteCarloCrossCheck:

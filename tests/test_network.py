@@ -23,12 +23,15 @@ from sdembed.network import (
     forward,
     net_to_dict,
     network_taylor,
+    own_taylor_coefficients,
     param_views,
     read_network,
     sigmoid,
     sigmoid_derivatives,
+    sigmoid_derivatives_at,
     taylor_jacobian,
 )
+from sdembed.polynomial import multi_index_set
 
 
 def random_net(rng, hidden, dim, scale=0.5, zero_bias=False):
@@ -98,6 +101,55 @@ class TestSigmoidDerivatives:
             sigmoid_derivatives(MAX_SIGMOID_ORDER + 1)
         with pytest.raises(ValueError):
             sigmoid_derivatives(-1)
+
+
+class TestSigmoidDerivativesAt:
+    def test_matches_mpmath_to_order_21(self):
+        # sigma^(n) = sum_k (-1)^k k! S(n+1, k+1) sigma^(k+1), summed at 50 digits;
+        # the same recurrence in sigmoid(b) instead of tanh(b/2) misses by 5e-3 at n = 21
+        points = np.linspace(-6.0, 6.0, 49)
+        got = sigmoid_derivatives_at(points, 21)
+        assert got.shape == (22, 49)
+        with mp.workdps(50):
+            sigmas = [1 / (1 + mp.exp(-mp.mpf(b))) for b in points.tolist()]
+            for n in range(22):
+                terms = [(-1) ** k * mp.factorial(k) * mp.stirling2(n + 1, k + 1) for k in range(n + 1)]
+                want = [sum(c * s ** (k + 1) for k, c in enumerate(terms)) for s in sigmas]
+                peak = max(map(abs, want))
+                worst = max(abs(g - w) for g, w in zip(got[n].tolist(), want))
+                assert worst <= 1e-9 * peak, (n, float(worst / peak))
+
+    def test_at_zero_the_rational_table(self):
+        got = sigmoid_derivatives_at(0.0, 12)
+        assert got.shape == (13,)
+        assert got.tolist() == [float(r) for r in sigmoid_derivatives(12)]
+
+
+class TestOwnTaylorCoefficients:
+    def test_equal_the_expansion_at_zero_biases(self):
+        # the truncated series in x and b is the network's own at b = 0
+        rng = np.random.default_rng(4)
+        for dim, order in ((1, 9), (2, 7), (3, 4)):
+            net = random_net(rng, 4, dim, zero_bias=True)
+            expansion = network_taylor(net, order)
+            own = own_taylor_coefficients(expansion, net.biases)
+            assert np.allclose(own, expansion.coefficients, rtol=1e-14, atol=1e-16)
+
+    def test_match_finite_differences_at_nonzero_biases(self):
+        # where the truncated series in b is not the network's coefficient
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            net = random_net(rng, int(rng.integers(1, 5)), int(rng.integers(1, 3)))
+            net = SigmoidNet(net.out_weights, net.in_weights, 4 * net.biases)
+            own = own_taylor_coefficients(network_taylor(net, 5), net.biases)
+            fd = fd_taylor_coefficients(lambda x: forward(net, x), net.dim, 5)
+            keys = map(tuple, multi_index_set(net.dim, 5, "total-degree").tolist())
+            assert scaled_max_error(fd, dict(zip(keys, own.tolist()))) < 1e-6
+
+    def test_constant_term_is_forward_at_the_origin(self):
+        net = SigmoidNet([0.75, -1.5], [[0.5, 1.0], [-0.25, 2.0]], [2.5, -3.0])
+        own = own_taylor_coefficients(network_taylor(net, 6), net.biases)
+        assert own[0] == pytest.approx(forward(net, [0.0, 0.0]), rel=1e-15)
 
 
 class TestForward:
