@@ -193,10 +193,7 @@ def _cmd_fit(args, run: _Run) -> str:
     coeffs = read_coefficients_csv(run.input_file(args.dual, "coefficient file"))
     result = fit_network(coeffs, config)
     run.write_output(args.out, (json.dumps(fit_result_to_dict(result), indent=2) + "\n",))
-    return (
-        f"final cost: {result.cost:.6e} (best of {config.restarts} restarts, converged={result.converged})"
-        f"  own_cost: {result.own_cost:.6e}  origin_gap: {result.origin_gap:.6e}"
-    )
+    return f"final cost: {result.cost:.6e} (best of {config.restarts} restarts, converged={result.converged})"
 
 
 def _cmd_mc(args, run: _Run) -> str:

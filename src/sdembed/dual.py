@@ -536,34 +536,37 @@ def read_coefficients_csv(path) -> DualCoefficients:
     path = Path(path)
     dim, ln = None, 0
     index_blocks, value_blocks = [], []
-    with path.open() as handle:
-        for ln, line in enumerate(handle, start=1):
-            if line := line.strip():
-                dim = line.count(",")
-                if line.split(",") != [*(f"n_{d + 1}" for d in range(dim)), "value"]:
-                    raise ValueError(f"{path}:{ln}: expected header n_1,...,n_D,value")
-                break
-        if dim is None:
-            raise ValueError(f"{path}: empty coefficient file")
-        blank = None  # the first blank line after the header
-        while True:
-            lines = []
-            try:
-                lines.extend(map(str.strip, islice(handle, _READ_BLOCK)))
-            except UnicodeDecodeError:
-                _parse_block(path, lines, ln + 1, dim, blank)  # an error in the lines before it comes first
-                raise
-            if not lines:
-                break
-            exponents, values, blank = _parse_block(path, lines, ln + 1, dim, blank)
-            ln += len(lines)
-            if values:
+    try:
+        with path.open() as handle:
+            for ln, line in enumerate(handle, start=1):
+                if line := line.strip():
+                    dim = line.count(",")
+                    if line.split(",") != [*(f"n_{d + 1}" for d in range(dim)), "value"]:
+                        raise ValueError(f"{path}:{ln}: expected header n_1,...,n_D,value")
+                    break
+            if dim is None:
+                raise ValueError(f"{path}: empty coefficient file")
+            blank = None  # the first blank line after the header
+            while True:
+                lines = []
                 try:
-                    exponents = np.array(exponents, dtype=np.int64)
-                except OverflowError:
-                    exponents = np.array(exponents, dtype=object)
-                index_blocks.append(exponents.reshape(len(values), dim))
-                value_blocks.append(np.array(values))
+                    lines.extend(map(str.strip, islice(handle, _READ_BLOCK)))
+                except UnicodeDecodeError:
+                    _parse_block(path, lines, ln + 1, dim, blank)  # an error in the lines before it comes first
+                    raise
+                if not lines:
+                    break
+                exponents, values, blank = _parse_block(path, lines, ln + 1, dim, blank)
+                ln += len(lines)
+                if values:
+                    try:
+                        exponents = np.array(exponents, dtype=np.int64)
+                    except OverflowError:
+                        exponents = np.array(exponents, dtype=object)
+                    index_blocks.append(exponents.reshape(len(values), dim))
+                    value_blocks.append(np.array(values))
+    except UnicodeDecodeError as exc:  # the header's bytes, or a row's after the lines before it passed
+        raise ValueError(f"{path}: {exc}") from None
     if not value_blocks:
         raise ValueError(f"{path}: no coefficient rows")
     index_set, values = np.concatenate(index_blocks), np.concatenate(value_blocks)

@@ -1,8 +1,8 @@
 """Coefficient-matching fit of the sigmoid network to solved dual coefficients.
 
 The cost is the plain sum of squared differences between the solved
-coefficients P(l, t) and the network Taylor coefficients, taken over the
-total-degree index set {l : sum l_j <= N}.  Minimization uses damped
+coefficients P(l, t) and the network's own Taylor coefficients T*(l)
+(`sdembed.network`), taken over the total-degree index set {l : sum l_j <= N}.  Minimization uses damped
 Gauss-Newton (Levenberg-Marquardt) steps with the analytic Jacobian from
 the network module, taken of the expansion its accepted trial returned,
 restarted from several random initializations; the lowest-cost restart
@@ -12,16 +12,16 @@ cost drop of 1e-15 or on its iteration budget; only the budget is a setting,
 the rest are the module constants `_INIT_RANGE`, `_GRADIENT_TOL` and
 `_COST_TOL`.
 
-The default iteration budget, 200, is the one the van der Pol second
-moment (h=8, N=17, t=0.1) needs: it brings the worst cost over seeds 0-5
-to 2.7e-3, against 1.2e-2 at 30, and lowers the error in every radial
-band.  No budget serves every fit.  When the hidden layer can interpolate
-the target, the infimum is approached only as weights diverge along a
-flat valley, so a longer budget can trade invisible cost gains for
-inflated weights that evaluate poorly away from the origin.  The OU
-moments (h=4, N=12, t=1) are fitted at 30 for that reason: for m=2 and
-seeds 0-5 the maximum error on [-1, 1] is 0.006-0.025 at 30 iterations
-and 0.005-0.376 at 200.
+The iteration budget defaults to 200, and both demonstration fits use it.
+Over seeds 0-5 the winning networks measure
+
+    van der Pol second moment (h=8, N=17, t=0.1), mean squared error
+    against an N=40 solve per radial band:
+        r in [0, 1] 1.5e-8 - 1.1e-7       r in [1, 2] 1.4e-4 - 8.2e-4
+        r in [2, 3] 0.025 - 0.13          r in [3, 4] 0.61 - 2.8
+    OU (h=4, N=12, t=1), at 200 iterations against 30:
+        m=1 cost                          1.3e-12 - 9.1e-11 against 5.4e-10 - 7.2e-9
+        m=2 max error on [-1, 1]          6.6e-6 - 1.7e-5 against 2.6e-5 - 1.0e-4
 """
 
 from __future__ import annotations
@@ -31,16 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dual import DualCoefficients
-from .network import (
-    MAX_SIGMOID_ORDER,
-    SigmoidNet,
-    forward,
-    net_to_dict,
-    network_taylor,
-    own_taylor_coefficients,
-    param_views,
-    taylor_jacobian,
-)
+from .network import MAX_SIGMOID_ORDER, SigmoidNet, net_to_dict, network_taylor, param_views, taylor_jacobian
 from .polynomial import index_positions, multi_index_set
 
 __all__ = [
@@ -99,18 +90,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best network over all restarts plus per-restart diagnostics.
-
-    `cost` is the cost the fit minimized, against the surrogate expansion in
-    x and the biases together.  `own_cost` is the same sum against the
-    winner's own Taylor coefficients (`own_taylor_coefficients`), and
-    `origin_gap` is |forward(0) - T(0)|, the surrogate's miss at the origin.
-    """
+    """Best network over all restarts plus per-restart diagnostics; `cost` is
+    the winner's matching cost against its own Taylor coefficients."""
 
     net: SigmoidNet
     cost: float
-    own_cost: float
-    origin_gap: float
     restart_costs: tuple[float, ...]
     iterations: int
     converged: bool
@@ -129,7 +113,7 @@ def _target_vector(target: DualCoefficients, dim: int, order: int) -> np.ndarray
 
 def _lm_minimize(theta, target_values, hidden, dim, config):
     """One damped Gauss-Newton descent on the flat weight vector, read through
-    `param_views`; returns (theta, its expansion, cost, iterations, converged)."""
+    `param_views`; returns (theta, cost, iterations, converged)."""
 
     def expand(theta):  # the expansion, its residual and cost
         expansion = network_taylor(param_views(theta, hidden, dim), config.order)
@@ -177,7 +161,7 @@ def _lm_minimize(theta, target_values, hidden, dim, config):
         if drop <= _COST_TOL * max(cost, _DAMPING_FLOOR):
             converged = jacobian_and_gradient(expansion, r)[2] <= _GRADIENT_TOL
             break
-    return theta, expansion, cost, iterations, converged
+    return theta, cost, iterations, converged
 
 
 def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
@@ -202,17 +186,13 @@ def fit_network(target: DualCoefficients, config: FitConfig) -> FitResult:
         rng = np.random.default_rng([config.seed, restart])
         theta0 = rng.uniform(*_INIT_RANGE, n_params)
         outcome = _lm_minimize(theta0, target_values, config.hidden, dim, config)
-        costs.append(outcome[2])
-        if best is None or outcome[2] < best[2]:
+        costs.append(outcome[1])
+        if best is None or outcome[1] < best[1]:
             best = outcome
-    theta, expansion, cost, iterations, converged = best
-    net = SigmoidNet(*param_views(theta, config.hidden, dim))
-    own = target_values - own_taylor_coefficients(expansion, net.biases)
+    theta, cost, iterations, converged = best
     return FitResult(
-        net=net,
+        net=SigmoidNet(*param_views(theta, config.hidden, dim)),
         cost=cost,
-        own_cost=float(own @ own),
-        origin_gap=abs(forward(net, np.zeros(dim)) - float(expansion.coefficients[0])),
         restart_costs=tuple(costs),
         iterations=iterations,
         converged=converged,
@@ -224,8 +204,6 @@ def fit_result_to_dict(result: FitResult) -> dict:
     return {
         "network": net_to_dict(result.net),
         "cost": result.cost,
-        "own_cost": result.own_cost,
-        "origin_gap": result.origin_gap,
         "restart_costs": list(result.restart_costs),
         "iterations": result.iterations,
         "converged": result.converged,

@@ -255,4 +255,6 @@ def read_model(path) -> SdeModel:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ModelParseError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"{path}: {exc}") from None
     return parse_model(doc)

@@ -25,7 +25,9 @@ into the CSR matrix the library once built.
 import functools
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401 (a reference, imported by the tests)
 from scipy.sparse import csr_array
@@ -34,7 +36,7 @@ from scipy.special import expit  # noqa: F401 (a reference, imported by the test
 from sdembed.baseline import _BETA1, _BETA2, _EPS
 from sdembed.dual import DualCoefficients
 from sdembed.fit import _target_vector
-from sdembed.network import SigmoidNet, _taylor_tables, network_taylor, sigmoid
+from sdembed.network import SigmoidNet, network_taylor, sigmoid
 from sdembed.polynomial import Polynomial, index_positions, monomials, multi_index_set
 from sdembed.sde import diffusion_product, parse_model
 
@@ -434,32 +436,92 @@ def taylor_terms(net, order):
     return dict(zip(map(tuple, index_set.tolist()), network_taylor(net, order).coefficients.tolist()))
 
 
-def reference_taylor_expansion(params, order, magnitude=False):
-    """`network_taylor`'s coefficients and `taylor_jacobian` at the weights
-    (q, R, s) by their earlier formulation: the per-axis powers from one
-    `np.power` call, the Jacobian blocks joined by `np.hstack`.  Returns
-    (coefficients (L,), Jacobian (L, hidden * (dim + 2))).  With `magnitude`,
-    every weight and factor enters by its absolute value, so each entry is the
-    sum of the absolute values of the terms that make it up: its scale."""
-    out_w, in_w, biases = (np.abs(w) if magnitude else np.asarray(w, dtype=float) for w in params)
+@functools.lru_cache(maxsize=None)
+def stirling2(n, k):
+    """Stirling number of the second kind S(n, k), an exact integer."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def sigmoid_derivative(n, s):
+    """sigmoid^(n) as a polynomial in the sigmoid's value s,
+    sum_k (-1)^k k! S(n+1, k+1) s^(k+1), summed in the arithmetic of s
+    (a `Fraction`, an mpmath number)."""
+    return sum((-1) ** k * math.factorial(k) * stirling2(n + 1, k + 1) * s ** (k + 1) for k in range(n + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def tanh_polynomial(n):
+    """The coefficients [w^j] p_n, j = 0..n+1, of sigmoid^(n)(b) = p_n(w) with
+    w = tanh(b / 2), as `Fraction`s: `sigmoid_derivative` at s = (1 + w) / 2."""
+    coeffs, power = [Fraction(0)] * (n + 2), [Fraction(1)]  # power: s^k in w
+    for k in range(n + 1):
+        power = [(a + b) / 2 for a, b in zip([*power, 0], [0, *power])]
+        for j, c in enumerate(power):
+            coeffs[j] += (-1) ** k * math.factorial(k) * stirling2(n + 1, k + 1) * c
+    return tuple(coeffs)
+
+
+def reference_own_expansion(params, order, magnitude=False):
+    """The network's own coefficients T*(l) = sum_i q_i R_i^l / l! * sigmoid^(|l|)(b_i)
+    and their Jacobian at the weights (q, R, s), from `np.power` weight powers and
+    sigmoid derivatives summed at 60 digits (`sigmoid_derivative`).  Returns
+    (coefficients (L,), Jacobian (L, hidden * (dim + 2))).  With `magnitude`, every
+    weight enters by its absolute value and each sigmoid^(n)(b) by the sum of the
+    absolute values of its terms in w = tanh(b / 2), sum_j |[w^j] p_n| |w|^j, so each
+    entry is the sum of the absolute values of the terms that make it up: its scale."""
+    out_w, in_w, biases = (np.asarray(w, dtype=float) for w in params)
     n, dim = in_w.shape
-    exps, factors = _taylor_tables(dim, order)[:2]
-    factors = np.abs(factors) if magnitude else factors
-    base = np.concatenate([biases[None], in_w.T])[:, None, :]  # (dim+1, 1, hidden)
-    powers = np.power(base, np.arange(order + 1)[:, None], order="C")
-    gathered = [powers[d + 1][exps[:, d]] for d in range(dim)]
+    exps = multi_index_set(dim, order, "total-degree")
+    degree = exps.sum(axis=1)
+    lfact = np.array([math.prod(map(math.factorial, l)) for l in exps.tolist()], dtype=float)[:, None]
+    if magnitude:
+        out_w, in_w, w = np.abs(out_w), np.abs(in_w), np.abs(np.tanh(biases / 2))
+        deriv = np.array([[sum(abs(float(c)) * x**j for j, c in enumerate(tanh_polynomial(k))) for x in w]
+                          for k in range(order + 2)])
+    else:
+        with mp.workdps(60):
+            sigmas = [1 / (1 + mp.exp(-mp.mpf(b))) for b in biases.tolist()]
+            deriv = np.array([[float(sigmoid_derivative(k, s)) for s in sigmas] for k in range(order + 2)])
+    powers = np.power(in_w.T[:, None, :], np.arange(order + 1)[:, None])  # (dim, order + 1, hidden)
+    gathered = [powers[d][exps[:, d]] for d in range(dim)]
     weight_pow = functools.reduce(np.multiply, gathered)
-    bias_sum = factors @ powers[0]
-    dbias_factors = factors[:, 1:] * np.arange(1, order + 1)[None, :]
-    d_bias = (weight_pow * (dbias_factors @ powers[0, :order])) * out_w[None, :]
+    terms = deriv[degree] / lfact
     d_in = np.empty((len(exps), n * dim))
     for d in range(dim):
-        dpow = exps[:, d][:, None] * powers[d + 1][np.maximum(exps[:, d] - 1, 0)]
+        dpow = exps[:, d][:, None] * powers[d][np.maximum(exps[:, d] - 1, 0)]
         for other in range(dim):
             if other != d:
                 dpow = dpow * gathered[other]
-        d_in[:, d::dim] = (dpow * bias_sum) * out_w[None, :]
-    return (weight_pow * bias_sum) @ out_w, np.hstack([weight_pow * bias_sum, d_in, d_bias])
+        d_in[:, d::dim] = dpow * terms * out_w
+    d_bias = weight_pow * deriv[degree + 1] / lfact * out_w
+    return (weight_pow * terms) @ out_w, np.hstack([weight_pow * terms, d_in, d_bias])
+
+
+def reference_taylor_expansion(params, order):
+    """The paper's truncated form of the network's coefficients at the weights
+    (q, R, s): the expansion in x and in the biases together, cut at total order N,
+
+        T(l) = sum_{k=|l|}^{N} multinomial(k; l, k - |l|) sigmoid^(k)(0) / k!
+               * sum_i q_i R_i^l s_i^(k - |l|),
+
+    from its own factor table (`sigmoid_derivative` at s = 1/2) and `np.power`
+    powers.  It is the network's own T* at zero biases only."""
+    out_w, in_w, biases = (np.asarray(w, dtype=float) for w in params)
+    dim = in_w.shape[1]
+    exps = multi_index_set(dim, order, "total-degree")
+    at_zero = [sigmoid_derivative(k, Fraction(1, 2)) for k in range(order + 1)]
+    factors = np.zeros((len(exps), order + 1))
+    for row, l in enumerate(exps.tolist()):
+        for j in range(order - sum(l) + 1):
+            k = sum(l) + j
+            factors[row, j] = float(multinomial(k, [*l, j]) * at_zero[k] / math.factorial(k))
+    powers = np.power(np.concatenate([biases[None], in_w.T])[:, None, :], np.arange(order + 1)[:, None])
+    weight_pow = functools.reduce(np.multiply, [powers[d + 1][exps[:, d]] for d in range(dim)])
+    return (weight_pow * (factors @ powers[0])) @ out_w
 
 
 def generator_csr(matrix):

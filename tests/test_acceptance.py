@@ -10,6 +10,7 @@ to see the per-criterion lines.
 import json
 import math
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -23,11 +24,11 @@ from sdembed.fit import FitConfig, fit_network, fit_result_to_dict
 from sdembed.mc import SimConfig, final_states_csv_text, mc_moment, simulate
 from sdembed.network import (
     SigmoidNet,
+    _sigmoid_polynomials,
     forward,
     net_to_dict,
     network_taylor,
     param_views,
-    sigmoid_derivatives,
     taylor_jacobian,
 )
 from sdembed.polynomial import multi_index_set
@@ -98,7 +99,7 @@ def build_ou_fits():
     payload, texts = {}, {}
     for power in (1, 2):
         target = solve_moment(OU, axis=1, power=power, t=1.0, max_degree=12)
-        result = fit_network(target, FitConfig(hidden=4, order=12, restarts=10, max_iterations=30, seed=FIT_SEED))
+        result = fit_network(target, FitConfig(hidden=4, order=12, restarts=10, seed=FIT_SEED))
         payload[power] = result
         texts[f"fit_m{power}.json"] = json.dumps(fit_result_to_dict(result), indent=2) + "\n"
         xs = np.linspace(-3.0, 3.0, 121)
@@ -230,9 +231,8 @@ def test_criterion_05_taylor_machinery():
         dim = int(rng.integers(1, 3))
         order = int(rng.integers(1, 6))
 
-        # value check against finite differences of the forward map; zero
-        # biases make the order-N truncation equal the true Taylor series,
-        # so the FD target is exact
+        # value check against finite differences of the forward map, at zero
+        # biases (tests/test_network.py checks values at nonzero ones)
         net = SigmoidNet(
             rng.uniform(-0.5, 0.5, hidden), rng.uniform(-0.5, 0.5, (hidden, dim)), np.zeros(hidden)
         )
@@ -266,12 +266,12 @@ def test_criterion_05_taylor_machinery():
 
 
 def test_criterion_06_sigmoid_table():
-    table = sigmoid_derivatives(20)
+    # sigmoid^(k)(0) = p_k(0), the constant term of the integer polynomial
+    # 2^(k+1) p_k over 2^(k+1): every value is an integer over a power of two
+    table = [Fraction(poly[0], 2 ** (k + 1)) for k, poly in enumerate(_sigmoid_polynomials(20))]
     assert len(table) == 21
     for k in range(2, 21, 2):
         assert table[k] == 0
-    # the recurrence evaluates integer polynomials at 1/2, so every value
-    # is an integer over a power of two
     for value in table:
         assert value.denominator & (value.denominator - 1) == 0
     worst = 0.0

@@ -896,8 +896,19 @@ class TestBlockReader:
         path.write_bytes(data[:cut] + b"\xff" + data[cut:])
         assert _same_outcome(path) == f"{path}:5: could not convert string to float: 'x'"
         path.write_bytes(data.replace(b"1,2,x", b"4,1,0.5")[:cut] + b"\xff" + data[cut:])
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ValueError) as raised:
             read_coefficients_csv(path)
+        assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize(
+        "data", [b"n_1,value\n0,1.0\n1,\xff2.0\n", b"n_\xff1,value\n0,1.0\n"], ids=["row", "header"]
+    )
+    def test_undecodable_bytes_name_the_file(self, tmp_path, data):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as raised:
+            read_coefficients_csv(path)
+        assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
     def test_exponents_beyond_int64_as_the_rows_list(self, tmp_path):
         path = tmp_path / "huge.csv"

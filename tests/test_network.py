@@ -11,24 +11,23 @@ from helpers import (
     expit,
     fd_taylor_coefficients,
     flatten_params,
-    multinomial,
+    reference_own_expansion,
     reference_taylor_expansion,
     scaled_max_error,
+    sigmoid_derivative,
     taylor_terms,
 )
 from sdembed.network import (
     MAX_SIGMOID_ORDER,
     SigmoidNet,
+    _sigmoid_polynomials,
     dict_to_net,
     forward,
     net_to_dict,
     network_taylor,
-    own_taylor_coefficients,
     param_views,
     read_network,
     sigmoid,
-    sigmoid_derivatives,
-    sigmoid_derivatives_at,
     taylor_jacobian,
 )
 from sdembed.polynomial import multi_index_set
@@ -40,6 +39,17 @@ def random_net(rng, hidden, dim, scale=0.5, zero_bias=False):
         rng.uniform(-scale, scale, (hidden, dim)),
         np.zeros(hidden) if zero_bias else rng.uniform(-scale, scale, hidden),
     )
+
+
+def derivatives_at_zero(order):
+    """sigmoid^(k)(0) for k = 0..order, exact: the constant term of the integer
+    polynomial 2^(k+1) p_k over 2^(k+1)."""
+    return [Fraction(poly[0], 2 ** (k + 1)) for k, poly in enumerate(_sigmoid_polynomials(order))]
+
+
+def one_node(bias):
+    """The 1-D net sigmoid(x + bias): its coefficient T*(n) is sigmoid^(n)(bias) / n!."""
+    return SigmoidNet([1.0], [[1.0]], [bias])
 
 
 def central_difference_sigmoid(order, h="1e-5", dps=60):
@@ -71,84 +81,87 @@ class TestSigmoid:
 
 class TestSigmoidDerivatives:
     def test_value_at_zero(self):
-        assert sigmoid_derivatives(0) == (Fraction(1, 2),)
+        assert derivatives_at_zero(0) == [Fraction(1, 2)]
 
     def test_low_orders_exact(self):
-        table = sigmoid_derivatives(3)
+        table = derivatives_at_zero(3)
         assert table[1] == Fraction(1, 4)
         assert table[2] == 0
         assert table[3] == Fraction(-1, 8)
 
     def test_even_orders_vanish(self):
-        table = sigmoid_derivatives(MAX_SIGMOID_ORDER)
+        table = derivatives_at_zero(MAX_SIGMOID_ORDER)
         for k in range(2, MAX_SIGMOID_ORDER + 1, 2):
             assert table[k] == 0
 
     def test_odd_orders_alternate_in_sign(self):
-        table = sigmoid_derivatives(MAX_SIGMOID_ORDER)
+        table = derivatives_at_zero(MAX_SIGMOID_ORDER)
         for k in range(1, MAX_SIGMOID_ORDER + 1, 2):
             expected_sign = 1 if (k - 1) // 2 % 2 == 0 else -1
             assert math.copysign(1, float(table[k])) == expected_sign
 
     @pytest.mark.parametrize("order", [1, 3, 5, 7])
     def test_matches_central_differences(self, order):
-        table = sigmoid_derivatives(order)
+        table = derivatives_at_zero(order)
         estimate = central_difference_sigmoid(order)
         assert estimate == pytest.approx(float(table[order]), rel=1e-6)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            sigmoid_derivatives(MAX_SIGMOID_ORDER + 1)
+            network_taylor(one_node(0.0), MAX_SIGMOID_ORDER + 1)
         with pytest.raises(ValueError):
-            sigmoid_derivatives(-1)
+            network_taylor(one_node(0.0), -1)
 
 
 class TestSigmoidDerivativesAt:
     def test_matches_mpmath_to_order_21(self):
-        # sigma^(n) = sum_k (-1)^k k! S(n+1, k+1) sigma^(k+1), summed at 50 digits;
-        # the same recurrence in sigmoid(b) instead of tanh(b/2) misses by 5e-3 at n = 21
+        # sigma^(n)(b) = n! T*(n) of the one-node net for n <= 20, and sigma^(21)(b)
+        # = 20! dT*(20)/db from its bias column; the Stirling form summed at 50 digits
+        # is the reference.  The same recurrence in sigmoid(b) instead of tanh(b/2)
+        # misses by 5e-3 at n = 21
         points = np.linspace(-6.0, 6.0, 49)
-        got = sigmoid_derivatives_at(points, 21)
-        assert got.shape == (22, 49)
+        got = np.empty((22, 49))
+        for col, b in enumerate(points.tolist()):
+            expansion = network_taylor(one_node(b), 20)
+            got[:21, col] = expansion.coefficients * [math.factorial(n) for n in range(21)]
+            got[21, col] = taylor_jacobian(expansion)[20, 2] * math.factorial(20)
         with mp.workdps(50):
             sigmas = [1 / (1 + mp.exp(-mp.mpf(b))) for b in points.tolist()]
             for n in range(22):
-                terms = [(-1) ** k * mp.factorial(k) * mp.stirling2(n + 1, k + 1) for k in range(n + 1)]
-                want = [sum(c * s ** (k + 1) for k, c in enumerate(terms)) for s in sigmas]
+                want = [sigmoid_derivative(n, s) for s in sigmas]
                 peak = max(map(abs, want))
                 worst = max(abs(g - w) for g, w in zip(got[n].tolist(), want))
                 assert worst <= 1e-9 * peak, (n, float(worst / peak))
 
     def test_at_zero_the_rational_table(self):
-        got = sigmoid_derivatives_at(0.0, 12)
-        assert got.shape == (13,)
-        assert got.tolist() == [float(r) for r in sigmoid_derivatives(12)]
+        # at b = 0 only p_n's constant term is left: each coefficient is sigma^(n)(0) / n!, rounded once
+        got = network_taylor(one_node(0.0), 12).coefficients
+        assert got.tolist() == [float(d / math.factorial(n)) for n, d in enumerate(derivatives_at_zero(12))]
 
 
 class TestOwnTaylorCoefficients:
     def test_equal_the_expansion_at_zero_biases(self):
-        # the truncated series in x and b is the network's own at b = 0
+        # the paper's series truncated in x and b together is the network's own at b = 0
         rng = np.random.default_rng(4)
         for dim, order in ((1, 9), (2, 7), (3, 4)):
             net = random_net(rng, 4, dim, zero_bias=True)
-            expansion = network_taylor(net, order)
-            own = own_taylor_coefficients(expansion, net.biases)
-            assert np.allclose(own, expansion.coefficients, rtol=1e-14, atol=1e-16)
+            own = network_taylor(net, order).coefficients
+            assert np.allclose(own, reference_taylor_expansion(net, order), rtol=1e-14, atol=1e-16)
 
     def test_match_finite_differences_at_nonzero_biases(self):
-        # where the truncated series in b is not the network's coefficient
+        # where the series truncated in b too is not the network's coefficient
         rng = np.random.default_rng(5)
         for _ in range(10):
             net = random_net(rng, int(rng.integers(1, 5)), int(rng.integers(1, 3)))
             net = SigmoidNet(net.out_weights, net.in_weights, 4 * net.biases)
-            own = own_taylor_coefficients(network_taylor(net, 5), net.biases)
+            own = network_taylor(net, 5).coefficients
             fd = fd_taylor_coefficients(lambda x: forward(net, x), net.dim, 5)
             keys = map(tuple, multi_index_set(net.dim, 5, "total-degree").tolist())
             assert scaled_max_error(fd, dict(zip(keys, own.tolist()))) < 1e-6
 
     def test_constant_term_is_forward_at_the_origin(self):
         net = SigmoidNet([0.75, -1.5], [[0.5, 1.0], [-0.25, 2.0]], [2.5, -3.0])
-        own = own_taylor_coefficients(network_taylor(net, 6), net.biases)
+        own = network_taylor(net, 6).coefficients
         assert own[0] == pytest.approx(forward(net, [0.0, 0.0]), rel=1e-15)
 
 
@@ -216,8 +229,7 @@ class TestNetworkTaylor:
         )
 
     def test_matches_finite_differences_zero_bias(self):
-        # with zero biases the order-N truncation equals the true Taylor
-        # coefficients, so tensorized FD is an exact-target oracle
+        # tensorized FD of the network itself is an exact-target oracle
         rng = np.random.default_rng(2)
         for _ in range(20):
             hidden = int(rng.integers(1, 5))
@@ -228,27 +240,24 @@ class TestNetworkTaylor:
             assert scaled_max_error(fd, taylor_terms(net, order)) < 1e-6
 
     def test_matches_the_documented_formula_in_exact_arithmetic(self):
-        # the module docstring's T(l), summed in rationals term by term;
-        # dyadic weights make every Fraction(weight) exact
+        # the module docstring's T*(l), summed in rationals term by term at the
+        # sigmoid values (1 + w_i) / 2 of the float w_i = tanh(b_i / 2) the expansion
+        # reads; dyadic weights make every Fraction(weight) exact
         order = 7
         net = SigmoidNet(
             [0.75, -1.25, 0.5], [[0.5, -0.25], [-0.375, 1.0], [0.125, 0.625]], [0.25, -0.5, 0.0]
         )
         q = [Fraction(v) for v in net.out_weights.tolist()]
         r = [[Fraction(v) for v in row] for row in net.in_weights.tolist()]
-        s = [Fraction(v) for v in net.biases.tolist()]
-        rationals = sigmoid_derivatives(order)
+        sigmas = [(1 + Fraction(w)) / 2 for w in np.tanh(net.biases / 2).tolist()]
         approx = taylor_terms(net, order)
         exact = {}
         for l in approx:
-            deg, total = sum(l), Fraction(0)
-            for k in range(deg, order + 1):
-                factor = multinomial(k, [*l, k - deg]) * rationals[k] / math.factorial(k)
-                total += factor * sum(
-                    q[i] * math.prod(w**e for w, e in zip(r[i], l)) * s[i] ** (k - deg)
-                    for i in range(net.hidden)
-                )
-            exact[l] = float(total)
+            lfact = math.prod(map(math.factorial, l))
+            exact[l] = float(sum(
+                q[i] * math.prod(w**e for w, e in zip(r[i], l)) * sigmoid_derivative(sum(l), sigmas[i]) / lfact
+                for i in range(net.hidden)
+            ))
         assert scaled_max_error(approx, exact) < 1e-14
 
     def test_truncated_series_tracks_forward_near_origin(self):
@@ -311,8 +320,9 @@ class TestTaylorJacobian:
 
 
 class TestMatchesPowerReference:
-    """The expansion, built from `power_table`'s repeated products, against the
-    `np.power` formulation it replaced, within 1e-13 of each entry's scale."""
+    """The expansion, built from `power_table`'s repeated products and the tanh(b/2)
+    polynomials, against T* from `np.power` weight powers and sigmoid derivatives summed
+    at 60 digits, within 1e-13 of each entry's scale."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_random_weights(self, seed):
@@ -321,8 +331,8 @@ class TestMatchesPowerReference:
         spread = (0.5, 1.5, 3.0)[seed // 3 % 3]  # weights beyond 1 in magnitude for two of three
         params = (rng.uniform(-spread, spread, hidden), rng.uniform(-spread, spread, (hidden, dim)),
                   rng.uniform(-spread, spread, hidden))
-        taylor, jac = reference_taylor_expansion(params, order)
-        taylor_scale, jac_scale = reference_taylor_expansion(params, order, magnitude=True)
+        taylor, jac = reference_own_expansion(params, order)
+        taylor_scale, jac_scale = reference_own_expansion(params, order, magnitude=True)
         expansion = network_taylor(params, order)
         got_taylor, got_jac = expansion.coefficients, taylor_jacobian(expansion)
         assert got_jac.shape == jac.shape
@@ -381,6 +391,15 @@ class TestSerialization:
         path.write_text(json.dumps({"network": net_to_dict(net), "cost": 0.0}))
         again = read_network(path)
         assert np.array_equal(again.out_weights, net.out_weights)
+
+    def test_file_errors_start_with_the_path(self, tmp_path):
+        # truncated JSON, undecodable bytes and a bad document alike
+        path = tmp_path / "net.json"
+        for data in (b'{"q": [1.0], "R": [[', b'{"q": [\xff]}', b'{"q": [1.0]}'):
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as raised:
+                read_network(path)
+            assert str(raised.value).startswith(f"{path}: ")
 
     def test_inconsistent_shape_fields(self):
         with pytest.raises(ValueError):

@@ -341,3 +341,12 @@ class TestSerialization:
         bad.write_text("{not json")
         with pytest.raises(ModelParseError, match="invalid JSON"):
             read_model(bad)
+
+    def test_unreadable_file_errors_start_with_the_path(self, tmp_path):
+        # undecodable bytes and truncated JSON
+        bad = tmp_path / "bad.json"
+        for data in (b'{"dim": 1, "drift": [[\xff]]}', b'{"dim": 1'):
+            bad.write_bytes(data)
+            with pytest.raises(ModelParseError) as raised:
+                read_model(bad)
+            assert str(raised.value).startswith(f"{bad}: ")
